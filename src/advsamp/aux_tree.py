@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import _power_iteration
 from .errors import DataError, NumericError
 
 TREE_MAGIC = "advsamp-tree-v1"
@@ -197,12 +196,11 @@ def init_node(problem: NodeFitProblem):
     if not np.any(cov):
         warnings.warn("zero covariance of label aggregates; using first basis vector")
         return np.eye(k)[0], 0.0
-    rng = np.random.default_rng(0)
-    lam, v, _ = _power_iteration(lambda u: cov @ u, k, rng)
-    if lam <= 0:
+    lam, vecs = np.linalg.eigh(cov)
+    if lam[-1] <= 0:
         warnings.warn("degenerate covariance; using first basis vector")
         return np.eye(k)[0], 0.0
-    return v, 0.0
+    return vecs[:, -1], 0.0
 
 
 def fit_node(problem: NodeFitProblem, lam: float):

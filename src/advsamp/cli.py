@@ -220,7 +220,7 @@ def cmd_eval(args) -> int:
     if cfg.method == "neg_sampling":
         train_set = load_dataset(out / "train.npz")
         noise = _build_noise(cfg, out, train_set)
-    pconf = PredictionConfig(bias_removal=cfg.bias_removal, top_k=cfg.top_k)
+    pconf = PredictionConfig(bias_removal=cfg.bias_removal)
     report = evaluate(model, noise, dataset, pconf)
     payload = {"split": cfg.eval_split, **report.to_dict()}
     (out / "eval.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -275,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for training/eval (default 1)")
         p.set_defaults(func=func)
     return parser
 
@@ -287,8 +285,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    if args.threads is not None:
-        args.set = list(args.set) + [f"threads={args.threads}"]
     try:
         return args.func(args)
     except (ParseError, DataError, FileNotFoundError) as exc:

@@ -36,11 +36,9 @@ class ExperimentConfig:
     epochs: int = 1
     negatives_per_positive: int = 1
     bias_removal: bool = True
-    top_k: int = 1
     eval_split: str = "test"  # test | validation
     log_every: int = 10_000
     eval_at_log: bool = False
-    threads: int = 1
     # diagnose command
     diag_contexts: int = 3
     diag_labels: int = 4

@@ -23,6 +23,10 @@ from .errors import DataError, ParseError
 DATASET_MAGIC = "advsamp-dataset-v1"
 PCA_MAGIC = "advsamp-pca-v1"
 
+PCA_RESIDUAL_TOL = 1e-9  # Ritz residual bound, relative to the top eigenvalue
+PCA_ZERO_TOL = 1e-12  # zero level, relative to the mean squared norm E|x|^2
+PCA_MAX_ROUNDS = 1000
+
 
 @dataclass(frozen=True)
 class SparseVector:
@@ -229,33 +233,17 @@ class PcaProjection:
         return self.components.shape[1]
 
 
-def _power_iteration(matvec, dim, rng, tol=1e-9, max_iter=1000):
-    """Dominant eigenpair of a symmetric PSD operator given as a matvec."""
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = matvec(v)
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            return 0.0, v, True
-        w /= norm
-        if w @ v < 0:
-            w = -w
-        done = np.linalg.norm(w - v) < tol
-        v = w
-        lam = v @ matvec(v)
-        if done:
-            return lam, v, True
-    return lam, v, False
+def fit_pca(dataset: SparseDataset, k: int, seed=0) -> PcaProjection:
+    """Top-k PCA by block subspace iteration with Rayleigh-Ritz.
 
-
-def fit_pca(dataset: SparseDataset, k: int, tol=1e-9, max_iter=1000, seed=0) -> PcaProjection:
-    """Top-k PCA by power iteration with deflation.
-
-    The covariance is never formed densely; matvecs go through the sparse
-    feature matrix. Rank-deficient data (rank < k) is completed with
-    arbitrary orthonormal directions and a warning.
+    The covariance is never formed densely; each round applies it to a
+    block of min(K, 2k) orthonormal columns through the sparse feature
+    matrix, solves the small projected eigenproblem, and re-orthonormalizes
+    the rotated block. It stops once every wanted Ritz residual is at most
+    ``PCA_RESIDUAL_TOL`` times the top eigenvalue, or the roundoff level if
+    that is larger. Each component's largest-magnitude entry is positive.
+    Rank-deficient data (rank < k) is completed with arbitrary orthonormal
+    directions and a warning.
     """
     K = dataset.num_features
     n = dataset.num_examples
@@ -266,45 +254,35 @@ def fit_pca(dataset: SparseDataset, k: int, tol=1e-9, max_iter=1000, seed=0) -> 
 
     X = dataset.features
     mean = np.asarray(X.mean(axis=0)).ravel()
-    comps = np.zeros((k, K))
-    eigs = np.zeros(k)
+    # eigenvalues (and residuals) at this level are roundoff of the
+    # implicit covariance E[x x^T] - mean mean^T
+    zero = PCA_ZERO_TOL * (X.data @ X.data) / n
+
     rng = np.random.default_rng(seed)
-
-    def cov_matvec(v):
-        # (1/n) X^T X v - mean (mean . v), then deflate found components
-        out = X.T @ (X @ v) / n - mean * (mean @ v)
-        for j in range(found):
-            out -= eigs[j] * comps[j] * (comps[j] @ v)
-        return out
-
-    found = 0
-    deficient = False
-    for i in range(k):
-        lam, v, converged = _power_iteration(cov_matvec, K, rng, tol, max_iter)
-        if lam <= 1e-12:
-            deficient = True
+    Q = np.linalg.qr(rng.standard_normal((K, min(K, 2 * k))))[0]
+    for _ in range(PCA_MAX_ROUNDS):
+        CQ = X.T @ (X @ Q) / n - np.outer(mean, mean @ Q)
+        theta, S = np.linalg.eigh(Q.T @ CQ)
+        theta, S = theta[::-1], S[:, ::-1]
+        V, CV = Q @ S, CQ @ S
+        resid = np.linalg.norm(CV[:, :k] - V[:, :k] * theta[:k], axis=0)
+        tol = max(PCA_RESIDUAL_TOL * theta[0], zero)
+        if resid.max() <= tol:
             break
-        if not converged:
-            warnings.warn(f"PCA component {i} did not converge in {max_iter} iterations")
-        # re-orthogonalize against earlier components for numerical safety
-        for j in range(found):
-            v -= comps[j] * (comps[j] @ v)
-        v /= np.linalg.norm(v)
-        comps[i] = v
-        eigs[i] = lam
-        found += 1
+        Q = np.linalg.qr(CV)[0]
+    else:
+        warnings.warn(f"PCA did not converge in {PCA_MAX_ROUNDS} rounds "
+                      f"(Ritz residual {resid.max():.2e} > {tol:.2e})")
 
-    if deficient:
+    comps = np.ascontiguousarray(V[:, :k].T)
+    comps *= np.sign(comps[np.arange(k), np.abs(comps).argmax(axis=1)])[:, None]
+    eigs = theta[:k].copy()
+    rank = int(np.count_nonzero(eigs > zero))
+    if rank < k:
         warnings.warn(
-            f"data rank {found} < k={k}; completing with arbitrary orthonormal directions"
+            f"data rank {rank} < k={k}; completing with arbitrary orthonormal directions"
         )
-        for i in range(found, k):
-            v = rng.standard_normal(K)
-            for j in range(i):
-                v -= comps[j] * (comps[j] @ v)
-            v /= np.linalg.norm(v)
-            comps[i] = v
-            eigs[i] = 0.0
+        eigs[rank:] = 0.0
     return PcaProjection(mean, comps, eigs)
 
 

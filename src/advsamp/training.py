@@ -15,6 +15,7 @@ the sparse support of x and a bias gradient g.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -144,6 +145,38 @@ def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
     return _train_neg_sampling(dataset, config, model, noise, val_dataset)
 
 
+class _LearningCurve:
+    """Metric rows of one training run; ``train_loss`` is the mean loss of
+    the steps since the previous row."""
+
+    def __init__(self, config: TrainConfig, val_metrics):
+        self.eval_at_log = config.eval_at_log
+        self.val_metrics = val_metrics  # () -> (val_log_lik, val_acc)
+        self.rows = []
+        self.start = time.perf_counter()
+
+    def log(self, epoch, steps, loss_sum, epoch_end=False):
+        """Append a row; at an epoch end, validation metrics are always
+        taken, and an epoch end that falls on a fine-grained row fills that
+        row in instead of adding one with no steps behind it."""
+        last = self.rows[-1] if self.rows else None
+        if epoch_end and last is not None and last["epoch"] == epoch and last["steps"] == steps:
+            if last["val_acc"] == "":
+                last["val_log_lik"], last["val_acc"] = self.val_metrics()
+            return
+        if self.eval_at_log or epoch_end:
+            vll, vacc = self.val_metrics()
+        else:
+            vll, vacc = "", ""
+        done = last["steps"] if last is not None else 0
+        self.rows.append({
+            "epoch": epoch, "steps": steps,
+            "wall_clock_s": time.perf_counter() - self.start,
+            "train_loss": loss_sum / max(steps - done, 1),
+            "val_log_lik": vll, "val_acc": vacc,
+        })
+
+
 def _val_metrics(model, noise, val_dataset, config):
     if val_dataset is None:
         return "", ""
@@ -162,6 +195,8 @@ def _train_neg_sampling(dataset, config, model, noise, val_dataset):
     AW, AB = model.accum_w, model.accum_b
     rho, lam, eps = config.learning_rate, config.regularizer, config.adagrad_epsilon
     m = config.negatives_per_positive
+    sign = np.ones(m + 1)
+    sign[0] = -1.0
 
     projected = None
     if isinstance(noise, AdversarialNoise):
@@ -169,24 +204,9 @@ def _train_neg_sampling(dataset, config, model, noise, val_dataset):
 
         projected = apply_pca_matrix(noise.projection, X)
 
-    metrics = []
-    start = time.perf_counter()
+    curve = _LearningCurve(config, lambda: _val_metrics(model, noise, val_dataset, config))
     steps = 0
-    loss_acc, loss_cnt = 0.0, 0
-
-    def log_row(epoch, force_eval=False):
-        nonlocal loss_acc, loss_cnt
-        train_loss = loss_acc / max(loss_cnt, 1)
-        if config.eval_at_log or force_eval:
-            vll, vacc = _val_metrics(model, noise, val_dataset, config)
-        else:
-            vll, vacc = "", ""
-        metrics.append({
-            "epoch": epoch, "steps": steps,
-            "wall_clock_s": time.perf_counter() - start,
-            "train_loss": train_loss, "val_log_lik": vll, "val_acc": vacc,
-        })
-        loss_acc, loss_cnt = 0.0, 0
+    loss_acc = 0.0
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -202,49 +222,54 @@ def _train_neg_sampling(dataset, config, model, noise, val_dataset):
                 lp_pos = noise.log_prob_pairs(feats, labels[order])
                 lp_neg = np.stack([noise.log_prob_pairs(feats, negs[j]) for j in range(m)])
 
+        # row 0 is the positive label, rows 1..m the negatives of each step
+        step_labels = np.vstack([labels[order], negs])
+        if lam > 0:
+            step_lp = np.vstack([lp_pos, lp_neg])
+
         for t in range(n):
             i = order[t]
             lo, hi = indptr[i], indptr[i + 1]
             idx = indices[lo:hi]
             vals = data[lo:hi]
-            y = labels[i]
+            labs = step_labels[:, t]
+            cells = (labs[:, None], idx)
+            w, b = W[cells], B[labs]
 
-            xi_y = W[y, idx] @ vals + B[y]
-            g = {y: -1.0 / (1.0 + np.exp(xi_y))}  # -sigma(-xi_y)
-            loss = np.logaddexp(0.0, -xi_y)
+            xi = w @ vals + b
+            # softplus(-xi) and -sigma(-xi) for the positive, softplus(xi)
+            # and sigma(xi) for the negatives
+            s = sign * xi
+            terms = np.logaddexp(0.0, s)
+            g = sign / (1.0 + np.exp(-s))
             if lam > 0:
-                resid = xi_y + lp_pos[t]
-                loss += lam * resid * resid
-                g[y] += 2.0 * lam * resid
-            for j in range(m):
-                y_neg = negs[j, t]
-                xi_n = W[y_neg, idx] @ vals + B[y_neg]
-                gn = 1.0 / (1.0 + np.exp(-xi_n))  # sigma(xi_n)
-                loss += np.logaddexp(0.0, xi_n)
-                if lam > 0:
-                    resid = xi_n + lp_neg[j, t]
-                    loss += lam * resid * resid
-                    gn += 2.0 * lam * resid
-                g[y_neg] = g.get(y_neg, 0.0) + gn
-            if not np.isfinite(loss):
+                resid = xi + step_lp[:, t]
+                terms += lam * resid * resid
+                g += 2.0 * lam * resid
+            loss = float(terms.sum())
+            if not math.isfinite(loss):
                 raise NumericError(
-                    f"non-finite loss at epoch {epoch} step {t}: y={y}, xi_y={xi_y}"
+                    f"non-finite loss at epoch {epoch} step {t}: y={labs[0]}, xi_y={xi[0]}"
                 )
-            for label, gval in g.items():
-                gw = gval * vals
-                aw = AW[label]
-                aw[idx] += gw * gw
-                W[label, idx] -= rho * gw / (np.sqrt(aw[idx]) + eps)
-                AB[label] += gval * gval
-                B[label] -= rho * gval / (np.sqrt(AB[label]) + eps)
+            # a label drawn more than once takes the summed gradient, so its
+            # repeated rows below all write the same values
+            g = (labs[:, None] == labs) @ g
+            gw = g[:, None] * vals
+            aw = AW[cells] + gw * gw
+            ab = AB[labs] + g * g
+            AW[cells] = aw
+            AB[labs] = ab
+            W[cells] = w - rho * gw / (np.sqrt(aw) + eps)
+            B[labs] = b - rho * g / (np.sqrt(ab) + eps)
 
             loss_acc += loss
-            loss_cnt += 1
             steps += 1
             if config.log_every and steps % config.log_every == 0:
-                log_row(epoch)
-        log_row(epoch, force_eval=True)
-    return TrainResult(model, metrics)
+                curve.log(epoch, steps, loss_acc)
+                loss_acc = 0.0
+        curve.log(epoch, steps, loss_acc, epoch_end=True)
+        loss_acc = 0.0
+    return TrainResult(model, curve.rows)
 
 
 def _train_softmax(dataset, config, model, val_dataset):
@@ -259,24 +284,9 @@ def _train_softmax(dataset, config, model, val_dataset):
     AW, AB = model.accum_w, model.accum_b
     rho, lam, eps = config.learning_rate, config.regularizer, config.adagrad_epsilon
 
-    metrics = []
-    start = time.perf_counter()
+    curve = _LearningCurve(config, lambda: _val_metrics(model, None, val_dataset, config))
     steps = 0
-    loss_acc, loss_cnt = 0.0, 0
-
-    def log_row(epoch, force_eval=False):
-        nonlocal loss_acc, loss_cnt
-        if config.eval_at_log or force_eval:
-            vll, vacc = _val_metrics(model, None, val_dataset, config)
-        else:
-            vll, vacc = "", ""
-        metrics.append({
-            "epoch": epoch, "steps": steps,
-            "wall_clock_s": time.perf_counter() - start,
-            "train_loss": loss_acc / max(loss_cnt, 1),
-            "val_log_lik": vll, "val_acc": vacc,
-        })
-        loss_acc, loss_cnt = 0.0, 0
+    loss_acc = 0.0
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -301,9 +311,10 @@ def _train_softmax(dataset, config, model, val_dataset):
             B -= rho * gb / (np.sqrt(AB) + eps)
 
             loss_acc += loss
-            loss_cnt += 1
             steps += 1
             if config.log_every and steps % config.log_every == 0:
-                log_row(epoch)
-        log_row(epoch, force_eval=True)
-    return TrainResult(model, metrics)
+                curve.log(epoch, steps, loss_acc)
+                loss_acc = 0.0
+        curve.log(epoch, steps, loss_acc, epoch_end=True)
+        loss_acc = 0.0
+    return TrainResult(model, curve.rows)

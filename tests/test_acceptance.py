@@ -6,7 +6,6 @@ experiment (criteria 6 and 7) is shared through a session fixture.
 
 import os
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +79,7 @@ def cluster_runs():
                                    seed=seed, noise_scale=CLUSTER_NOISE_SCALE,
                                    zipf_exponent=CLUSTER_ZIPF)
         train_set, val_set = split(ds, 0.1, seed)
-        with warnings.catch_warnings():
-            # near-tied covariance eigenvalues converge slowly; any vector
-            # of the dominant eigenspace works equally well here
-            warnings.simplefilter("ignore")
-            proj = fit_pca(train_set, CLUSTER_PCA_K, seed=seed)
+        proj = fit_pca(train_set, CLUSTER_PCA_K, seed=seed)
         tree = fit_tree(apply_pca_matrix(proj, train_set.features),
                         train_set.labels, train_set.num_labels)
         entry = {"val": val_set, "seed": seed}

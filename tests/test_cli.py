@@ -157,6 +157,17 @@ class TestExitCodes:
                      "--set", "seed=1", "--set", "bogus=3"])
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["threads=2", "top_k=5"])
+    def test_removed_config_keys_rejected(self, tmp_path, key):
+        code = main(["diagnose", "--out", str(tmp_path / "o"),
+                     "--set", "seed=1", "--set", key])
+        assert code == 2
+
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        code = main(["diagnose", "--out", str(tmp_path / "o"),
+                     "--set", "seed=1", "--threads", "2"])
+        assert code == 1
+
     def test_usage_error(self, capsys):
         assert main(["frobnicate", "--out", "x"]) == 1
         assert main([]) == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,36 @@ class TestPca:
         G = proj.components @ proj.components.T
         assert np.abs(G - np.eye(5)).max() < 1e-8
         assert np.all(np.diff(proj.eigenvalues) <= 1e-10)
+
+    def test_tied_top_spectrum_converges(self, rng):
+        # exact covariance R diag(spec) R^T: four near-tied top eigenvalues,
+        # then a gap below the 2k-column block
+        n, K, k = 200, 20, 4
+        spec = np.concatenate([[1.0, 0.999, 0.998, 0.997], 0.5 * 0.9 ** np.arange(K - 4)])
+        A = rng.standard_normal((n, K))
+        U = np.linalg.qr(A - A.mean(axis=0))[0]  # orthonormal, zero-mean columns
+        R = np.linalg.qr(rng.standard_normal((K, K)))[0]
+        X = np.sqrt(n) * U * np.sqrt(spec) @ R.T + 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proj = fit_pca(dataset_from_dense(X, np.zeros(n, dtype=int), 1), k)
+        mu = X.mean(axis=0)
+        vals = np.linalg.eigh((X - mu).T @ (X - mu) / n)[0][::-1][:k]
+        assert np.abs(proj.eigenvalues - vals).max() <= 1e-10 * vals.min()
+
+    def test_same_seed_bit_identical(self, rng):
+        X = rng.standard_normal((40, 12)) * np.arange(1, 13)
+        ds = dataset_from_dense(X, np.zeros(40, dtype=int), 1)
+        a, b = fit_pca(ds, 4, seed=5), fit_pca(ds, 4, seed=5)
+        assert np.array_equal(a.components, b.components)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+    def test_sign_rule(self, rng):
+        X = rng.standard_normal((50, 10)) * np.arange(1, 11)
+        for seed in range(5):
+            proj = fit_pca(dataset_from_dense(X, np.zeros(50, dtype=int), 1), 5, seed=seed)
+            peak = np.abs(proj.components).argmax(axis=1)
+            assert np.all(proj.components[np.arange(5), peak] > 0)
 
     def test_rank_deficient_warns_and_completes(self, rng):
         X = np.outer(rng.standard_normal(20), rng.standard_normal(5))

@@ -219,6 +219,42 @@ class TestTrainLoop:
         assert np.abs(m.weights - ref.weights).max() < 1e-12
         assert np.abs(m.biases - ref.biases).max() < 1e-12
 
+    def test_epoch_matches_per_label_reference(self, rng):
+        # several negatives over few labels (repeats and hits on the positive),
+        # the score regularizer on, and one example with no features
+        X = 2.0 * rng.standard_normal((40, 6))
+        X[X < 0.5] = 0.0
+        X[7] = 0.0
+        ds = dataset_from_dense(X, rng.integers(0, 3, 40), 3)
+        noise = FrequencyNoise(ds.label_counts, smoothing=1.0)
+        cfg = self.cfg(epochs=1, seed=5, negatives_per_positive=5, regularizer=0.05)
+        m = LinearClassifier(3, 6)
+        res = train(ds, cfg, m, noise=noise)
+
+        ref = LinearClassifier(3, 6)
+        opt = OptimizerConfig(learning_rate=cfg.learning_rate)
+        r = np.random.default_rng(cfg.seed)
+        order = r.permutation(ds.num_examples)
+        feats = ds.features[order]
+        negs = np.stack([noise.sample_batch(feats, r) for _ in range(5)])
+        total = 0.0
+        for t, i in enumerate(order):
+            x, y = ds.example(i)
+            grads = {}
+            for j, label in enumerate([y, *negs[:, t]]):
+                xi = ref.score(x, label)
+                sign = -1.0 if j == 0 else 1.0
+                resid = xi + noise.log_prob(x, label)
+                total += np.logaddexp(0.0, sign * xi) + cfg.regularizer * resid**2
+                grads[label] = (grads.get(label, 0.0) + sign / (1.0 + np.exp(-sign * xi))
+                                + 2.0 * cfg.regularizer * resid)
+            for label, g in grads.items():
+                ref.adagrad_update(label, x.indices, g * x.values, g, opt)
+        for got, want in [(m.weights, ref.weights), (m.biases, ref.biases),
+                          (m.accum_w, ref.accum_w), (m.accum_b, ref.accum_b)]:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert res.metrics[-1]["train_loss"] == pytest.approx(total / 40, rel=1e-12)
+
     def test_deterministic_given_seed(self, rng):
         ds = tiny_dataset(rng)
         runs = []
@@ -339,12 +375,26 @@ class TestMetrics:
                           seed=0, log_every=10)
         res = train(ds, cfg, m, noise=UniformNoise(ds.num_labels), val_dataset=val)
         # fine-grained rows at global-step multiples of 10, one forced-eval
-        # row at each epoch end (the step-50 row appears as both)
-        assert [r["steps"] for r in res.metrics] == [10, 20, 25, 30, 40, 50, 50]
+        # row at each epoch end (the step-50 row is both)
+        assert [r["steps"] for r in res.metrics] == [10, 20, 25, 30, 40, 50]
         for r in (res.metrics[2], res.metrics[-1]):
             assert isinstance(r["val_acc"], float)
         for r in (res.metrics[0], res.metrics[1], res.metrics[3], res.metrics[4]):
             assert r["val_acc"] == ""
+
+    @pytest.mark.parametrize("method", ["neg_sampling", "softmax_full"])
+    def test_epoch_end_on_log_step_adds_no_empty_row(self, rng, method):
+        ds = tiny_dataset(rng, n=20)
+        val = tiny_dataset(rng, n=10)
+        m = LinearClassifier(ds.num_labels, 6)
+        cfg = TrainConfig(method=method, learning_rate=0.1, epochs=2, seed=0,
+                          log_every=20)
+        noise = UniformNoise(ds.num_labels) if method == "neg_sampling" else None
+        res = train(ds, cfg, m, noise=noise, val_dataset=val)
+        assert [(r["epoch"], r["steps"]) for r in res.metrics] == [(1, 20), (2, 40)]
+        for r in res.metrics:
+            assert r["train_loss"] > 0
+            assert isinstance(r["val_acc"], float)
 
     def test_eval_at_log(self, rng):
         ds = tiny_dataset(rng, n=25)
