@@ -189,7 +189,9 @@ def init_node(problem: NodeFitProblem):
     real = ~problem.is_padding()
     aggs = problem.aggregates[real]
     k = aggs.shape[1]
-    if aggs.shape[0] < 2:
+    # labels without training rows (e.g. all of them in the validation
+    # split) give all-zero aggregates and nothing to fit
+    if aggs.shape[0] < 2 or not problem.counts[real].any():
         return np.eye(k)[0], 0.0
     centered = aggs - aggs.mean(axis=0)
     cov = centered.T @ centered / aggs.shape[0]
@@ -233,13 +235,24 @@ class AuxiliaryTree:
         self.label_leaf = np.asarray(label_leaf, dtype=np.int64)  # (C,)
         self.num_labels = int(num_labels)
         self.depth = int(depth)
-        self.padded_size = 1 << self.depth
-        if self.node_w.shape[0] != self.padded_size - 1:
+        self.padded_size = Cp = 1 << self.depth
+        C = self.num_labels
+        if self.node_w.ndim != 2 or self.node_w.shape[0] != Cp - 1:
             raise DataError("node array size does not match depth")
+        if self.node_b.shape != (Cp - 1,):
+            raise DataError(f"node_b has shape {self.node_b.shape}, want ({Cp - 1},)")
+        if not 1 <= C <= Cp:
+            raise DataError(f"{C} labels do not fit a tree of depth {self.depth}")
+        if self.label_leaf.shape != (C,):
+            raise DataError(f"label_leaf has shape {self.label_leaf.shape}, want ({C},)")
+        if self.label_leaf.min() < 0 or self.label_leaf.max() >= Cp:
+            raise DataError(f"label_leaf points outside [0, {Cp})")
+        if np.unique(self.label_leaf).size != C:
+            raise DataError("label_leaf maps two labels to one leaf")
         self.leaf_label = np.full(self.padded_size, -1, dtype=np.int64)
         self.leaf_label[self.label_leaf] = np.arange(self.num_labels)
         # per-leaf root-to-leaf paths: node indices and branch signs
-        d, Cp = self.depth, self.padded_size
+        d = self.depth
         self.path_nodes = np.zeros((Cp, d), dtype=np.int64)
         self.path_signs = np.zeros((Cp, d), dtype=np.int64)
         for j in range(Cp):

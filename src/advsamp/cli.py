@@ -1,8 +1,9 @@
 """Command-line pipeline: preprocess, fit-aux, train, eval, diagnose.
 
-All artifacts land under ``--out DIR`` together with the effective config
-and a manifest (inputs, outputs, seed, version). Exit codes: 0 success,
-1 usage error, 2 data error, 3 numeric failure.
+All artifacts land under ``--out DIR`` together with per-command records:
+the effective config ``config_used-<command>.cfg`` and a manifest
+``manifest-<command>.json`` (inputs, outputs, seed, version, wall clock).
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class _Manifest:
             "outputs": [],
             "wall_clock_s": None,
         }
-        self.out_dir = out_dir
+        self.path = out_dir / f"manifest-{command}.json"
         self.start = time.perf_counter()
 
     def add_input(self, path):
@@ -66,15 +67,14 @@ class _Manifest:
         self.data["wall_clock_s"] = time.perf_counter() - self.start
         if extra:
             self.data.update(extra)
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(self.data, indent=2) + "\n")
+        self.path.write_text(json.dumps(self.data, indent=2) + "\n")
 
 
 def _prepare(args, command):
     cfg = load_config(args.config, args.set)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.to_file(out_dir / "config_used.cfg")
+    cfg.to_file(out_dir / f"config_used-{command}.cfg")
     return cfg, out_dir, _Manifest(out_dir, command, cfg)
 
 
@@ -167,7 +167,7 @@ def _build_noise(cfg, out, train_set):
 
 
 def _aux_fit_offset(out) -> float:
-    manifest = out / "manifest.json"
+    manifest = out / "manifest-fit-aux.json"
     if manifest.exists():
         data = json.loads(manifest.read_text())
         return float(data.get("aux_fit_wall_clock_s", 0.0))

@@ -29,33 +29,6 @@ PCA_MAX_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
-class SparseVector:
-    """Sparse feature vector with strictly increasing indices."""
-
-    indices: np.ndarray  # int64, strictly increasing, < dim
-    values: np.ndarray  # float64, same length
-    dim: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-        if idx.shape != val.shape:
-            raise DataError("indices and values length mismatch")
-        if idx.size:
-            if np.any(np.diff(idx) <= 0):
-                raise DataError("feature indices must be strictly increasing")
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise DataError(f"feature index out of range for dim={self.dim}")
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
-
-
-@dataclass(frozen=True)
 class RawExample:
     labels: tuple[int, ...]
     indices: np.ndarray
@@ -92,15 +65,6 @@ class SparseDataset:
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
-
-    def example(self, i: int) -> tuple[SparseVector, int]:
-        lo, hi = self.features.indptr[i], self.features.indptr[i + 1]
-        vec = SparseVector(
-            self.features.indices[lo:hi].astype(np.int64),
-            self.features.data[lo:hi],
-            self.num_features,
-        )
-        return vec, int(self.labels[i])
 
     def __len__(self) -> int:
         return self.num_examples
@@ -284,15 +248,6 @@ def fit_pca(dataset: SparseDataset, k: int, seed=0) -> PcaProjection:
         )
         eigs[rank:] = 0.0
     return PcaProjection(mean, comps, eigs)
-
-
-def apply_pca(proj: PcaProjection, x: SparseVector) -> np.ndarray:
-    """Project a single sparse vector: components @ (x - mean)."""
-    if x.dim != proj.input_dim:
-        raise DataError(f"dimension mismatch: x.dim={x.dim}, K={proj.input_dim}")
-    out = proj.components[:, x.indices] @ x.values
-    out -= proj.components @ proj.mean
-    return out
 
 
 def apply_pca_matrix(proj: PcaProjection, features: sp.csr_matrix) -> np.ndarray:

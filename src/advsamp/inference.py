@@ -15,20 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .data_io import SparseDataset, SparseVector
+from .data_io import SparseDataset
 from .errors import DataError
 from .linear_model import LinearClassifier
-from .noise import NoiseModel
 
 
 @dataclass
 class PredictionConfig:
     bias_removal: bool = True
-    top_k: int = 1
-
-    def __post_init__(self):
-        if self.top_k < 1:
-            raise DataError("top_k must be positive")
 
 
 @dataclass
@@ -47,36 +41,21 @@ class EvalReport:
         }
 
 
-def corrected_score(model: LinearClassifier, noise: NoiseModel, x: SparseVector,
-                    y: int) -> float:
-    """xi_y(x) + log p_n(y|x); the y-independent constant is omitted."""
-    return model.score(x, y) + noise.log_prob(x, y)
-
-
-def corrected_scores_all(model: LinearClassifier, noise, x: SparseVector,
-                         bias_removal: bool = True) -> np.ndarray:
-    scores = model.scores_all(x)
-    if bias_removal and noise is not None:
-        scores = scores + noise.log_prob_all(x)
-    return scores
-
-
-def predict_topk(model: LinearClassifier, noise, x: SparseVector,
-                 cfg: PredictionConfig) -> list[int]:
-    """Labels ranked by (corrected) score descending, ties by label id."""
-    scores = corrected_scores_all(model, noise, x, cfg.bias_removal)
-    if cfg.top_k > scores.size:
-        raise DataError("top_k exceeds number of labels")
-    order = np.lexsort((np.arange(scores.size), -scores))
-    return [int(y) for y in order[: cfg.top_k]]
-
-
 def _score_matrix(model: LinearClassifier, noise, dataset: SparseDataset,
                   bias_removal: bool) -> np.ndarray:
     scores = np.asarray(dataset.features @ model.weights.T) + model.biases
     if bias_removal and noise is not None:
-        scores = scores + noise.log_prob_matrix(dataset.features)
+        scores = scores + noise.log_prob_matrix(noise.prepare(dataset.features))
     return scores
+
+
+def check_compatible(model: LinearClassifier, noise, dataset: SparseDataset) -> None:
+    """DataError unless the model (and noise, if any) has the dataset's shape."""
+    if (model.num_labels, model.num_features) != (dataset.num_labels, dataset.num_features):
+        raise DataError(f"model has {model.num_labels} labels x {model.num_features} "
+                        f"features, data {dataset.num_labels} x {dataset.num_features}")
+    if noise is not None and noise.num_labels != dataset.num_labels:
+        raise DataError(f"noise has {noise.num_labels} labels, data {dataset.num_labels}")
 
 
 def evaluate(model: LinearClassifier, noise, dataset: SparseDataset,
@@ -84,6 +63,7 @@ def evaluate(model: LinearClassifier, noise, dataset: SparseDataset,
     """Top-1 accuracy and mean predictive log likelihood (softmax readout)."""
     if dataset.num_examples == 0:
         raise DataError("cannot evaluate on an empty dataset")
+    check_compatible(model, noise, dataset)
     start = time.perf_counter()
     scores = _score_matrix(model, noise, dataset, cfg.bias_removal)
     # np.argmax returns the lowest index among ties, matching the tie-break

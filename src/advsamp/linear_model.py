@@ -1,35 +1,17 @@
-"""Per-label affine classifier with sparse Adagrad updates.
+"""Per-label affine classifier: parameters, Adagrad accumulators, storage.
 
-Scores are xi_y(x) = x . w_y + b_y. Updates touch only the labels and
-feature coordinates involved in one step, so the per-step cost is
-independent of the number of labels.
+Scores are xi_y(x) = x . w_y + b_y. Training (``advsamp.training``) updates
+only the labels and feature coordinates involved in one step, so the
+per-step cost of negative sampling is independent of the number of labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data_io import SparseVector
-from .errors import DataError, NumericError
+from .errors import DataError
 
 MODEL_MAGIC = "advsamp-model-v1"
-
-
-@dataclass
-class OptimizerConfig:
-    learning_rate: float
-    regularizer: float = 0.0
-    adagrad_epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
-        if self.regularizer < 0:
-            raise DataError("regularizer must be nonnegative")
-        if self.adagrad_epsilon <= 0:
-            raise DataError("adagrad_epsilon must be positive")
 
 
 class LinearClassifier:
@@ -42,38 +24,6 @@ class LinearClassifier:
         self.biases = np.zeros(num_labels)
         self.accum_w = np.zeros((num_labels, num_features))
         self.accum_b = np.zeros(num_labels)
-
-    def score(self, x: SparseVector, y: int) -> float:
-        """Sparse dot product x . w_y + b_y."""
-        if not 0 <= y < self.num_labels:
-            raise DataError(f"label {y} out of range (C={self.num_labels})")
-        if x.dim != self.num_features:
-            raise DataError("feature dimension mismatch")
-        return float(self.weights[y, x.indices] @ x.values + self.biases[y])
-
-    def scores_all(self, x: SparseVector) -> np.ndarray:
-        """Scores for every label, (C,)."""
-        if x.dim != self.num_features:
-            raise DataError("feature dimension mismatch")
-        return self.weights[:, x.indices] @ x.values + self.biases
-
-    def adagrad_update(self, y: int, grad_indices, grad_values, grad_b: float,
-                       cfg: OptimizerConfig) -> None:
-        """Apply one Adagrad step to label row ``y`` on the given support.
-
-        accum += g^2; param -= rho * g / (sqrt(accum) + eps).
-        """
-        grad_values = np.asarray(grad_values, dtype=np.float64)
-        if not (np.all(np.isfinite(grad_values)) and np.isfinite(grad_b)):
-            raise NumericError(f"non-finite gradient for label {y}")
-        rho, eps = cfg.learning_rate, cfg.adagrad_epsilon
-        aw = self.accum_w[y]
-        aw[grad_indices] += grad_values**2
-        self.weights[y, grad_indices] -= (
-            rho * grad_values / (np.sqrt(aw[grad_indices]) + eps)
-        )
-        self.accum_b[y] += grad_b**2
-        self.biases[y] -= rho * grad_b / (np.sqrt(self.accum_b[y]) + eps)
 
     def save(self, path, include_accumulators: bool = False) -> None:
         payload = {

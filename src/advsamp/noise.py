@@ -1,11 +1,19 @@
 """Noise distributions for negative sampling.
 
-Three variants behind one sample/log-prob contract:
+Three variants behind one batch contract:
 
-- uniform over labels,
-- unconditional empirical label frequencies (with optional add-s smoothing),
-- adversarial: conditional on features via a fitted auxiliary tree, with
-  PCA projection applied internally.
+- ``prepare(features)`` maps a CSR feature matrix once to the dense (n, k)
+  context the noise conditions on;
+- ``sample_batch(Z, rng)`` draws one label per row of a prepared context;
+- ``log_prob_matrix(Z)`` gives the (n, C) log probabilities of every label;
+- ``log_prob_pairs(Z, ys)`` gives the (n,) log probabilities of label
+  ``ys[i]`` at row i.
+
+The variants are uniform over labels, unconditional empirical label
+frequencies (with optional add-s smoothing), and adversarial: conditional
+on features through a fitted auxiliary tree on PCA-projected features.
+Unconditional noise prepares an (n, 0) context, so gathering rows of any
+prepared context (``Z[order]``) is cheap.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .aux_tree import AuxiliaryTree
-from .data_io import PcaProjection, SparseVector, apply_pca, apply_pca_matrix
+from .data_io import PcaProjection, apply_pca_matrix
 from .errors import DataError
 
 # ~ log of the smallest positive double; used as a finite floor when
@@ -21,65 +29,26 @@ from .errors import DataError
 LOG_PROB_FLOOR = -745.0
 
 
-class NoiseModel:
-    """Common interface: conditional (or not) distribution over labels."""
-
-    num_labels: int
-
-    def sample(self, x: SparseVector, rng) -> int:
-        raise NotImplementedError
-
-    def log_prob(self, x: SparseVector, y: int) -> float:
-        raise NotImplementedError
-
-    def log_prob_all(self, x: SparseVector) -> np.ndarray:
-        """(C,) vector of log probabilities for one example."""
-        raise NotImplementedError
-
-    def sample_batch(self, features, rng) -> np.ndarray:
-        """One label per row of a CSR feature matrix."""
-        raise NotImplementedError
-
-    def log_prob_matrix(self, features) -> np.ndarray:
-        """(n, C) log probabilities for all rows of a CSR feature matrix."""
-        raise NotImplementedError
-
-    def log_prob_pairs(self, features, ys) -> np.ndarray:
-        """(n,) log probabilities of label ys[i] given row i."""
-        raise NotImplementedError
-
-    def _check_label(self, y: int) -> None:
-        if not 0 <= y < self.num_labels:
-            raise DataError(f"label {y} out of range (C={self.num_labels})")
-
-
-class UniformNoise(NoiseModel):
+class UniformNoise:
     def __init__(self, num_labels: int):
         if num_labels < 1:
             raise DataError("need at least one label")
         self.num_labels = int(num_labels)
 
-    def sample(self, x, rng) -> int:
-        return int(rng.integers(self.num_labels))
+    def prepare(self, features) -> np.ndarray:
+        return np.empty((features.shape[0], 0))
 
-    def log_prob(self, x, y) -> float:
-        self._check_label(y)
-        return -float(np.log(self.num_labels))
+    def sample_batch(self, Z, rng) -> np.ndarray:
+        return rng.integers(self.num_labels, size=Z.shape[0])
 
-    def log_prob_all(self, x) -> np.ndarray:
-        return np.full(self.num_labels, -np.log(self.num_labels))
+    def log_prob_matrix(self, Z) -> np.ndarray:
+        return np.full((Z.shape[0], self.num_labels), -np.log(self.num_labels))
 
-    def sample_batch(self, features, rng) -> np.ndarray:
-        return rng.integers(self.num_labels, size=features.shape[0])
-
-    def log_prob_matrix(self, features) -> np.ndarray:
-        return np.full((features.shape[0], self.num_labels), -np.log(self.num_labels))
-
-    def log_prob_pairs(self, features, ys) -> np.ndarray:
+    def log_prob_pairs(self, Z, ys) -> np.ndarray:
         return np.full(len(ys), -np.log(self.num_labels))
 
 
-class FrequencyNoise(NoiseModel):
+class FrequencyNoise:
     """Unconditional noise proportional to (smoothed) label counts."""
 
     def __init__(self, label_counts, smoothing: float = 1.0):
@@ -96,27 +65,20 @@ class FrequencyNoise(NoiseModel):
         with np.errstate(divide="ignore"):
             self.log_probs = np.maximum(np.log(self.probs), LOG_PROB_FLOOR)
 
-    def sample(self, x, rng) -> int:
-        return int(rng.choice(self.num_labels, p=self.probs))
+    def prepare(self, features) -> np.ndarray:
+        return np.empty((features.shape[0], 0))
 
-    def log_prob(self, x, y) -> float:
-        self._check_label(y)
-        return float(self.log_probs[y])
+    def sample_batch(self, Z, rng) -> np.ndarray:
+        return rng.choice(self.num_labels, size=Z.shape[0], p=self.probs)
 
-    def log_prob_all(self, x) -> np.ndarray:
-        return self.log_probs.copy()
+    def log_prob_matrix(self, Z) -> np.ndarray:
+        return np.broadcast_to(self.log_probs, (Z.shape[0], self.num_labels)).copy()
 
-    def sample_batch(self, features, rng) -> np.ndarray:
-        return rng.choice(self.num_labels, size=features.shape[0], p=self.probs)
-
-    def log_prob_matrix(self, features) -> np.ndarray:
-        return np.broadcast_to(self.log_probs, (features.shape[0], self.num_labels)).copy()
-
-    def log_prob_pairs(self, features, ys) -> np.ndarray:
+    def log_prob_pairs(self, Z, ys) -> np.ndarray:
         return self.log_probs[np.asarray(ys, dtype=np.int64)]
 
 
-class AdversarialNoise(NoiseModel):
+class AdversarialNoise:
     """Conditional noise from an auxiliary tree on PCA-reduced features."""
 
     def __init__(self, tree: AuxiliaryTree, projection: PcaProjection):
@@ -126,31 +88,21 @@ class AdversarialNoise(NoiseModel):
         self.projection = projection
         self.num_labels = tree.num_labels
 
-    def project(self, x: SparseVector) -> np.ndarray:
-        return apply_pca(self.projection, x)
+    def prepare(self, features) -> np.ndarray:
+        return apply_pca_matrix(self.projection, features)
 
-    def sample(self, x, rng) -> int:
-        return self.tree.sample(self.project(x), rng)
+    def sample_batch(self, Z, rng) -> np.ndarray:
+        return self.tree.sample_batch(Z, rng)
 
-    def log_prob(self, x, y) -> float:
-        self._check_label(y)
-        return self.tree.log_prob(self.project(x), y)
+    def log_prob_matrix(self, Z) -> np.ndarray:
+        return self.tree.log_prob_all(Z)
 
-    def log_prob_all(self, x) -> np.ndarray:
-        return self.tree.log_prob_all(self.project(x)[None, :])[0]
-
-    def sample_batch(self, features, rng) -> np.ndarray:
-        return self.tree.sample_batch(apply_pca_matrix(self.projection, features), rng)
-
-    def log_prob_matrix(self, features) -> np.ndarray:
-        return self.tree.log_prob_all(apply_pca_matrix(self.projection, features))
-
-    def log_prob_pairs(self, features, ys) -> np.ndarray:
-        return self.tree.log_prob_pairs(apply_pca_matrix(self.projection, features), ys)
+    def log_prob_pairs(self, Z, ys) -> np.ndarray:
+        return self.tree.log_prob_pairs(Z, ys)
 
 
 def make_noise(kind: str, *, num_labels=None, label_counts=None, smoothing=1.0,
-               tree=None, projection=None) -> NoiseModel:
+               tree=None, projection=None):
     if kind == "uniform":
         if num_labels is None:
             raise DataError("uniform noise needs num_labels")

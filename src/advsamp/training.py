@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aux_tree import log_sigmoid, sigmoid
-from .data_io import SparseDataset, SparseVector
+from .data_io import SparseDataset
 from .errors import DataError, NumericError
-from .inference import PredictionConfig, evaluate
+from .inference import PredictionConfig, check_compatible, evaluate
 from .linear_model import LinearClassifier
-from .noise import AdversarialNoise, NoiseModel
 
 SOFTMAX_LABEL_GUARD = 100_000
 
@@ -53,8 +51,9 @@ class TrainConfig:
             raise DataError("epochs must be nonnegative")
         if self.negatives_per_positive < 1:
             raise DataError("negatives_per_positive must be positive")
-        if self.learning_rate <= 0 or self.regularizer < 0:
-            raise DataError("learning_rate must be positive, regularizer nonnegative")
+        if self.learning_rate <= 0 or self.adagrad_epsilon <= 0 or self.regularizer < 0:
+            raise DataError("learning_rate and adagrad_epsilon must be positive, "
+                            "regularizer nonnegative")
 
 
 def softmax_loss_and_grad(scores, y: int):
@@ -76,36 +75,34 @@ def softmax_loss_and_grad(scores, y: int):
     return float(loss), grad
 
 
-def neg_sampling_loss_and_grad(model: LinearClassifier, x: SparseVector, y: int,
-                               y_neg: int):
-    """Pair loss -log sigma(xi_y) - log sigma(-xi_{y'}) and its score
-    gradients, returned as {label: d loss / d xi_label}.
+def pair_loss_and_grad(xi, labs, lp, lam: float):
+    """Negative-sampling loss of one step and its gradient over the scores.
 
-    When y_neg == y, both contributions accumulate on the one label.
+    ``xi[0]`` scores the positive label ``labs[0]``, ``xi[1:]`` the sampled
+    negatives: loss = softplus(-xi_0) + sum_j softplus(xi_j), plus
+    lam * (xi + log p_n)^2 on every entry when lam > 0, with ``lp`` the
+    log p_n of each label. A label drawn more than once takes the summed
+    gradient in each of its rows, so its rows all write the same update.
     """
-    xi_y = model.score(x, y)
-    xi_n = model.score(x, y_neg)
-    loss = float(-log_sigmoid(xi_y) - log_sigmoid(-xi_n))
-    grads = {y: float(-sigmoid(-xi_y))}
-    grads[y_neg] = grads.get(y_neg, 0.0) + float(sigmoid(xi_n))
-    return loss, grads
+    s = xi.copy()
+    s[0] = -s[0]
+    terms = np.logaddexp(0.0, s)
+    g = 1.0 / (1.0 + np.exp(-s))
+    g[0] = -g[0]
+    if lam > 0:
+        resid = xi + lp
+        terms += lam * resid * resid
+        g += 2.0 * lam * resid
+    return float(terms.sum()), (labs[:, None] == labs) @ g
 
 
-def regularized_loss_and_grad(model: LinearClassifier, x: SparseVector, y: int,
-                              y_neg: int, noise: NoiseModel, lam: float):
-    """Pair loss plus lam*(xi + log p_n)^2 on both touched labels."""
-    loss, grads = neg_sampling_loss_and_grad(model, x, y, y_neg)
-    if lam == 0.0:
-        return loss, grads
-    for label in {y, y_neg}:
-        lp = noise.log_prob(x, label)
-        if not np.isfinite(lp):
-            raise NumericError(f"non-finite noise log-prob for label {label}")
-        mult = 2 if label == y == y_neg else 1
-        resid = model.score(x, label) + lp
-        loss += mult * lam * resid * resid
-        grads[label] += mult * 2.0 * lam * resid
-    return loss, grads
+def adagrad_step(param, accum, cells, value, grad, rho: float, eps: float) -> None:
+    """Adagrad on ``param[cells]``, whose current values are ``value``:
+    accum += grad^2; param -= rho * grad / (sqrt(accum) + eps). A cell listed
+    more than once must carry the same gradient each time."""
+    acc = accum[cells] + grad * grad
+    accum[cells] = acc
+    param[cells] = value - rho * grad / (np.sqrt(acc) + eps)
 
 
 @dataclass
@@ -123,26 +120,6 @@ class TrainResult:
                 shifted = dict(row)
                 shifted["wall_clock_s"] = row["wall_clock_s"] + wall_clock_offset_s
                 writer.writerow([shifted[c] for c in METRIC_COLUMNS])
-
-
-def _draw_negatives(dataset, order, noise, rng, m, projected):
-    """(m, N) negative labels for the shuffled epoch, drawn vectorized."""
-    if projected is not None:
-        return np.stack([noise.tree.sample_batch(projected[order], rng) for _ in range(m)])
-    feats = dataset.features[order]
-    return np.stack([noise.sample_batch(feats, rng) for _ in range(m)])
-
-
-def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
-          noise: NoiseModel | None = None, val_dataset: SparseDataset | None = None) -> TrainResult:
-    """Seeded, deterministic single-threaded epoch loop with Adagrad."""
-    if config.method == "softmax_full":
-        if noise is not None:
-            raise DataError("softmax_full does not take a noise model")
-        return _train_softmax(dataset, config, model, val_dataset)
-    if noise is None:
-        raise DataError("neg_sampling requires a noise model")
-    return _train_neg_sampling(dataset, config, model, noise, val_dataset)
 
 
 class _LearningCurve:
@@ -185,7 +162,23 @@ def _val_metrics(model, noise, val_dataset, config):
     return report.log_likelihood, report.accuracy
 
 
-def _train_neg_sampling(dataset, config, model, noise, val_dataset):
+def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
+          noise=None, val_dataset: SparseDataset | None = None) -> TrainResult:
+    """Seeded, deterministic single-threaded epoch loop with Adagrad.
+
+    A step scores the labels it touches -- the positive and its m sampled
+    negatives for ``neg_sampling``, all C labels for ``softmax_full`` -- on
+    the nonzero features of one example, takes the method's loss and score
+    gradient, and updates those cells and biases by Adagrad.
+    """
+    softmax = config.method == "softmax_full"
+    if softmax and noise is not None:
+        raise DataError("softmax_full does not take a noise model")
+    if not softmax and noise is None:
+        raise DataError("neg_sampling requires a noise model")
+    if softmax and dataset.num_labels > SOFTMAX_LABEL_GUARD:
+        raise DataError("label set too large for full softmax training")
+    check_compatible(model, noise, dataset)
     rng = np.random.default_rng(config.seed)
     X = dataset.features
     indptr, indices, data = X.indptr, X.indices, X.data
@@ -194,15 +187,11 @@ def _train_neg_sampling(dataset, config, model, noise, val_dataset):
     W, B = model.weights, model.biases
     AW, AB = model.accum_w, model.accum_b
     rho, lam, eps = config.learning_rate, config.regularizer, config.adagrad_epsilon
-    m = config.negatives_per_positive
-    sign = np.ones(m + 1)
-    sign[0] = -1.0
-
-    projected = None
-    if isinstance(noise, AdversarialNoise):
-        from .data_io import apply_pca_matrix
-
-        projected = apply_pca_matrix(noise.projection, X)
+    if softmax:
+        # every label; a slice keeps W[:, idx] a cheap gather for large C
+        labs = rows = slice(None)
+    else:
+        Z = noise.prepare(X)
 
     curve = _LearningCurve(config, lambda: _val_metrics(model, noise, val_dataset, config))
     steps = 0
@@ -210,105 +199,40 @@ def _train_neg_sampling(dataset, config, model, noise, val_dataset):
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        negs = _draw_negatives(dataset, order, noise, rng, m, projected)
-        if lam > 0:
-            if projected is not None:
-                lp_pos = noise.tree.log_prob_pairs(projected[order], labels[order])
-                lp_neg = np.stack([
-                    noise.tree.log_prob_pairs(projected[order], negs[j]) for j in range(m)
-                ])
-            else:
-                feats = X[order]
-                lp_pos = noise.log_prob_pairs(feats, labels[order])
-                lp_neg = np.stack([noise.log_prob_pairs(feats, negs[j]) for j in range(m)])
-
-        # row 0 is the positive label, rows 1..m the negatives of each step
-        step_labels = np.vstack([labels[order], negs])
-        if lam > 0:
-            step_lp = np.vstack([lp_pos, lp_neg])
+        if not softmax:
+            Zo = Z[order]
+            # row 0 holds each step's positive label, rows 1..m its negatives
+            step_labels = np.vstack([labels[order]] + [
+                noise.sample_batch(Zo, rng) for _ in range(config.negatives_per_positive)
+            ])
+            if lam > 0:
+                step_lp = np.stack([noise.log_prob_pairs(Zo, ys) for ys in step_labels])
 
         for t in range(n):
             i = order[t]
             lo, hi = indptr[i], indptr[i + 1]
             idx = indices[lo:hi]
             vals = data[lo:hi]
-            labs = step_labels[:, t]
-            cells = (labs[:, None], idx)
+            if not softmax:
+                labs = step_labels[:, t]
+                rows = labs[:, None]
+            cells = (rows, idx)
             w, b = W[cells], B[labs]
-
             xi = w @ vals + b
-            # softplus(-xi) and -sigma(-xi) for the positive, softplus(xi)
-            # and sigma(xi) for the negatives
-            s = sign * xi
-            terms = np.logaddexp(0.0, s)
-            g = sign / (1.0 + np.exp(-s))
-            if lam > 0:
-                resid = xi + step_lp[:, t]
-                terms += lam * resid * resid
-                g += 2.0 * lam * resid
-            loss = float(terms.sum())
-            if not math.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch} step {t}: y={labs[0]}, xi_y={xi[0]}"
-                )
-            # a label drawn more than once takes the summed gradient, so its
-            # repeated rows below all write the same values
-            g = (labs[:, None] == labs) @ g
-            gw = g[:, None] * vals
-            aw = AW[cells] + gw * gw
-            ab = AB[labs] + g * g
-            AW[cells] = aw
-            AB[labs] = ab
-            W[cells] = w - rho * gw / (np.sqrt(aw) + eps)
-            B[labs] = b - rho * g / (np.sqrt(ab) + eps)
-
-            loss_acc += loss
-            steps += 1
-            if config.log_every and steps % config.log_every == 0:
-                curve.log(epoch, steps, loss_acc)
-                loss_acc = 0.0
-        curve.log(epoch, steps, loss_acc, epoch_end=True)
-        loss_acc = 0.0
-    return TrainResult(model, curve.rows)
-
-
-def _train_softmax(dataset, config, model, val_dataset):
-    if dataset.num_labels > SOFTMAX_LABEL_GUARD:
-        raise DataError("label set too large for full softmax training")
-    rng = np.random.default_rng(config.seed)
-    X = dataset.features
-    indptr, indices, data = X.indptr, X.indices, X.data
-    labels = dataset.labels
-    n = dataset.num_examples
-    W, B = model.weights, model.biases
-    AW, AB = model.accum_w, model.accum_b
-    rho, lam, eps = config.learning_rate, config.regularizer, config.adagrad_epsilon
-
-    curve = _LearningCurve(config, lambda: _val_metrics(model, None, val_dataset, config))
-    steps = 0
-    loss_acc = 0.0
-
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        for t in range(n):
-            i = order[t]
-            lo, hi = indptr[i], indptr[i + 1]
-            idx = indices[lo:hi]
-            vals = data[lo:hi]
-            y = labels[i]
-            scores = W[:, idx] @ vals + B
-            loss, gscore = softmax_loss_and_grad(scores, y)
-            gw = gscore[:, None] * vals[None, :]
-            gb = gscore
-            if lam > 0:
+            if softmax:
+                loss, g = softmax_loss_and_grad(xi, labels[i])
+            else:
+                loss, g = pair_loss_and_grad(xi, labs, step_lp[:, t] if lam > 0 else None, lam)
+            gw, gb = g[:, None] * vals, g
+            if softmax and lam > 0:
                 # parameter L2 on the touched coordinates
-                gw = gw + 2.0 * lam * W[:, idx]
-                gb = gb + 2.0 * lam * B
-                loss += lam * float((W[:, idx] ** 2).sum() + (B**2).sum())
-            AW[:, idx] += gw * gw
-            W[:, idx] -= rho * gw / (np.sqrt(AW[:, idx]) + eps)
-            AB += gb * gb
-            B -= rho * gb / (np.sqrt(AB) + eps)
+                gw = gw + 2.0 * lam * w
+                gb = gb + 2.0 * lam * b
+                loss += lam * float((w**2).sum() + (b**2).sum())
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite loss at epoch {epoch} step {t}: y={labels[i]}")
+            adagrad_step(W, AW, cells, w, gw, rho, eps)
+            adagrad_step(B, AB, labs, b, gb, rho, eps)
 
             loss_acc += loss
             steps += 1

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from advsamp.data_io import SparseDataset, SparseVector
+from advsamp.data_io import SparseDataset
 
 
-def make_sparse_vector(dense):
-    dense = np.asarray(dense, dtype=np.float64)
-    idx = np.flatnonzero(dense)
-    return SparseVector(idx, dense[idx], dense.size)
+def csr_row(dense):
+    """One-row CSR feature matrix holding ``dense``."""
+    return sp.csr_matrix(np.atleast_2d(np.asarray(dense, dtype=np.float64)))
 
 
 def dataset_from_dense(X, labels, num_labels=None):

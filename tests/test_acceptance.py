@@ -37,8 +37,7 @@ from advsamp.noise import AdversarialNoise, FrequencyNoise, UniformNoise
 from advsamp.synthetic import hierarchical_clusters, one_hot_contexts
 from advsamp.training import (
     TrainConfig,
-    neg_sampling_loss_and_grad,
-    regularized_loss_and_grad,
+    pair_loss_and_grad,
     softmax_loss_and_grad,
     train,
 )
@@ -209,20 +208,20 @@ class TestCriterion4:
         return abs(analytic - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_all_loss_gradients_match_finite_differences(self):
+        """The score losses ``train`` runs, differentiated through the bias of
+        each touched label: softmax over all labels, and the negative-sampling
+        step (positive plus 3 negatives over 5 labels, so labels repeat)
+        without and with the score regularizer."""
         start = time.perf_counter()
         rng = np.random.default_rng(11)
         ok = True
+        noise = FrequencyNoise([3, 1, 4, 1, 5])
 
-        for _ in range(100):
-            scores = rng.standard_normal(6)
-            y = int(rng.integers(6))
-            _, grad = softmax_loss_and_grad(scores, y)
-            for c in range(6):
-                e = np.zeros(6)
-                e[c] = self.H
-                fd = (softmax_loss_and_grad(scores + e, y)[0]
-                      - softmax_loss_and_grad(scores - e, y)[0]) / (2 * self.H)
-                ok = ok and self._rel_ok(grad[c], fd)
+        def random_model(C, K):
+            m = LinearClassifier(C, K)
+            m.weights[:] = rng.standard_normal((C, K))
+            m.biases[:] = rng.standard_normal(C)
+            return m
 
         def fd_through_bias(model, label, loss_fn):
             saved = model.biases[label]
@@ -233,33 +232,27 @@ class TestCriterion4:
             model.biases[label] = saved
             return (hi - lo) / (2 * self.H)
 
-        from conftest import make_sparse_vector
-
         for _ in range(100):
-            m = LinearClassifier(5, 3)
-            m.weights[:] = rng.standard_normal((5, 3))
-            m.biases[:] = rng.standard_normal(5)
-            x = make_sparse_vector(rng.standard_normal(3))
-            y, y_neg = (int(v) for v in rng.integers(5, size=2))
-            _, grads = neg_sampling_loss_and_grad(m, x, y, y_neg)
-            for label, g in grads.items():
-                fd = fd_through_bias(
-                    m, label, lambda: neg_sampling_loss_and_grad(m, x, y, y_neg)[0])
-                ok = ok and self._rel_ok(g, fd)
+            m = random_model(6, 3)
+            x = rng.standard_normal(3)
+            y = int(rng.integers(6))
+            loss = lambda: softmax_loss_and_grad(m.weights @ x + m.biases, y)  # noqa: E731
+            _, grad = loss()
+            for c in range(6):
+                ok = ok and self._rel_ok(grad[c], fd_through_bias(m, c, lambda: loss()[0]))
 
-        noise = FrequencyNoise([3, 1, 4, 1, 5])
-        for _ in range(100):
-            m = LinearClassifier(5, 3)
-            m.weights[:] = rng.standard_normal((5, 3))
-            m.biases[:] = rng.standard_normal(5)
-            x = make_sparse_vector(rng.standard_normal(3))
-            y, y_neg = (int(v) for v in rng.integers(5, size=2))
-            _, grads = regularized_loss_and_grad(m, x, y, y_neg, noise, 0.3)
-            for label, g in grads.items():
-                fd = fd_through_bias(
-                    m, label,
-                    lambda: regularized_loss_and_grad(m, x, y, y_neg, noise, 0.3)[0])
-                ok = ok and self._rel_ok(g, fd)
+        for lam in (0.0, 0.3):
+            for _ in range(100):
+                m = random_model(5, 3)
+                x = rng.standard_normal(3)
+                labs = rng.integers(5, size=4)
+                lp = noise.log_probs[labs]
+                loss = lambda: pair_loss_and_grad(  # noqa: E731
+                    m.weights[labs] @ x + m.biases[labs], labs, lp, lam)
+                _, grad = loss()
+                for j, label in enumerate(labs):
+                    fd = fd_through_bias(m, label, lambda: loss()[0])
+                    ok = ok and self._rel_ok(grad[j], fd)
 
         elapsed = time.perf_counter() - start
         ok = ok and elapsed < 10

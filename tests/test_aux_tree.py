@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,16 @@ class TestInitNode:
             w, b = init_node(make_problem([same, same]))
         assert list(w) == [1.0, 0.0] and b == 0.0
 
+    @pytest.mark.parametrize("num_real", [4, 2])
+    def test_labels_without_rows_fall_back_silently(self, num_real):
+        # labels whose rows all went to the validation split (here with or
+        # without padding labels beside them) leave all-zero aggregates
+        p = NodeFitProblem(np.arange(4), [np.zeros((0, 3))] * 4, num_real)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, b = init_node(p)
+        assert list(w) == [1.0, 0.0, 0.0] and b == 0.0
+
 
 class TestFitNode:
     def exhaustive_best(self, problem, lam):
@@ -328,6 +339,38 @@ class TestFitNode:
             _, _, _, trace = fit_node(make_problem(feats), lam=0.1)
             diffs = np.diff(trace)
             assert np.all(diffs >= -1e-12), f"trial {trial}: {trace}"
+
+
+class TestTreeValidation:
+    """``AuxiliaryTree`` (and so ``load``) rejects inconsistent arrays."""
+
+    def parts(self, rng, C=5, depth=3, k=2):
+        Cp = 1 << depth
+        return dict(node_w=rng.standard_normal((Cp - 1, k)), node_b=rng.standard_normal(Cp - 1),
+                    label_leaf=rng.permutation(Cp)[:C], num_labels=C, depth=depth)
+
+    def test_valid_parts_accepted(self, rng):
+        AuxiliaryTree(**self.parts(rng))
+
+    @pytest.mark.parametrize("change", [
+        dict(node_b=np.zeros(6)),  # wrong length
+        dict(node_w=np.zeros((6, 2))),
+        dict(label_leaf=np.array([0, 1, 2, 3])),  # wrong shape
+        dict(label_leaf=np.array([0, 1, 2, 3, 3])),  # repeated leaf
+        dict(label_leaf=np.array([0, 1, 2, 3, 8])),  # beyond 2^depth
+        dict(label_leaf=np.array([0, 1, 2, 3, -1])),
+        dict(num_labels=9, label_leaf=np.arange(9)),  # C > 2^depth
+    ])
+    def test_inconsistent_parts_rejected(self, rng, change):
+        with pytest.raises(DataError):
+            AuxiliaryTree(**{**self.parts(rng), **change})
+
+    def test_load_rejects_repeated_leaf(self, tmp_path, rng):
+        tree = AuxiliaryTree(**self.parts(rng))
+        tree.label_leaf[1] = tree.label_leaf[0]
+        tree.save(tmp_path / "t.npz")
+        with pytest.raises(DataError):
+            AuxiliaryTree.load(tmp_path / "t.npz")
 
 
 class TestFitTree:

@@ -50,16 +50,42 @@ class TestPipeline:
         assert run("fit-aux", out, sets) == 0
         assert run("train", out, sets) == 0
         assert run("eval", out, sets) == 0
+        commands = ("preprocess", "fit-aux", "train", "eval")
         for name in ("train.npz", "val.npz", "test.npz", "pca.npz", "tree.npz",
-                     "model.npz", "metrics.csv", "eval.json", "config_used.cfg",
-                     "manifest.json"):
+                     "model.npz", "metrics.csv", "eval.json",
+                     *(f"config_used-{c}.cfg" for c in commands),
+                     *(f"manifest-{c}.json" for c in commands)):
             assert (out / name).exists(), name
         report = json.loads((out / "eval.json").read_text())
         assert report["split"] == "test"
         assert report["accuracy"] > 0.5  # well-separated clusters
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 42
-        assert manifest["wall_clock_s"] > 0
+        for command in commands:
+            manifest = json.loads((out / f"manifest-{command}.json").read_text())
+            assert manifest["command"] == command
+            assert manifest["seed"] == 42
+            assert manifest["wall_clock_s"] > 0
+
+    def test_retrain_keeps_aux_fit_time(self, workdir):
+        # a second train still finds the fit-aux record and shifts its curve
+        out, base = workdir
+        sets = base + ["noise=adversarial"]
+        for command in ("preprocess", "fit-aux", "train", "train"):
+            assert run(command, out, sets) == 0
+        fit = json.loads((out / "manifest-fit-aux.json").read_text())
+        first_row = (out / "metrics.csv").read_text().splitlines()[1].split(",")
+        assert float(first_row[2]) >= fit["aux_fit_wall_clock_s"] > 0
+
+    def test_corrupted_tree_is_a_data_error(self, workdir):
+        from advsamp.aux_tree import AuxiliaryTree
+
+        out, base = workdir
+        sets = base + ["noise=adversarial"]
+        assert run("preprocess", out, sets) == 0
+        assert run("fit-aux", out, sets) == 0
+        tree = AuxiliaryTree.load(out / "tree.npz")
+        tree.label_leaf[1] = tree.label_leaf[0]
+        tree.save(out / "tree.npz")
+        assert run("train", out, sets) == 2
 
     def test_uniform_training_without_tree(self, workdir):
         out, base = workdir

@@ -9,7 +9,6 @@ from advsamp.data_io import (
     PcaProjection,
     RawDataset,
     RawExample,
-    apply_pca,
     apply_pca_matrix,
     fit_pca,
     load_dataset,
@@ -22,7 +21,7 @@ from advsamp.data_io import (
 )
 from advsamp.errors import DataError, ParseError
 
-from conftest import dataset_from_dense, make_sparse_vector
+from conftest import csr_row, dataset_from_dense
 
 
 def write(tmp_path, text, name="data.txt"):
@@ -194,35 +193,37 @@ class TestPca:
         X = rng.standard_normal((30, 6))
         ds = dataset_from_dense(X, np.zeros(30, dtype=int), 1)
         proj = fit_pca(ds, 2)
-        out = apply_pca(proj, make_sparse_vector(proj.mean))
+        out = apply_pca_matrix(proj, csr_row(proj.mean))
+        assert out.shape == (1, 2)
         assert np.abs(out).max() < 1e-12
 
     def test_apply_identity_projection(self):
         proj = PcaProjection(np.zeros(4), np.eye(3, 4), np.ones(3))
-        x = make_sparse_vector([1.0, -2.0, 0.0, 5.0])
-        assert np.allclose(apply_pca(proj, x), [1.0, -2.0, 0.0])
+        out = apply_pca_matrix(proj, csr_row([1.0, -2.0, 0.0, 5.0]))
+        assert np.allclose(out, [[1.0, -2.0, 0.0]])
 
     def test_apply_matches_dense_oracle(self, rng):
         comps = np.linalg.qr(rng.standard_normal((7, 3)))[0].T
         proj = PcaProjection(rng.standard_normal(7), comps, np.ones(3))
         dense = rng.standard_normal(7)
         dense[rng.integers(0, 7, 3)] = 0.0
-        x = make_sparse_vector(dense)
         oracle = comps @ (dense - proj.mean)
-        assert np.abs(apply_pca(proj, x) - oracle).max() < 1e-10
+        assert np.abs(apply_pca_matrix(proj, csr_row(dense))[0] - oracle).max() < 1e-10
 
     def test_apply_matrix_consistent(self, rng):
         X = rng.standard_normal((12, 6))
+        X[X < 0] = 0.0
         ds = dataset_from_dense(X, np.zeros(12, dtype=int), 1)
         proj = fit_pca(ds, 2)
         batch = apply_pca_matrix(proj, ds.features)
-        rows = np.stack([apply_pca(proj, ds.example(i)[0]) for i in range(12)])
+        rows = np.concatenate([apply_pca_matrix(proj, ds.features[i]) for i in range(12)])
         assert np.abs(batch - rows).max() < 1e-10
+        assert np.abs(batch - (X - proj.mean) @ proj.components.T).max() < 1e-10
 
     def test_dimension_mismatch(self):
         proj = PcaProjection(np.zeros(4), np.eye(2, 4), np.ones(2))
         with pytest.raises(DataError):
-            apply_pca(proj, make_sparse_vector([1.0, 0.0]))
+            apply_pca_matrix(proj, csr_row([1.0, 0.0]))
 
 
 class TestSplit:

@@ -2,18 +2,11 @@ import numpy as np
 import pytest
 
 from advsamp.errors import DataError
-from advsamp.inference import (
-    EvalReport,
-    PredictionConfig,
-    corrected_score,
-    corrected_scores_all,
-    evaluate,
-    predict_topk,
-)
+from advsamp.inference import EvalReport, PredictionConfig, _score_matrix, evaluate
 from advsamp.linear_model import LinearClassifier
 from advsamp.noise import FrequencyNoise, UniformNoise
 
-from conftest import dataset_from_dense, make_sparse_vector
+from conftest import dataset_from_dense
 
 
 def model_with(weights, biases):
@@ -24,59 +17,51 @@ def model_with(weights, biases):
     return m
 
 
+def accuracy(model, noise, X, labels, bias_removal):
+    ds = dataset_from_dense(X, labels, model.num_labels)
+    return evaluate(model, noise, ds, PredictionConfig(bias_removal=bias_removal)).accuracy
+
+
 class TestCorrectedScore:
     def test_adds_noise_log_prob(self, rng):
         m = model_with(rng.standard_normal((3, 2)), rng.standard_normal(3))
         noise = FrequencyNoise([5, 3, 2], smoothing=0.0)
-        x = make_sparse_vector(rng.standard_normal(2))
-        for y in range(3):
-            assert corrected_score(m, noise, x, y) == m.score(x, y) + noise.log_probs[y]
+        ds = dataset_from_dense(rng.standard_normal((4, 2)), [0, 1, 2, 0], 3)
+        raw = _score_matrix(m, None, ds, bias_removal=False)
+        assert np.array_equal(_score_matrix(m, noise, ds, True), raw + noise.log_probs)
 
     def test_uniform_noise_is_constant_shift(self, rng):
         m = model_with(rng.standard_normal((4, 2)), rng.standard_normal(4))
-        x = make_sparse_vector(rng.standard_normal(2))
-        raw = m.scores_all(x)
-        corr = corrected_scores_all(m, UniformNoise(4), x)
+        ds = dataset_from_dense(rng.standard_normal((3, 2)), [0, 1, 3], 4)
+        raw = _score_matrix(m, None, ds, bias_removal=False)
+        corr = _score_matrix(m, UniformNoise(4), ds, bias_removal=True)
         assert np.allclose(corr, raw - np.log(4), atol=1e-12)
 
     def test_bias_removal_off_returns_raw(self, rng):
         m = model_with(rng.standard_normal((4, 2)), rng.standard_normal(4))
-        x = make_sparse_vector(rng.standard_normal(2))
-        corr = corrected_scores_all(m, FrequencyNoise([1, 2, 3, 4]), x,
-                                    bias_removal=False)
-        assert np.array_equal(corr, m.scores_all(x))
+        ds = dataset_from_dense(rng.standard_normal((3, 2)), [0, 1, 3], 4)
+        corr = _score_matrix(m, FrequencyNoise([1, 2, 3, 4]), ds, bias_removal=False)
+        assert np.array_equal(corr, _score_matrix(m, None, ds, bias_removal=False))
 
 
 class TestPredictTopk:
     def test_correction_changes_the_winner(self):
-        # raw scores favor label 0; a strong noise penalty flips it
+        # raw scores favor label 0; a strong noise penalty flips it to 1
         m = model_with(np.array([[0.5], [0.0]]), [0.0, 0.0])
         noise = FrequencyNoise([1, 99], smoothing=0.0)
-        x = make_sparse_vector([1.0])
-        assert predict_topk(m, noise, x, PredictionConfig(bias_removal=False)) == [0]
-        assert predict_topk(m, noise, x, PredictionConfig(bias_removal=True)) == [1]
+        assert accuracy(m, noise, [[1.0]], [0], bias_removal=False) == 1.0
+        assert accuracy(m, noise, [[1.0]], [1], bias_removal=True) == 1.0
 
     def test_ranking_order(self):
+        # the prediction is the highest-scoring label
         m = model_with(np.array([[1.0], [3.0], [2.0]]), np.zeros(3))
-        x = make_sparse_vector([1.0])
-        cfg = PredictionConfig(bias_removal=False, top_k=3)
-        assert predict_topk(m, None, x, cfg) == [1, 2, 0]
+        hits = [accuracy(m, None, [[1.0]], [y], False) for y in range(3)]
+        assert hits == [0.0, 1.0, 0.0]
 
     def test_tie_breaks_by_label_id(self):
         m = model_with(np.zeros((4, 1)), [0.0, 1.0, 1.0, 0.0])
-        x = make_sparse_vector([1.0])
-        cfg = PredictionConfig(bias_removal=False, top_k=4)
-        assert predict_topk(m, None, x, cfg) == [1, 2, 0, 3]
-
-    def test_top_k_too_large(self):
-        m = LinearClassifier(2, 1)
-        with pytest.raises(DataError):
-            predict_topk(m, None, make_sparse_vector([1.0]),
-                         PredictionConfig(top_k=3))
-
-    def test_bad_config(self):
-        with pytest.raises(DataError):
-            PredictionConfig(top_k=0)
+        hits = [accuracy(m, None, [[1.0]], [y], False) for y in range(4)]
+        assert hits == [0.0, 1.0, 0.0, 0.0]
 
 
 class TestEvaluate:
@@ -119,7 +104,9 @@ class TestEvaluate:
         noise = FrequencyNoise(ds.label_counts)
         cfg = PredictionConfig(bias_removal=True)
         rep = evaluate(m, noise, ds, cfg)
-        hits = [predict_topk(m, noise, ds.example(i)[0], cfg)[0] == ds.labels[i]
+        # per-example oracle: dense scores plus log p_n, first maximum wins
+        X = ds.features.toarray()
+        hits = [np.argmax(m.weights @ X[i] + m.biases + noise.log_probs) == ds.labels[i]
                 for i in range(25)]
         assert rep.accuracy == pytest.approx(np.mean(hits))
 

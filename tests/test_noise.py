@@ -6,6 +6,7 @@ from scipy.stats import chisquare
 from advsamp.aux_tree import fit_tree
 from advsamp.data_io import PcaProjection, fit_pca
 from advsamp.errors import DataError
+from advsamp.linear_model import LinearClassifier
 from advsamp.noise import (
     LOG_PROB_FLOOR,
     AdversarialNoise,
@@ -13,8 +14,11 @@ from advsamp.noise import (
     UniformNoise,
     make_noise,
 )
+from advsamp.training import TrainConfig, train
 
-from conftest import dataset_from_dense, make_sparse_vector
+from conftest import dataset_from_dense
+
+ONE_ROW = sp.csr_matrix(np.ones((1, 1)))
 
 
 def goodness_of_fit(samples, probs):
@@ -25,23 +29,28 @@ def goodness_of_fit(samples, probs):
 class TestUniform:
     def test_log_prob_constant(self):
         n = UniformNoise(5)
-        x = make_sparse_vector([1.0])
-        assert n.log_prob(x, 0) == pytest.approx(-np.log(5))
-        assert np.allclose(n.log_prob_all(x), -np.log(5))
+        Z = n.prepare(sp.csr_matrix(np.ones((3, 2))))
+        assert Z.shape == (3, 0)
+        assert np.allclose(n.log_prob_pairs(Z, [0, 4, 2]), -np.log(5))
+        assert np.allclose(n.log_prob_matrix(Z), -np.log(5))
 
     def test_normalized(self):
         n = UniformNoise(7)
-        assert np.exp(n.log_prob_all(make_sparse_vector([1.0]))).sum() == pytest.approx(1.0)
+        totals = np.exp(n.log_prob_matrix(n.prepare(ONE_ROW))).sum(axis=1)
+        assert totals == pytest.approx([1.0])
 
     def test_sampling_distribution(self, rng):
         n = UniformNoise(6)
         X = sp.csr_matrix(np.ones((100_000, 1)))
-        draws = n.sample_batch(X, rng)
+        draws = n.sample_batch(n.prepare(X), rng)
         assert goodness_of_fit(draws, np.full(6, 1 / 6)) > 0.001
 
-    def test_out_of_range_label(self):
+    def test_out_of_range_label(self, rng):
+        # a noise over 3 labels cannot serve data with label 3
+        ds = dataset_from_dense(np.ones((4, 1)), [0, 1, 2, 3], 4)
+        cfg = TrainConfig("neg_sampling", learning_rate=0.1, log_every=0)
         with pytest.raises(DataError):
-            UniformNoise(3).log_prob(make_sparse_vector([1.0]), 3)
+            train(ds, cfg, LinearClassifier(4, 1), UniformNoise(3))
 
 
 class TestFrequency:
@@ -55,22 +64,23 @@ class TestFrequency:
 
     def test_zero_count_floor(self):
         n = FrequencyNoise([5, 0], smoothing=0.0)
-        assert n.log_prob(make_sparse_vector([1.0]), 1) == LOG_PROB_FLOOR
+        assert n.log_prob_pairs(n.prepare(ONE_ROW), [1])[0] == LOG_PROB_FLOOR
 
     def test_normalized(self):
         n = FrequencyNoise([2, 9, 4, 1], smoothing=0.5)
-        assert np.exp(n.log_prob_all(make_sparse_vector([1.0]))).sum() == pytest.approx(1.0)
+        totals = np.exp(n.log_prob_matrix(n.prepare(ONE_ROW))).sum(axis=1)
+        assert totals == pytest.approx([1.0])
 
     def test_sampling_distribution(self, rng):
         n = FrequencyNoise([10, 30, 60], smoothing=0.0)
         X = sp.csr_matrix(np.ones((100_000, 1)))
-        draws = n.sample_batch(X, rng)
+        draws = n.sample_batch(n.prepare(X), rng)
         assert goodness_of_fit(draws, n.probs) > 0.001
 
     def test_log_prob_pairs_matches(self):
         n = FrequencyNoise([1, 2, 3])
         X = sp.csr_matrix(np.ones((3, 1)))
-        pairs = n.log_prob_pairs(X, [2, 0, 1])
+        pairs = n.log_prob_pairs(n.prepare(X), [2, 0, 1])
         assert np.allclose(pairs, n.log_probs[[2, 0, 1]])
 
     def test_rejects_negative(self):
@@ -98,36 +108,33 @@ class TestAdversarial:
 
     def test_normalized_per_context(self, rng):
         noise, ds = self.fitted(rng)
-        totals = np.exp(noise.log_prob_matrix(ds.features)).sum(axis=1)
+        totals = np.exp(noise.log_prob_matrix(noise.prepare(ds.features))).sum(axis=1)
         assert np.abs(totals - 1.0).max() < 1e-9
 
     def test_conditional_on_context(self, rng):
         noise, ds = self.fitted(rng)
         # a cluster-0 context should put most mass on the first half of labels
-        p0 = np.exp(noise.log_prob_all(ds.example(0)[0]))
-        p1 = np.exp(noise.log_prob_all(ds.example(ds.num_examples - 1)[0]))
+        p0, p1 = np.exp(noise.log_prob_matrix(noise.prepare(ds.features[[0, -1]])))
         assert p0[:2].sum() > 0.8
         assert p1[2:].sum() > 0.8
 
     def test_sampling_matches_log_prob(self, rng):
         noise, ds = self.fitted(rng)
-        x, _ = ds.example(3)
-        X = sp.csr_matrix((np.tile(x.values, 100_000),
-                           np.tile(x.indices, 100_000),
-                           np.arange(0, 100_001 * x.indices.size, x.indices.size)),
-                          shape=(100_000, x.dim))
-        draws = noise.sample_batch(X, rng)
-        probs = np.exp(noise.log_prob_all(x))
+        Z = noise.prepare(ds.features[3])
+        draws = noise.sample_batch(np.repeat(Z, 100_000, axis=0), rng)
+        probs = np.exp(noise.log_prob_matrix(Z)[0])
         assert goodness_of_fit(draws, probs) > 0.001
 
     def test_scalar_batch_agree(self, rng):
         noise, ds = self.fitted(rng)
-        x, _ = ds.example(0)
-        lp_scalar = [noise.log_prob(x, y) for y in range(4)]
-        lp_all = noise.log_prob_all(x)
+        X = ds.features.toarray()
+        Z = noise.prepare(ds.features)
+        assert np.abs(Z - (X - noise.projection.mean) @ noise.projection.components.T).max() < 1e-12
+        lp_scalar = [noise.tree.log_prob(Z[0], y) for y in range(4)]
+        lp_all = noise.log_prob_matrix(Z[:1])[0]
         assert np.allclose(lp_scalar, lp_all, atol=1e-12)
-        row = noise.log_prob_matrix(ds.features[0])[0]
-        assert np.allclose(row, lp_all, atol=1e-12)
+        pairs = noise.log_prob_pairs(np.repeat(Z[:1], 4, axis=0), np.arange(4))
+        assert np.allclose(pairs, lp_all, atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         noise, _ = self.fitted(rng)

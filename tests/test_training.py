@@ -3,18 +3,17 @@ import pytest
 
 from advsamp.data_io import fit_pca
 from advsamp.errors import DataError, NumericError
-from advsamp.linear_model import LinearClassifier, OptimizerConfig
+from advsamp.linear_model import LinearClassifier
 from advsamp.noise import FrequencyNoise, UniformNoise, make_noise
 from advsamp.training import (
     METRIC_COLUMNS,
     TrainConfig,
-    neg_sampling_loss_and_grad,
-    regularized_loss_and_grad,
+    pair_loss_and_grad,
     softmax_loss_and_grad,
     train,
 )
 
-from conftest import dataset_from_dense, make_sparse_vector
+from conftest import dataset_from_dense
 
 FD_EPS = 1e-5
 
@@ -25,6 +24,46 @@ def model_with(weights, biases):
     m.weights[:] = weights
     m.biases[:] = biases
     return m
+
+
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def row(ds, i):
+    """Feature indices and values of example i."""
+    X = ds.features
+    lo, hi = X.indptr[i], X.indptr[i + 1]
+    return X.indices[lo:hi], X.data[lo:hi]
+
+
+def ref_score(model, idx, vals, y):
+    """Per-label scoring oracle: the sparse dot product x . w_y + b_y."""
+    return float(model.weights[y, idx] @ vals + model.biases[y])
+
+
+def ref_adagrad(model, y, idx, gw, gb, rho, eps=1e-8):
+    """Per-label Adagrad oracle on label y's feature support idx."""
+    aw = model.accum_w[y]
+    aw[idx] += gw**2
+    model.weights[y, idx] -= rho * gw / (np.sqrt(aw[idx]) + eps)
+    model.accum_b[y] += gb**2
+    model.biases[y] -= rho * gb / (np.sqrt(model.accum_b[y]) + eps)
+
+
+def pair_loss_of(model, x, labs, lp=None, lam=0.0):
+    """The negative-sampling step loss and gradient at dense input x."""
+    labs = np.asarray(labs)
+    xi = model.weights[labs] @ x + model.biases[labs]
+    return pair_loss_and_grad(xi, labs, lp, lam)
+
+
+def check_pair_gradient(model, x, labs, lp=None, lam=0.0):
+    """Each touched label's merged gradient against central differences."""
+    _, g = pair_loss_of(model, x, labs, lp, lam)
+    fd = fd_score_gradient(lambda mm: pair_loss_of(mm, x, labs, lp, lam)[0], model, set(labs))
+    for j, y in enumerate(labs):
+        assert abs(g[j] - fd[y]) < 1e-6 * max(1.0, abs(fd[y]))
 
 
 def fd_score_gradient(loss_of_model, model, labels):
@@ -87,95 +126,76 @@ class TestSoftmaxLoss:
 
 class TestPairLoss:
     def test_zero_scores(self):
-        m = LinearClassifier(3, 2)
-        x = make_sparse_vector([1.0, 0.0])
-        loss, grads = neg_sampling_loss_and_grad(m, x, 0, 2)
+        loss, g = pair_loss_and_grad(np.zeros(2), np.array([0, 2]), None, 0.0)
         assert loss == pytest.approx(2 * np.log(2))
-        assert grads[0] == pytest.approx(-0.5)
-        assert grads[2] == pytest.approx(0.5)
+        assert g == pytest.approx([-0.5, 0.5])
 
     def test_same_positive_and_negative(self):
-        m = LinearClassifier(2, 1)
-        x = make_sparse_vector([1.0])
-        loss, grads = neg_sampling_loss_and_grad(m, x, 1, 1)
-        # -sigma(-0) + sigma(0) = 0: the two contributions cancel at xi = 0
+        loss, g = pair_loss_and_grad(np.zeros(2), np.array([1, 1]), None, 0.0)
+        # -sigma(-0) + sigma(0) = 0: the merged contributions cancel at xi = 0,
+        # and both rows of the label carry the merged gradient
         assert loss == pytest.approx(2 * np.log(2))
-        assert grads == {1: pytest.approx(0.0)}
+        assert g == pytest.approx([0.0, 0.0])
 
     def test_well_separated_scores(self):
-        m = model_with(np.array([[20.0], [-20.0]]), [0.0, 0.0])
-        x = make_sparse_vector([1.0])
-        loss, _ = neg_sampling_loss_and_grad(m, x, 0, 1)
+        loss, _ = pair_loss_and_grad(np.array([20.0, -20.0]), np.array([0, 1]), None, 0.0)
         assert loss == pytest.approx(2 * np.log1p(np.exp(-20.0)), rel=1e-9)
         assert loss < 5e-9
 
     def test_finite_difference_oracle(self, rng):
         m = model_with(rng.standard_normal((4, 3)), rng.standard_normal(4))
-        x = make_sparse_vector(rng.standard_normal(3))
-        _, grads = neg_sampling_loss_and_grad(m, x, 1, 3)
-        fd = fd_score_gradient(
-            lambda mm: neg_sampling_loss_and_grad(mm, x, 1, 3)[0], m, [1, 3])
-        for y in (1, 3):
-            assert abs(grads[y] - fd[y]) < 1e-6 * max(1.0, abs(fd[y]))
+        x = rng.standard_normal(3)
+        check_pair_gradient(m, x, [1, 3])
+        check_pair_gradient(m, x, [1, 3, 1, 0, 3])  # repeats, positive drawn again
 
 
 class TestRegularizedLoss:
     def test_zero_lambda_matches_plain(self, rng):
-        m = model_with(rng.standard_normal((3, 2)), rng.standard_normal(3))
-        x = make_sparse_vector(rng.standard_normal(2))
-        noise = UniformNoise(3)
-        plain = neg_sampling_loss_and_grad(m, x, 0, 1)
-        reg = regularized_loss_and_grad(m, x, 0, 1, noise, 0.0)
-        assert reg == plain
+        xi, labs = rng.standard_normal(3), np.array([0, 1, 1])
+        plain = pair_loss_and_grad(xi, labs, None, 0.0)
+        reg = pair_loss_and_grad(xi, labs, rng.standard_normal(3), 0.0)
+        assert reg[0] == plain[0]
+        assert np.array_equal(reg[1], plain[1])
 
     def test_zero_model_uniform_noise(self):
         # xi = 0 and log p_n = -log 2, so each label adds lam (log 2)^2
-        m = LinearClassifier(2, 1)
-        x = make_sparse_vector([1.0])
-        loss, grads = regularized_loss_and_grad(m, x, 0, 1, UniformNoise(2), 0.5)
+        lp = np.full(2, -np.log(2))
+        loss, g = pair_loss_and_grad(np.zeros(2), np.array([0, 1]), lp, 0.5)
         expect = 2 * np.log(2) + 2 * 0.5 * np.log(2.0) ** 2
         assert loss == pytest.approx(expect)
-        assert grads[0] == pytest.approx(-0.5 + 2 * 0.5 * (-np.log(2)))
+        assert g[0] == pytest.approx(-0.5 + 2 * 0.5 * (-np.log(2)))
 
     def test_double_weight_when_labels_coincide(self):
-        m = model_with(np.array([[0.3]]), [0.0])
-        x = make_sparse_vector([1.0])
-        noise = UniformNoise(1)
-        loss, _ = regularized_loss_and_grad(m, x, 0, 0, noise, 0.25)
-        base, _ = neg_sampling_loss_and_grad(m, x, 0, 0)
-        resid = 0.3 + noise.log_prob(x, 0)
-        assert loss == pytest.approx(base + 2 * 0.25 * resid * resid)
+        xi, labs, lp = np.array([0.3, 0.3]), np.array([0, 0]), np.zeros(2)  # C = 1
+        loss, _ = pair_loss_and_grad(xi, labs, lp, 0.25)
+        base, _ = pair_loss_and_grad(xi, labs, None, 0.0)
+        assert loss == pytest.approx(base + 2 * 0.25 * 0.3 * 0.3)
 
     def test_finite_difference_oracle(self, rng):
         m = model_with(rng.standard_normal((4, 2)), rng.standard_normal(4))
-        x = make_sparse_vector(rng.standard_normal(2))
+        x = rng.standard_normal(2)
         noise = FrequencyNoise([4, 3, 2, 1])
-        _, grads = regularized_loss_and_grad(m, x, 2, 0, noise, 0.7)
-        fd = fd_score_gradient(
-            lambda mm: regularized_loss_and_grad(mm, x, 2, 0, noise, 0.7)[0],
-            m, [2, 0])
-        for y in (2, 0):
-            assert abs(grads[y] - fd[y]) < 1e-6 * max(1.0, abs(fd[y]))
+        for labs in ([2, 0], [2, 2, 0, 0, 1]):
+            check_pair_gradient(m, x, labs, noise.log_probs[labs], 0.7)
 
 
 class TestUnbiasedness:
     def test_enumerated_expectation_matches_population_gradient(self, rng):
         # E_{y ~ p_D, y' ~ p_n}[pair gradient] = -p_D sigma(-xi) + p_n sigma(xi)
         C = 5
-        m = model_with(rng.standard_normal((C, 1)), np.zeros(C))
-        x = make_sparse_vector([1.0])
+        xi = rng.standard_normal(C)
         p_data = rng.dirichlet(np.ones(C))
         noise = FrequencyNoise(rng.integers(1, 10, C), smoothing=0.0)
         expected = np.zeros(C)
         for y in range(C):
             for y_neg in range(C):
-                _, grads = neg_sampling_loss_and_grad(m, x, y, y_neg)
+                labs = np.array([y, y_neg])
+                _, g = pair_loss_and_grad(xi[labs], labs, None, 0.0)
                 w = p_data[y] * noise.probs[y_neg]
-                for label, g in grads.items():
-                    expected[label] += w * g
-        xi = m.weights[:, 0]
-        sig = lambda z: 1.0 / (1.0 + np.exp(-z))
-        population = -p_data * sig(-xi) + noise.probs * sig(xi)
+                # a repeated label carries its merged gradient in both rows
+                for label, j in zip(*np.unique(labs, return_index=True)):
+                    expected[label] += w * g[j]
+        population = -p_data * sigmoid(-xi) + noise.probs * sigmoid(xi)
         assert np.abs(expected - population).max() < 1e-10
 
 
@@ -201,7 +221,7 @@ class TestTrainLoop:
         assert np.array_equal(m.weights, before)
 
     def test_single_step_matches_reference_implementation(self, rng):
-        # the inline loop must agree with the per-pair loss/grad functions
+        # the inline loop must agree with a per-label pair loss and Adagrad
         ds = tiny_dataset(rng, n=1)
         noise = UniformNoise(ds.num_labels)
         m = LinearClassifier(ds.num_labels, 6)
@@ -210,12 +230,13 @@ class TestTrainLoop:
         ref = LinearClassifier(ds.num_labels, 6)
         r = np.random.default_rng(7)
         r.permutation(1)
-        y_neg = int(noise.sample_batch(ds.features, r)[0])
-        x, y = ds.example(0)
-        _, grads = neg_sampling_loss_and_grad(ref, x, y, y_neg)
-        opt = OptimizerConfig(learning_rate=0.1)
+        y_neg = int(noise.sample_batch(noise.prepare(ds.features), r)[0])
+        idx, vals = row(ds, 0)
+        y = int(ds.labels[0])
+        grads = {y: -sigmoid(-ref_score(ref, idx, vals, y))}
+        grads[y_neg] = grads.get(y_neg, 0.0) + sigmoid(ref_score(ref, idx, vals, y_neg))
         for label, g in grads.items():
-            ref.adagrad_update(label, x.indices, g * x.values, g, opt)
+            ref_adagrad(ref, label, idx, g * vals, g, 0.1)
         assert np.abs(m.weights - ref.weights).max() < 1e-12
         assert np.abs(m.biases - ref.biases).max() < 1e-12
 
@@ -232,28 +253,62 @@ class TestTrainLoop:
         res = train(ds, cfg, m, noise=noise)
 
         ref = LinearClassifier(3, 6)
-        opt = OptimizerConfig(learning_rate=cfg.learning_rate)
         r = np.random.default_rng(cfg.seed)
         order = r.permutation(ds.num_examples)
-        feats = ds.features[order]
-        negs = np.stack([noise.sample_batch(feats, r) for _ in range(5)])
+        Z = noise.prepare(ds.features[order])
+        negs = np.stack([noise.sample_batch(Z, r) for _ in range(5)])
         total = 0.0
         for t, i in enumerate(order):
-            x, y = ds.example(i)
+            idx, vals = row(ds, i)
             grads = {}
-            for j, label in enumerate([y, *negs[:, t]]):
-                xi = ref.score(x, label)
+            for j, label in enumerate([ds.labels[i], *negs[:, t]]):
+                xi = ref_score(ref, idx, vals, label)
                 sign = -1.0 if j == 0 else 1.0
-                resid = xi + noise.log_prob(x, label)
+                resid = xi + noise.log_probs[label]
                 total += np.logaddexp(0.0, sign * xi) + cfg.regularizer * resid**2
                 grads[label] = (grads.get(label, 0.0) + sign / (1.0 + np.exp(-sign * xi))
                                 + 2.0 * cfg.regularizer * resid)
             for label, g in grads.items():
-                ref.adagrad_update(label, x.indices, g * x.values, g, opt)
+                ref_adagrad(ref, label, idx, g * vals, g, cfg.learning_rate)
         for got, want in [(m.weights, ref.weights), (m.biases, ref.biases),
                           (m.accum_w, ref.accum_w), (m.accum_b, ref.accum_b)]:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         assert res.metrics[-1]["train_loss"] == pytest.approx(total / 40, rel=1e-12)
+
+    def test_softmax_epoch_matches_per_label_reference(self, rng):
+        # full softmax with the parameter L2 term and one example with no features
+        X = 2.0 * rng.standard_normal((30, 5))
+        X[X < 0.5] = 0.0
+        X[4] = 0.0
+        ds = dataset_from_dense(X, rng.integers(0, 4, 30), 4)
+        cfg = self.cfg(method="softmax_full", epochs=2, seed=9, regularizer=0.02)
+        m = LinearClassifier(4, 5)
+        res = train(ds, cfg, m)
+
+        ref = LinearClassifier(4, 5)
+        r = np.random.default_rng(cfg.seed)
+        lam = cfg.regularizer
+        epoch_losses = []
+        for _ in range(cfg.epochs):
+            total = 0.0
+            for i in r.permutation(ds.num_examples):
+                idx, vals = row(ds, i)
+                xi = np.array([ref_score(ref, idx, vals, y) for y in range(4)])
+                p = np.exp(xi - xi.max())
+                p /= p.sum()
+                total += (-np.log(p[ds.labels[i]]) + lam * (ref.weights[:, idx] ** 2).sum()
+                          + lam * (ref.biases**2).sum())
+                # every label's gradient is taken before any label is updated
+                grads = [(p[y] - (y == ds.labels[i]), ref.weights[y, idx].copy(),
+                          ref.biases[y]) for y in range(4)]
+                for y, (g, w, b) in enumerate(grads):
+                    ref_adagrad(ref, y, idx, g * vals + 2 * lam * w, g + 2 * lam * b,
+                                cfg.learning_rate)
+            epoch_losses.append(total / ds.num_examples)
+        for got, want in [(m.weights, ref.weights), (m.biases, ref.biases),
+                          (m.accum_w, ref.accum_w), (m.accum_b, ref.accum_b)]:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert [r["train_loss"] for r in res.metrics] == pytest.approx(epoch_losses, rel=1e-12)
 
     def test_deterministic_given_seed(self, rng):
         ds = tiny_dataset(rng)
@@ -279,8 +334,7 @@ class TestTrainLoop:
         ds = dataset_from_dense(X, np.zeros(40, dtype=int), 4)
         m = LinearClassifier(4, 2)
         train(ds, self.cfg(epochs=3), m, noise=UniformNoise(4))
-        x, _ = ds.example(0)
-        assert m.score(x, 0) > 0.5
+        assert m.weights[0, 0] + m.biases[0] > 0.5
 
     def test_loss_decreases_across_epochs(self, rng):
         ds = tiny_dataset(rng, n=200)
@@ -311,8 +365,8 @@ class TestTrainLoop:
         noise = FrequencyNoise(ds.label_counts, smoothing=0.0)
         m = LinearClassifier(ds.num_labels, 6)
         train(ds, self.cfg(epochs=20, regularizer=50.0), m, noise=noise)
-        x, _ = ds.example(0)
-        resid = m.scores_all(x) + noise.log_prob_all(x)
+        x = ds.features[0].toarray()[0]
+        resid = m.weights @ x + m.biases + noise.log_probs
         assert np.abs(resid).max() < 0.3
 
     def test_multiple_negatives(self, rng):
