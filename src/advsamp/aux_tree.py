@@ -12,7 +12,10 @@ Fitting is greedy and top-down: at each node, alternate Newton ascent on
 partition is a fixed point, then recurse into both halves.
 
 Tree layout: heap order, node i has children 2i+1 (left) and 2i+2 (right);
-leaf position j corresponds to heap index (padded_size - 1) + j.
+level l holds the contiguous nodes 2^l - 1 ... 2^(l+1) - 2, and leaf
+position j corresponds to heap index (padded_size - 1) + j. The bits of j,
+most significant first, are the branch decisions on the way to it, so every
+walk is index arithmetic and no per-leaf path table is stored.
 """
 
 from __future__ import annotations
@@ -45,12 +48,6 @@ def log_sigmoid(z):
     return -np.logaddexp(0.0, -np.asarray(z, dtype=np.float64))
 
 
-def decision_prob(w, b, xr, zeta, log: bool = False):
-    """Probability of branch decision ``zeta`` at a node with params (w, b)."""
-    z = zeta * (np.dot(w, xr) + b)
-    return float(log_sigmoid(z)) if log else float(sigmoid(z))
-
-
 @dataclass
 class NodeFitProblem:
     """Per-node fitting data: reduced features grouped by label.
@@ -72,34 +69,16 @@ class NodeFitProblem:
         ]
         self.aggregates = np.stack([f.sum(axis=0) for f in self.features_by_label])
         self.counts = np.array([f.shape[0] for f in self.features_by_label])
-
-    @property
-    def dim(self) -> int:
-        return self.features_by_label[0].shape[1]
+        # all rows stacked once, with the label slot of each row
+        self.rows = np.concatenate(self.features_by_label)
+        self.slots = np.repeat(np.arange(self.label_ids.size), self.counts)
 
     def is_padding(self) -> np.ndarray:
         return self.label_ids >= self.num_real_labels
 
-    def stacked(self):
-        """All rows concatenated plus the label slot of each row."""
-        parts, slots = [], []
-        for j, f in enumerate(self.features_by_label):
-            if f.shape[0]:
-                parts.append(f)
-                slots.append(np.full(f.shape[0], j))
-        if not parts:
-            k = self.aggregates.shape[1]
-            return np.zeros((0, k)), np.zeros(0, dtype=np.int64)
-        return np.concatenate(parts), np.concatenate(slots)
-
-
-def compute_delta(problem: NodeFitProblem, y: int, w, b) -> float:
-    """Objective change for flipping label ``y`` from -1 to +1: w.s_y + n_y b."""
-    j = int(np.flatnonzero(problem.label_ids == y)[0])
-    return float(problem.aggregates[j] @ w + problem.counts[j] * b)
-
 
 def all_deltas(problem: NodeFitProblem, w, b) -> np.ndarray:
+    """Objective change for flipping each label from -1 to +1: w.s_y + n_y b."""
     return problem.aggregates @ w + problem.counts * b
 
 
@@ -120,7 +99,7 @@ def split_labels(problem: NodeFitProblem, w, b) -> np.ndarray:
 
 def node_objective(problem: NodeFitProblem, w, b, zeta, lam: float) -> float:
     """Regularized per-node log likelihood."""
-    X, slots = problem.stacked()
+    X, slots = problem.rows, problem.slots
     if X.shape[0] == 0:
         return -lam * (w @ w + b * b)
     z = zeta[slots] * (X @ w + b)
@@ -135,8 +114,8 @@ def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0):
     """
     if lam <= 0:
         raise DataError("node regularizer must be positive")
-    X, slots = problem.stacked()
-    k = X.shape[1] if X.shape[0] else problem.aggregates.shape[1]
+    X, slots = problem.rows, problem.slots
+    k = X.shape[1]
     theta = np.zeros(k + 1)
     if w0 is not None:
         theta[:k] = w0
@@ -251,73 +230,38 @@ class AuxiliaryTree:
             raise DataError("label_leaf maps two labels to one leaf")
         self.leaf_label = np.full(self.padded_size, -1, dtype=np.int64)
         self.leaf_label[self.label_leaf] = np.arange(self.num_labels)
-        # per-leaf root-to-leaf paths: node indices and branch signs
-        d = self.depth
-        self.path_nodes = np.zeros((Cp, d), dtype=np.int64)
-        self.path_signs = np.zeros((Cp, d), dtype=np.int64)
-        for j in range(Cp):
-            node = 0
-            for level in range(d):
-                bit = (j >> (d - 1 - level)) & 1
-                self.path_nodes[j, level] = node
-                self.path_signs[j, level] = 1 if bit else -1
-                node = 2 * node + 1 + bit
 
     @property
     def reduced_dim(self) -> int:
         return self.node_w.shape[1]
 
-    def log_prob(self, xr, y: int) -> float:
-        """log p(y | xr) in nats; exactly ``depth`` decision terms."""
-        if not 0 <= y < self.num_labels:
-            raise DataError(f"label {y} out of range (C={self.num_labels})")
-        leaf = self.label_leaf[y]
-        nodes = self.path_nodes[leaf]
-        signs = self.path_signs[leaf]
-        z = signs * (self.node_w[nodes] @ xr + self.node_b[nodes])
-        return float(log_sigmoid(z).sum())
-
     def log_prob_all(self, Xr) -> np.ndarray:
-        """log p(y | x) for every row of Xr and every real label; (n, C)."""
+        """log p(y | x) for every row of Xr and every real label; (n, C).
+
+        One top-down pass: after level l, column j of the running sums is
+        the log-probability of reaching node 2^(l+1) - 1 + j.
+        """
         Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
         Z = Xr @ self.node_w.T + self.node_b
-        lpos = log_sigmoid(Z)
-        lneg = log_sigmoid(-Z)
-        leaves = self.label_leaf
-        out = np.zeros((Xr.shape[0], self.num_labels))
+        acc = np.zeros((Xr.shape[0], 1))
         for level in range(self.depth):
-            nd = self.path_nodes[leaves, level]
-            sg = self.path_signs[leaves, level]
-            out += np.where(sg > 0, lpos[:, nd], lneg[:, nd])
-        return out
+            z = Z[:, (1 << level) - 1:(2 << level) - 1]
+            acc = np.stack([acc + log_sigmoid(-z), acc + log_sigmoid(z)], axis=2)
+            acc = acc.reshape(Xr.shape[0], -1)
+        return acc[:, self.label_leaf]
 
     def log_prob_pairs(self, Xr, ys) -> np.ndarray:
         """log p(ys[i] | Xr[i]) for each row; (n,)."""
         Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
-        ys = np.asarray(ys, dtype=np.int64)
-        leaves = self.label_leaf[ys]
+        leaves = self.label_leaf[np.asarray(ys, dtype=np.int64)]
+        node = np.zeros(Xr.shape[0], dtype=np.int64)
         out = np.zeros(Xr.shape[0])
         for level in range(self.depth):
-            nd = self.path_nodes[leaves, level]
-            sg = self.path_signs[leaves, level]
-            z = np.einsum("ij,ij->i", Xr, self.node_w[nd]) + self.node_b[nd]
-            out += log_sigmoid(sg * z)
+            bit = (leaves >> (self.depth - 1 - level)) & 1
+            z = np.einsum("ij,ij->i", Xr, self.node_w[node]) + self.node_b[node]
+            out += log_sigmoid(np.where(bit == 1, z, -z))
+            node = 2 * node + 1 + bit
         return out
-
-    def sample(self, xr, rng, return_visits: bool = False):
-        """Ancestral sample of one label; ``depth`` node evaluations."""
-        node = 0
-        visits = 0
-        for _ in range(self.depth):
-            z = self.node_w[node] @ xr + self.node_b[node]
-            visits += 1
-            go_right = rng.random() < sigmoid(z)
-            node = 2 * node + 2 if go_right else 2 * node + 1
-        leaf = node - (self.padded_size - 1)
-        label = int(self.leaf_label[leaf])
-        if label < 0:
-            raise NumericError("sampled a padding leaf; tree is corrupted")
-        return (label, visits) if return_visits else label
 
     def sample_batch(self, Xr, rng) -> np.ndarray:
         """Vectorized ancestral sampling, one label per row of Xr."""
@@ -391,7 +335,8 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
         if len(pad) >= half:
             # route all real labels right; left child is pure padding
             left = sorted(pad, reverse=True)[:half]
-            right = [y for y in ids if y not in set(left)]
+            taken = set(left)
+            right = [y for y in ids if y not in taken]
             node_b[node] = B_PAD
         else:
             problem = NodeFitProblem(np.array(ids), features_for(ids), C)

@@ -21,3 +21,16 @@ def dataset_from_dense(X, labels, num_labels=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+class CountingRng:
+    """Generator stand-in that counts the uniforms drawn through ``random``."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.uniforms = 0
+
+    def random(self, size=None):
+        out = self._rng.random(size)
+        self.uniforms += np.size(out)
+        return out

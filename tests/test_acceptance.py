@@ -42,6 +42,8 @@ from advsamp.training import (
     train,
 )
 
+from conftest import CountingRng
+
 # criterion 6/7 experiment shape: 16 clusters x 16 labels, C = 256, K = 32,
 # N = 50 000; weak within-cluster signal makes fine label distinctions the
 # bottleneck, which is the regime where conditional negatives carry signal
@@ -285,8 +287,9 @@ class TestCriterion5:
             tv = 0.5 * float(np.abs(emp - np.exp(tree.log_prob_all(x[None])[0])).sum())
             ok = ok and tv < 0.02
 
-            _, visits = tree.sample(x, np.random.default_rng(0), return_visits=True)
-            ok = ok and visits == int(np.ceil(np.log2(C)))
+            counting = CountingRng(0)  # one uniform per node on the path
+            tree.sample_batch(x[None], counting)
+            ok = ok and counting.uniforms == int(np.ceil(np.log2(C)))
 
         for _ in range(50):
             L = int(rng.choice([2, 4, 6, 8]))

@@ -8,8 +8,6 @@ from advsamp.aux_tree import (
     AuxiliaryTree,
     NodeFitProblem,
     all_deltas,
-    compute_delta,
-    decision_prob,
     fit_node,
     fit_tree,
     init_node,
@@ -20,6 +18,8 @@ from advsamp.aux_tree import (
     split_labels,
 )
 from advsamp.errors import DataError, NumericError
+
+from conftest import CountingRng
 
 
 def random_tree(C, k, rng, scale=1.0):
@@ -62,53 +62,52 @@ def make_problem(features_by_label, label_ids=None, num_real=None):
     return NodeFitProblem(np.asarray(label_ids), feats, num_real)
 
 
-class TestDecisionProb:
-    def test_zero_params(self):
-        assert decision_prob(np.zeros(3), 0.0, np.ones(3), 1) == pytest.approx(0.5)
-        assert decision_prob(np.zeros(3), 0.0, np.ones(3), -1) == pytest.approx(0.5)
-
-    def test_branches_sum_to_one(self, rng):
-        for _ in range(20):
-            w, b, x = rng.standard_normal(4), rng.standard_normal(), rng.standard_normal(4)
-            total = decision_prob(w, b, x, 1) + decision_prob(w, b, x, -1)
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_log_three_quarters(self):
-        w = np.array([np.log(3.0)])
-        assert decision_prob(w, 0.0, np.array([1.0]), 1) == pytest.approx(0.75)
-        assert decision_prob(w, 0.0, np.array([1.0]), 1, log=True) == pytest.approx(np.log(0.75))
+def per_edge_oracle(tree, x, y):
+    """log p(y | x) as a product over the root-to-leaf edges, one scalar
+    sigmoid per edge: the leaf's bits, most significant first, are the
+    branch decisions (1 = right)."""
+    leaf = int(tree.label_leaf[y])
+    node, total = 0, 0.0
+    for level in range(tree.depth):
+        bit = (leaf >> (tree.depth - 1 - level)) & 1
+        z = float(tree.node_w[node] @ x + tree.node_b[node])
+        p_right = 1.0 / (1.0 + np.exp(-z))
+        total += np.log(p_right if bit else 1.0 - p_right)
+        node = 2 * node + 1 + bit
+    assert node - (tree.padded_size - 1) == leaf
+    return total
 
 
 class TestLogProb:
     def test_uniform_tree(self):
         tree = AuxiliaryTree(np.zeros((3, 2)), np.zeros(3), np.arange(4), 4, 2)
-        for y in range(4):
-            assert tree.log_prob(np.ones(2), y) == pytest.approx(-2 * np.log(2))
+        assert np.allclose(tree.log_prob_all(np.ones((1, 2))), -2 * np.log(2), atol=1e-15)
+        assert np.allclose(tree.log_prob_pairs(np.ones((4, 2)), np.arange(4)),
+                           -2 * np.log(2), atol=1e-15)
 
     def test_binary_normalization(self, rng):
         tree = AuxiliaryTree(rng.standard_normal((1, 3)), rng.standard_normal(1),
                              np.arange(2), 2, 1)
-        x = rng.standard_normal(3)
-        total = np.exp(tree.log_prob(x, 0)) + np.exp(tree.log_prob(x, 1))
+        x = rng.standard_normal((1, 3))
+        total = np.exp(tree.log_prob_all(x)).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_log_three_quarters(self):
+        # sigma(log 3) = 3/4 for the right branch and 1/4 for the left
+        tree = AuxiliaryTree(np.array([[np.log(3.0)]]), np.zeros(1), np.arange(2), 2, 1)
+        lp = tree.log_prob_all(np.ones((1, 1)))[0]
+        assert lp == pytest.approx(np.log([0.25, 0.75]), abs=1e-15)
 
     def test_matches_per_edge_product_oracle(self, rng):
         tree = random_tree(8, 3, rng)
-        x = rng.standard_normal(3)
-        for y in range(8):
-            leaf = tree.label_leaf[y]
-            oracle = 0.0
-            for level in range(3):
-                node = tree.path_nodes[leaf, level]
-                sign = tree.path_signs[leaf, level]
-                oracle += decision_prob(tree.node_w[node], tree.node_b[node], x,
-                                        sign, log=True)
-            assert tree.log_prob(x, y) == pytest.approx(oracle, abs=1e-12)
-
-    def test_padding_label_errors(self, rng):
-        tree = random_tree(3, 2, rng)
-        with pytest.raises(DataError):
-            tree.log_prob(np.ones(2), 3)
+        tree.label_leaf = rng.permutation(8)  # non-identity leaf order
+        X = rng.standard_normal((4, 3))
+        lp_all = tree.log_prob_all(X)
+        for i, x in enumerate(X):
+            for y in range(8):
+                oracle = per_edge_oracle(tree, x, y)
+                assert lp_all[i, y] == pytest.approx(oracle, abs=1e-12)
+                assert tree.log_prob_pairs(x[None], [y])[0] == pytest.approx(oracle, abs=1e-12)
 
 
 class TestSample:
@@ -122,9 +121,11 @@ class TestSample:
 
     @pytest.mark.parametrize("C", [2, 3, 8, 16])
     def test_node_visits(self, C, rng):
+        # one uniform per node on the root-to-leaf path
         tree = random_tree(C, 2, rng)
-        _, visits = tree.sample(rng.standard_normal(2), rng, return_visits=True)
-        assert visits == int(np.ceil(np.log2(C)))
+        counting = CountingRng(0)
+        tree.sample_batch(rng.standard_normal((1, 2)), counting)
+        assert counting.uniforms == int(np.ceil(np.log2(C)))
 
     def test_distribution_matches_log_prob(self, rng):
         tree = random_tree(8, 3, rng, scale=0.8)
@@ -136,26 +137,18 @@ class TestSample:
         tv = 0.5 * np.abs(emp - exact).sum()
         assert tv < 0.005
 
-    def test_scalar_batch_same_distribution(self, rng):
-        tree = random_tree(4, 2, rng)
-        x = rng.standard_normal(2)
-        scalar = np.array([tree.sample(x, np.random.default_rng(i)) for i in range(4000)])
-        emp = np.bincount(scalar, minlength=4) / 4000
-        exact = np.exp(tree.log_prob_all(x[None, :])[0])
-        assert np.abs(emp - exact).max() < 0.05
-
     def test_corrupted_tree_errors(self):
         # leaf 1 is padding; a root bias of +700 forces every walk into it
         tree = AuxiliaryTree(np.zeros((1, 2)), np.array([700.0]), np.arange(1), 1, 1)
         with pytest.raises(NumericError):
-            tree.sample(np.zeros(2), np.random.default_rng(0))
+            tree.sample_batch(np.zeros((1, 2)), np.random.default_rng(0))
 
 
 class TestDeltas:
     def test_single_point(self):
         p = make_problem([[[1.0, 0.0]], [[0.0, 1.0]]])
         w, b = np.array([0.7, 0.0]), 0.0
-        assert compute_delta(p, 0, w, b) == pytest.approx(0.7)
+        assert all_deltas(p, w, b)[0] == pytest.approx(0.7)
 
     def test_zero_params(self):
         p = make_problem([[[1.0, 2.0]], [[3.0, -1.0]]])
@@ -164,17 +157,18 @@ class TestDeltas:
     def test_two_points_sum(self):
         p = make_problem([[[0.3, 0.0], [-0.1, 0.0]], [[1.0, 0.0]]])
         w, b = np.array([1.0, 0.0]), 0.0
-        assert compute_delta(p, 0, w, b) == pytest.approx(0.2)
+        assert all_deltas(p, w, b)[0] == pytest.approx(0.2)
 
     def test_sigmoid_identity(self, rng):
         # delta equals the log-sigmoid difference sum, by sigma(z)/sigma(-z)=e^z
         feats = [rng.standard_normal((rng.integers(1, 5), 3)) for _ in range(4)]
         p = make_problem(feats)
         w, b = rng.standard_normal(3), rng.standard_normal()
+        deltas = all_deltas(p, w, b)
         for j in range(4):
             z = feats[j] @ w + b
             oracle = float((log_sigmoid(z) - log_sigmoid(-z)).sum())
-            assert abs(compute_delta(p, j, w, b) - oracle) < 1e-9
+            assert abs(deltas[j] - oracle) < 1e-9
 
 
 class TestSplitLabels:
@@ -206,7 +200,7 @@ class TestSplitLabels:
 
 def gd_oracle(problem, zeta, lam, iters=200_000, lr=0.05):
     """Gradient ascent to convergence on the same concave objective."""
-    X, slots = problem.stacked()
+    X, slots = problem.rows, problem.slots
     s = zeta[slots].astype(float)
     Xt = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
     k = Xt.shape[1]
@@ -239,7 +233,7 @@ class TestNewtonFit:
         p = make_problem(feats)
         zeta = np.array([1, 1, -1, -1])
         w, b = newton_fit(p, zeta, lam=0.1)
-        X, slots = p.stacked()
+        X, slots = p.rows, p.slots
         s = zeta[slots].astype(float)
         Xt = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
         theta = np.concatenate([w, [b]])
@@ -419,6 +413,7 @@ class TestFitTree:
         tree = fit_tree(X, labels, 6, 0.1)
         tree.save(tmp_path / "t.npz")
         back = AuxiliaryTree.load(tmp_path / "t.npz")
-        x = rng.standard_normal(3)
-        for y in range(6):
-            assert back.log_prob(x, y) == tree.log_prob(x, y)
+        x = rng.standard_normal((4, 3))
+        ys = rng.integers(0, 6, 4)
+        assert np.array_equal(back.log_prob_all(x), tree.log_prob_all(x))
+        assert np.array_equal(back.log_prob_pairs(x, ys), tree.log_prob_pairs(x, ys))

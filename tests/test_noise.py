@@ -130,7 +130,7 @@ class TestAdversarial:
         X = ds.features.toarray()
         Z = noise.prepare(ds.features)
         assert np.abs(Z - (X - noise.projection.mean) @ noise.projection.components.T).max() < 1e-12
-        lp_scalar = [noise.tree.log_prob(Z[0], y) for y in range(4)]
+        lp_scalar = [noise.log_prob_pairs(Z[:1], [y])[0] for y in range(4)]
         lp_all = noise.log_prob_matrix(Z[:1])[0]
         assert np.allclose(lp_scalar, lp_all, atol=1e-12)
         pairs = noise.log_prob_pairs(np.repeat(Z[:1], 4, axis=0), np.arange(4))
