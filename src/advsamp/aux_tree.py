@@ -35,6 +35,8 @@ B_PAD = 700.0
 
 NEWTON_GRAD_TOL = 1e-10
 NEWTON_MAX_ITER = 100
+# a predicted gain below this many ulps of |objective| is roundoff
+NEWTON_GAIN_ULPS = 4.0
 ALTERNATION_GUARD = 50
 MAX_REDUCED_DIM = 64
 
@@ -109,8 +111,10 @@ def node_objective(problem: NodeFitProblem, w, b, zeta, lam: float) -> float:
 def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0):
     """Maximize the regularized node objective over (w, b) by Newton ascent.
 
-    Backtracking halves the step until the objective does not decrease.
-    Requires lam > 0 for strict concavity.
+    Backtracking halves the step until the objective increases. Once the
+    predicted gain grad . step is below the objective's roundoff, no line
+    search can see an ascent, so the full Newton step is taken and the
+    ascent stops. Requires lam > 0 for strict concavity.
     """
     if lam <= 0:
         raise DataError("node regularizer must be positive")
@@ -140,22 +144,18 @@ def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0):
         curv = sig * (1.0 - sig)  # sigma(z) sigma(-z)
         H = Xt.T @ (Xt * curv[:, None]) + 2.0 * lam * np.eye(k + 1)
         step = np.linalg.solve(H, grad)
+        if grad @ step <= NEWTON_GAIN_ULPS * np.finfo(np.float64).eps * abs(obj):
+            theta = theta + step
+            return theta[:k].copy(), float(theta[k])
         # backtracking line search: halve until ascent
         t = 1.0
-        accepted = False
         for _ in range(60):
             cand = theta + t * step
             new_obj, new_grad, new_z = obj_and_grad(cand)
             if new_obj > obj:
-                accepted = True
-                break
-            # near the optimum the objective change underflows; accept a
-            # non-worsening step that still shrinks the gradient
-            if new_obj == obj and np.linalg.norm(new_grad) < gnorm:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             return theta[:k].copy(), float(theta[k])
         theta, obj, grad, z = cand, new_obj, new_grad, new_z
     warnings.warn(f"Newton ascent hit {NEWTON_MAX_ITER} iterations (|grad|={gnorm:.2e})")

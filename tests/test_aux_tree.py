@@ -243,6 +243,24 @@ class TestNewtonFit:
         assert np.abs(w - w_o).max() < 1e-6
         assert abs(b - b_o) < 1e-6
 
+    def test_large_objective_reaches_gradient_tolerance(self):
+        # with |obj| in the thousands the last Newton gains fall below the
+        # objective's roundoff, where no line search can see an ascent
+        rng = np.random.default_rng(0)
+        zeta = np.array([1, -1] * 4)
+        for _ in range(6):
+            feats = [3 * rng.standard_normal((int(rng.integers(200, 800)), 6))
+                     + rng.standard_normal(6) for _ in range(8)]
+            p = make_problem(feats)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w, b = newton_fit(p, zeta, lam=0.1)
+            s = zeta[p.slots].astype(float)
+            Xt = np.concatenate([p.rows, np.ones((p.rows.shape[0], 1))], axis=1)
+            theta = np.concatenate([w, [b]])
+            grad = Xt.T @ (s * sigmoid(-s * (Xt @ theta))) - 2 * 0.1 * theta
+            assert np.linalg.norm(grad) < 1e-10
+
     def test_requires_positive_regularizer(self, rng):
         p = make_problem([rng.standard_normal((2, 2)) for _ in range(2)])
         with pytest.raises(DataError):
