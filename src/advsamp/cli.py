@@ -110,6 +110,12 @@ def cmd_preprocess(args) -> int:
         manifest.add_output(out / name)
     save_pca(out / "pca.npz", proj)
     manifest.add_output(out / "pca.npz")
+    summary = {
+        "num_train": train_set.num_examples,
+        "num_val": val_set.num_examples,
+        "num_features": train_set.num_features,
+        "num_labels": train_set.num_labels,
+    }
     if cfg.test_path:
         manifest.add_input(cfg.test_path)
         raw_test = load_svmlight(cfg.test_path, one_based=cfg.one_based)
@@ -123,14 +129,15 @@ def cmd_preprocess(args) -> int:
             test_set = _project_dataset(feature_proj, test_set)
         save_dataset(out / "test.npz", test_set)
         manifest.add_output(out / "test.npz")
-    manifest.write({
-        "num_train": train_set.num_examples,
-        "num_val": val_set.num_examples,
-        "num_features": train_set.num_features,
-        "num_labels": train_set.num_labels,
-    })
-    print(f"preprocess: N={train_set.num_examples} K={train_set.num_features} "
-          f"C={train_set.num_labels}")
+        # rows without a label, or whose label never occurs in training,
+        # leave the test set and so the accuracy denominator
+        summary["test_rows_dropped"] = len(raw_test.examples) - test_set.num_examples
+    manifest.write(summary)
+    line = (f"preprocess: N={train_set.num_examples} K={train_set.num_features} "
+            f"C={train_set.num_labels}")
+    if cfg.test_path:
+        line += f" test_rows_dropped={summary['test_rows_dropped']}"
+    print(line)
     return 0
 
 

@@ -293,9 +293,18 @@ def load_dataset(path) -> SparseDataset:
     with np.load(path, allow_pickle=False) as z:
         if str(z["magic"]) != DATASET_MAGIC:
             raise DataError(f"not a dataset cache: {path}")
-        n, K, C = (int(v) for v in z["shape"])
-        mat = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=(n, K))
-        return SparseDataset(mat, z["labels"], C)
+        labels = z["labels"]
+        # a column index >= K or a decreasing indptr would otherwise reach
+        # the sparse kernels unchecked
+        try:
+            n, K, C = (int(v) for v in z["shape"])
+            mat = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=(n, K))
+            mat.check_format(full_check=True)
+        except ValueError as exc:
+            raise DataError(f"corrupt dataset cache {path}: {exc}") from exc
+        if labels.shape != (n,):
+            raise DataError(f"labels have shape {labels.shape}, want ({n},)")
+        return SparseDataset(mat, labels, C)
 
 
 def save_pca(path, proj: PcaProjection) -> None:

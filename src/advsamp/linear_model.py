@@ -42,11 +42,19 @@ class LinearClassifier:
         with np.load(path, allow_pickle=False) as z:
             if str(z["magic"]) != MODEL_MAGIC:
                 raise DataError(f"not a model file: {path}")
-            C, K = (int(v) for v in z["shape"])
-            model = cls(C, K)
-            model.weights[:] = z["weights"]
-            model.biases[:] = z["biases"]
-            if "accum_w" in z:
-                model.accum_w[:] = z["accum_w"]
-                model.accum_b[:] = z["accum_b"]
+            shape = z["shape"]
+            if shape.shape != (2,) or shape.min() < 0:
+                raise DataError(f"bad model shape record {shape}")
+            model = cls(*(int(v) for v in shape))
+            names = ["weights", "biases"]
+            if "accum_w" in z or "accum_b" in z:
+                names += ["accum_w", "accum_b"]
+            for name in names:
+                if name not in z:
+                    raise DataError(f"model file lacks {name}")
+                # a mismatched array would otherwise broadcast into place
+                arr, dest = z[name], getattr(model, name)
+                if arr.shape != dest.shape:
+                    raise DataError(f"model {name} has shape {arr.shape}, want {dest.shape}")
+                dest[:] = arr
             return model

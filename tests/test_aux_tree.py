@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from advsamp.aux_tree import (
     AuxiliaryTree,
@@ -63,16 +66,15 @@ def make_problem(features_by_label, label_ids=None, num_real=None):
 
 
 def per_edge_oracle(tree, x, y):
-    """log p(y | x) as a product over the root-to-leaf edges, one scalar
-    sigmoid per edge: the leaf's bits, most significant first, are the
+    """log p(y | x) as a sum over the root-to-leaf edges, one scalar
+    log-sigmoid per edge: the leaf's bits, most significant first, are the
     branch decisions (1 = right)."""
     leaf = int(tree.label_leaf[y])
     node, total = 0, 0.0
     for level in range(tree.depth):
         bit = (leaf >> (tree.depth - 1 - level)) & 1
         z = float(tree.node_w[node] @ x + tree.node_b[node])
-        p_right = 1.0 / (1.0 + np.exp(-z))
-        total += np.log(p_right if bit else 1.0 - p_right)
+        total -= np.logaddexp(0.0, -z if bit else z)
         node = 2 * node + 1 + bit
     assert node - (tree.padded_size - 1) == leaf
     return total
@@ -108,6 +110,37 @@ class TestLogProb:
                 oracle = per_edge_oracle(tree, x, y)
                 assert lp_all[i, y] == pytest.approx(oracle, abs=1e-12)
                 assert tree.log_prob_pairs(x[None], [y])[0] == pytest.approx(oracle, abs=1e-12)
+
+
+class TestTreeProperties:
+    """Random trees of any size C, powers of two or not, padding pinned as
+    ``random_tree`` does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(C=st.integers(2, 300), k=st.integers(1, 6), n=st.integers(1, 4),
+           scale=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_batch_paths_match_per_edge_oracle(self, C, k, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(C, k, rng, scale)
+        X = rng.standard_normal((n, k))
+        lp = tree.log_prob_all(X)
+        assert lp.shape == (n, C)
+        oracle = np.array([[per_edge_oracle(tree, x, y) for y in range(C)] for x in X])
+        assert np.abs(lp - oracle).max() < 1e-12
+        pairs = tree.log_prob_pairs(np.repeat(X, C, axis=0), np.tile(np.arange(C), n))
+        assert np.abs(pairs.reshape(n, C) - lp).max() < 1e-12
+        assert np.abs(logsumexp(lp, axis=1)).max() < 1e-10
+        assert np.all(1.0 - np.exp(lp).sum(axis=1) < 1e-12)  # padding mass
+
+    @settings(max_examples=60, deadline=None)
+    @given(C=st.integers(2, 300), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    def test_sampling_draws_one_uniform_per_level(self, C, n, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(C, 3, rng)
+        counting = CountingRng(seed)
+        draws = tree.sample_batch(rng.standard_normal((n, 3)), counting)
+        assert counting.uniforms == n * int(np.ceil(np.log2(C)))
+        assert draws.shape == (n,) and 0 <= draws.min() and draws.max() < C
 
 
 class TestSample:

@@ -1,37 +1,44 @@
-"""The benchmark's span tracer still fits the package.
+"""The benchmark's span tracer and output checks still fit the package.
 
 ``perfbench/spans.py`` wraps, from outside the package, the functions and
 methods the CLI calls through, looking each one up by name. A rename in the
 package would crash traced benchmark runs (``--trace 1``); these tests make
-it fail here instead. They only read ``perfbench/``.
+it fail here instead. ``perfbench/checks.py`` recomputes tree log-probs by
+its own path walk, which must keep agreeing with the package. The tests
+only read ``perfbench/``.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import advsamp.cli
 import advsamp.data_io
 import advsamp.noise
 import advsamp.training
-from advsamp.aux_tree import AuxiliaryTree
+from advsamp.aux_tree import AuxiliaryTree, fit_tree
 from advsamp.linear_model import LinearClassifier
 from advsamp.noise import AdversarialNoise
 
 from test_cli import run, write_svmlight
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OWNERS = (advsamp.cli, advsamp.data_io, advsamp.noise, advsamp.training,
           AuxiliaryTree, LinearClassifier, AdversarialNoise)
 
 
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.Tracer("contract")
+    return load_perfbench("spans").Tracer("contract")
 
 
 def attributes():
@@ -72,3 +79,13 @@ def test_traced_pipeline_records_each_layer(tracer, tmp_path):
                  "aux_tree.sample_batch", "training.train", "inference.evaluate",
                  "noise.log_prob_matrix", "aux_tree.log_prob_all"):
         assert name in names, name
+
+
+def test_benchmark_tree_oracle_matches_package():
+    # the benchmark checks eval.json against its own root-to-leaf walk
+    checks = load_perfbench("checks")
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((300, 4))
+    tree = fit_tree(X, rng.integers(0, 11, 300), 11)  # 5 padding leaves
+    probe = rng.standard_normal((50, 4))
+    assert np.abs(checks.tree_log_probs(tree, probe) - tree.log_prob_all(probe)).max() < 1e-12

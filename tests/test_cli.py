@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advsamp
 from advsamp.cli import main
 from advsamp.config import ExperimentConfig, load_config, read_config_file
 from advsamp.errors import DataError
@@ -86,6 +91,18 @@ class TestPipeline:
         tree.label_leaf[1] = tree.label_leaf[0]
         tree.save(out / "tree.npz")
         assert run("train", out, sets) == 2
+
+    def test_dropped_test_rows_reported(self, workdir, tmp_path, capsys):
+        # one row has an unseen label and one has none: both leave test.npz
+        out, base = workdir
+        test = tmp_path / "test.txt"
+        write_svmlight(test, 6, 5, 8, seed=1)
+        with open(test, "a") as fh:
+            fh.write("99 0:1.0 3:2.0\n 1:0.5\n")
+        assert run("preprocess", out, base) == 0
+        manifest = json.loads((out / "manifest-preprocess.json").read_text())
+        assert manifest["test_rows_dropped"] == 2
+        assert "test_rows_dropped=2" in capsys.readouterr().out
 
     def test_uniform_training_without_tree(self, workdir):
         out, base = workdir
@@ -193,6 +210,28 @@ class TestExitCodes:
         code = main(["diagnose", "--out", str(tmp_path / "o"),
                      "--set", "seed=1", "--threads", "2"])
         assert code == 1
+
+    @pytest.mark.parametrize("corrupt", ["test_column_beyond_k", "model_weights_shape"])
+    def test_corrupt_cache_exits_2(self, workdir, corrupt):
+        # a subprocess, so that a crash of the loaded data cannot end pytest
+        out, base = workdir
+        assert run("preprocess", out, base) == 0
+        assert run("train", out, base) == 0
+        name = "test.npz" if corrupt == "test_column_beyond_k" else "model.npz"
+        with np.load(out / name) as z:
+            parts = {k: z[k] for k in z.files}
+        if name == "test.npz":
+            parts["indices"] = parts["indices"].copy()
+            parts["indices"][0] = 10**6
+        else:
+            parts["weights"] = parts["weights"][:1]
+        np.savez(out / name, **parts)
+        src = Path(advsamp.__file__).resolve().parents[1]
+        argv = [sys.executable, "-m", "advsamp.cli", "eval", "--out", str(out),
+                *sum((["--set", s] for s in base), [])]
+        proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
 
     def test_usage_error(self, capsys):
         assert main(["frobnicate", "--out", "x"]) == 1

@@ -283,6 +283,24 @@ class TestRoundTrip:
         assert np.array_equal(back.components, proj.components)
         assert np.array_equal(back.mean, proj.mean)
 
+    @pytest.mark.parametrize("change", [
+        dict(indices=np.array([0, 5, 1])),  # column >= K
+        dict(indices=np.array([0, -1, 1])),
+        dict(indptr=np.array([0, 2, 1, 3])),  # decreasing
+        dict(indptr=np.array([0, 3])),  # wrong length
+        dict(shape=np.array([3, 5])),  # no label count
+        dict(labels=np.array([0, 1])),
+    ])
+    def test_corrupt_dataset_cache_rejected(self, tmp_path, change):
+        ds = dataset_from_dense([[1.0, 0, 0, 0, 0], [0, 2.0, 0, 3.0, 0], [0, 0, 0, 0, 0]],
+                                [0, 1, 1], 2)
+        save_dataset(tmp_path / "c.npz", ds)
+        with np.load(tmp_path / "c.npz") as z:
+            parts = {**{k: z[k] for k in z.files}, **change}
+        np.savez(tmp_path / "c.npz", **parts)
+        with pytest.raises(DataError):
+            load_dataset(tmp_path / "c.npz")
+
     def test_wrong_magic(self, tmp_path, rng):
         ds = dataset_from_dense(rng.standard_normal((4, 2)), np.zeros(4, dtype=int), 1)
         save_dataset(tmp_path / "c.npz", ds)

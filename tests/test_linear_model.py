@@ -158,3 +158,20 @@ class TestSerialization:
         back = LinearClassifier.load(tmp_path / "m.npz")
         assert np.array_equal(back.accum_w, m.accum_w)
         assert np.array_equal(back.accum_b, m.accum_b)
+
+    @pytest.mark.parametrize("change", [
+        dict(weights=np.zeros((1, 4))),  # would broadcast over all labels
+        dict(weights=np.zeros((3, 5))),
+        dict(biases=np.zeros(4)),
+        dict(accum_w=np.zeros((3, 4)), accum_b=np.zeros(2)),
+        dict(accum_w=np.zeros((3, 4))),  # accum_b missing
+        dict(shape=np.array([3, 4, 1])),
+    ])
+    def test_corrupt_model_rejected(self, tmp_path, rng, change):
+        m = model_with(rng.standard_normal((3, 4)), rng.standard_normal(3))
+        m.save(tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as z:
+            parts = {**{k: z[k] for k in z.files}, **change}
+        np.savez(tmp_path / "m.npz", **parts)
+        with pytest.raises(DataError):
+            LinearClassifier.load(tmp_path / "m.npz")
