@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_io import _open_npz, label_array
 from .errors import DataError, NumericError
 
 TREE_MAGIC = "advsamp-tree-v1"
@@ -253,7 +254,7 @@ class AuxiliaryTree:
     def log_prob_pairs(self, Xr, ys) -> np.ndarray:
         """log p(ys[i] | Xr[i]) for each row; (n,)."""
         Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
-        leaves = self.label_leaf[np.asarray(ys, dtype=np.int64)]
+        leaves = self.label_leaf[label_array(ys, self.num_labels)]
         node = np.zeros(Xr.shape[0], dtype=np.int64)
         out = np.zeros(Xr.shape[0])
         for level in range(self.depth):
@@ -289,10 +290,11 @@ class AuxiliaryTree:
 
     @classmethod
     def load(cls, path) -> "AuxiliaryTree":
-        with np.load(path, allow_pickle=False) as z:
-            if str(z["magic"]) != TREE_MAGIC:
-                raise DataError(f"not a tree file: {path}")
-            depth, C, _ = (int(v) for v in z["meta"])
+        with _open_npz(path, TREE_MAGIC, ("meta", "node_w", "node_b", "label_leaf")) as z:
+            try:
+                depth, C, _ = (int(v) for v in z["meta"])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"bad tree meta record in {path}: {exc}") from exc
             return cls(z["node_w"], z["node_b"], z["label_leaf"], C, depth)
 
 

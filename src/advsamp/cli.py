@@ -209,9 +209,10 @@ def cmd_train(args) -> int:
     result.write_metrics_csv(out / "metrics.csv", wall_clock_offset_s=offset)
     manifest.add_output(out / "model.npz")
     manifest.add_output(out / "metrics.csv")
-    manifest.write()
+    manifest.write({"train_backend": result.backend,
+                    "train_steps_per_s": result.steps_per_s})
     last = result.metrics[-1] if result.metrics else {}
-    print(f"train: method={cfg.method} noise={cfg.noise} "
+    print(f"train: method={cfg.method} noise={cfg.noise} backend={result.backend} "
           f"final_train_loss={last.get('train_loss', float('nan')):.4f}")
     return 0
 

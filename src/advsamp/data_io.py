@@ -13,6 +13,8 @@ with a magic string (see ``save_dataset`` / ``save_pca``).
 from __future__ import annotations
 
 import warnings
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,16 +45,22 @@ class RawDataset:
     num_features: int
 
 
+def label_array(ys, num_labels: int) -> np.ndarray:
+    """``ys`` as int64 labels; a DataError when any lies outside [0, C)."""
+    ys = np.asarray(ys, dtype=np.int64)
+    if ys.size and (ys.min() < 0 or ys.max() >= num_labels):
+        raise DataError(f"labels must lie in [0, {num_labels})")
+    return ys
+
+
 class SparseDataset:
     """Immutable single-label dataset backed by a CSR feature matrix."""
 
     def __init__(self, features: sp.csr_matrix, labels: np.ndarray, num_labels: int):
         features = features.tocsr()
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = label_array(labels, num_labels)
         if features.shape[0] != labels.shape[0]:
             raise DataError("feature/label count mismatch")
-        if labels.size and (labels.min() < 0 or labels.max() >= num_labels):
-            raise DataError("label out of range")
         self.features = features
         self.labels = labels
         self.num_labels = int(num_labels)
@@ -289,10 +297,37 @@ def save_dataset(path, dataset: SparseDataset) -> None:
     )
 
 
+# what numpy raises for a file that is no .npz archive or a damaged member
+_NPZ_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile)
+
+
+@contextmanager
+def _open_npz(path, kind: str, keys):
+    """The open ``.npz`` cache at ``path``, once it is known to be a readable
+    archive whose ``magic`` is ``kind`` and that holds ``keys``. Anything
+    else, and an array that cannot be read, is a DataError."""
+    try:
+        z = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise
+    except _NPZ_ERRORS as exc:
+        raise DataError(f"{path} is not a readable .npz archive: {exc}") from exc
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise DataError(f"{path} is not an .npz archive")
+    with z:
+        missing = [key for key in ("magic", *keys) if key not in z.files]
+        if missing:
+            raise DataError(f"{path} lacks {', '.join(missing)}")
+        try:
+            if str(z["magic"]) != kind:
+                raise DataError(f"{path} is not an {kind} file")
+            yield z
+        except _NPZ_ERRORS as exc:
+            raise DataError(f"corrupt cache {path}: {exc}") from exc
+
+
 def load_dataset(path) -> SparseDataset:
-    with np.load(path, allow_pickle=False) as z:
-        if str(z["magic"]) != DATASET_MAGIC:
-            raise DataError(f"not a dataset cache: {path}")
+    with _open_npz(path, DATASET_MAGIC, ("shape", "data", "indices", "indptr", "labels")) as z:
         labels = z["labels"]
         # a column index >= K or a decreasing indptr would otherwise reach
         # the sparse kernels unchecked
@@ -300,8 +335,12 @@ def load_dataset(path) -> SparseDataset:
             n, K, C = (int(v) for v in z["shape"])
             mat = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=(n, K))
             mat.check_format(full_check=True)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise DataError(f"corrupt dataset cache {path}: {exc}") from exc
+        if not mat.has_canonical_format:
+            # the parser writes sorted, duplicate-free rows; training relies on it
+            raise DataError(f"corrupt dataset cache {path}: unsorted or repeated "
+                            "column indices within a row")
         if labels.shape != (n,):
             raise DataError(f"labels have shape {labels.shape}, want ({n},)")
         return SparseDataset(mat, labels, C)
@@ -318,7 +357,5 @@ def save_pca(path, proj: PcaProjection) -> None:
 
 
 def load_pca(path) -> PcaProjection:
-    with np.load(path, allow_pickle=False) as z:
-        if str(z["magic"]) != PCA_MAGIC:
-            raise DataError(f"not a PCA cache: {path}")
+    with _open_npz(path, PCA_MAGIC, ("mean", "components", "eigenvalues")) as z:
         return PcaProjection(z["mean"], z["components"], z["eigenvalues"])

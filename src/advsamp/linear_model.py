@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data_io import _open_npz
 from .errors import DataError
 
 MODEL_MAGIC = "advsamp-model-v1"
@@ -39,9 +40,7 @@ class LinearClassifier:
 
     @classmethod
     def load(cls, path) -> "LinearClassifier":
-        with np.load(path, allow_pickle=False) as z:
-            if str(z["magic"]) != MODEL_MAGIC:
-                raise DataError(f"not a model file: {path}")
+        with _open_npz(path, MODEL_MAGIC, ("shape", "weights", "biases")) as z:
             shape = z["shape"]
             if shape.shape != (2,) or shape.min() < 0:
                 raise DataError(f"bad model shape record {shape}")

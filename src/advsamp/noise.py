@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .aux_tree import AuxiliaryTree
-from .data_io import PcaProjection, apply_pca_matrix
+from .data_io import PcaProjection, apply_pca_matrix, label_array
 from .errors import DataError
 
 # ~ log of the smallest positive double; used as a finite floor when
@@ -45,7 +45,7 @@ class UniformNoise:
         return np.full((Z.shape[0], self.num_labels), -np.log(self.num_labels))
 
     def log_prob_pairs(self, Z, ys) -> np.ndarray:
-        return np.full(len(ys), -np.log(self.num_labels))
+        return np.full(len(label_array(ys, self.num_labels)), -np.log(self.num_labels))
 
 
 class FrequencyNoise:
@@ -75,7 +75,7 @@ class FrequencyNoise:
         return np.broadcast_to(self.log_probs, (Z.shape[0], self.num_labels)).copy()
 
     def log_prob_pairs(self, Z, ys) -> np.ndarray:
-        return self.log_probs[np.asarray(ys, dtype=np.int64)]
+        return self.log_probs[label_array(ys, self.num_labels)]
 
 
 class AdversarialNoise:

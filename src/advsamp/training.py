@@ -15,12 +15,15 @@ the sparse support of x and a bias gradient g.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernel
 from .data_io import SparseDataset
 from .errors import DataError, NumericError
 from .inference import PredictionConfig, check_compatible, evaluate
@@ -51,6 +54,8 @@ class TrainConfig:
             raise DataError("epochs must be nonnegative")
         if self.negatives_per_positive < 1:
             raise DataError("negatives_per_positive must be positive")
+        if self.log_every < 0:
+            raise DataError("log_every must be nonnegative")
         if self.learning_rate <= 0 or self.adagrad_epsilon <= 0 or self.regularizer < 0:
             raise DataError("learning_rate and adagrad_epsilon must be positive, "
                             "regularizer nonnegative")
@@ -109,6 +114,8 @@ def adagrad_step(param, accum, cells, value, grad, rho: float, eps: float) -> No
 class TrainResult:
     model: LinearClassifier
     metrics: list = field(default_factory=list)  # dicts with METRIC_COLUMNS keys
+    backend: str = "python"  # "c": the compiled step kernel; "python": the reference loop
+    steps_per_s: float = 0.0  # steps over the time spent in the step loop
 
     def write_metrics_csv(self, path, wall_clock_offset_s: float = 0.0) -> None:
         """CSV learning curve; the offset shifts wall-clock (e.g. by the
@@ -162,6 +169,109 @@ def _val_metrics(model, noise, val_dataset, config):
     return report.log_likelihood, report.accuracy
 
 
+class _Run:
+    """What the steps of one training run read and write. The driver sets
+    the epoch's ``order`` and, for negative sampling, ``step_labels`` (row 0
+    each step's positive label, rows 1..m its negatives) and ``step_lp``
+    (their log p_n, None when lam == 0) before it calls the steps."""
+
+    def __init__(self, dataset, config, model):
+        X = dataset.features
+        n, K = X.shape
+        # int64 once per run: scipy may hold CSR indices as int32
+        self.indptr = np.ascontiguousarray(X.indptr, dtype=np.int64)
+        self.indices = np.ascontiguousarray(X.indices, dtype=np.int64)
+        self.data = np.ascontiguousarray(X.data, dtype=np.float64)
+        self.labels = np.ascontiguousarray(dataset.labels, dtype=np.int64)
+        # the compiled steps index W and AW with these unchecked
+        ptr, used = self.indptr, self.indices[:self.indptr[-1]]
+        if (ptr.size != n + 1 or ptr[0] != 0 or np.any(np.diff(ptr) < 0)
+                or used.size != ptr[-1] or self.data.size < ptr[-1]
+                or (used.size and (used.min() < 0 or used.max() >= K))):
+            raise DataError("feature matrix is not a valid CSR matrix")
+        if not X.has_canonical_format:
+            # a repeated cell would be read once but written twice per step
+            raise DataError("feature rows need sorted, duplicate-free column indices")
+        # the steps write these in place, so they are never copied
+        self.W, self.B = model.weights, model.biases
+        self.AW, self.AB = model.accum_w, model.accum_b
+        C = dataset.num_labels
+        for arr, shape in ((self.W, (C, K)), (self.B, (C,)), (self.AW, (C, K)), (self.AB, (C,))):
+            if not (arr.shape == shape and arr.dtype == np.float64
+                    and arr.flags.c_contiguous and arr.flags.writeable):
+                raise DataError(f"model parameters and accumulators must be writeable "
+                                f"C-contiguous float64 arrays of shape {shape}")
+        self.softmax = config.method == "softmax_full"
+        self.rho, self.lam, self.eps = (config.learning_rate, config.regularizer,
+                                        config.adagrad_epsilon)
+        self.order = self.step_labels = self.step_lp = None
+
+
+def _steps_python(run: _Run, t0: int, t1: int):
+    """Steps t0..t1-1 of the current epoch, the reference for the compiled
+    kernel. Returns the loss sum and -1, or the sum so far and the first
+    step whose scores or loss are not finite (its update not applied)."""
+    W, B, AW, AB = run.W, run.B, run.AW, run.AB
+    lam = run.lam
+    loss_sum = 0.0
+    # every label; a slice keeps W[:, idx] a cheap gather for large C
+    labs = rows = slice(None)
+    for t in range(t0, t1):
+        i = run.order[t]
+        lo, hi = run.indptr[i], run.indptr[i + 1]
+        idx = run.indices[lo:hi]
+        vals = run.data[lo:hi]
+        if not run.softmax:
+            labs = run.step_labels[:, t]
+            rows = labs[:, None]
+        cells = (rows, idx)
+        w, b = W[cells], B[labs]
+        xi = w @ vals + b
+        if not np.all(np.isfinite(xi)):
+            return loss_sum, t
+        if run.softmax:
+            loss, g = softmax_loss_and_grad(xi, run.labels[i])
+        else:
+            loss, g = pair_loss_and_grad(xi, labs, run.step_lp[:, t] if lam > 0 else None, lam)
+        gw, gb = g[:, None] * vals, g
+        if run.softmax and lam > 0:
+            # parameter L2 on the touched coordinates
+            gw = gw + 2.0 * lam * w
+            gb = gb + 2.0 * lam * b
+            loss += lam * float((w**2).sum() + (b**2).sum())
+        if not math.isfinite(loss):
+            return loss_sum, t
+        adagrad_step(W, AW, cells, w, gw, run.rho, run.eps)
+        adagrad_step(B, AB, labs, b, gb, run.rho, run.eps)
+        loss_sum += loss
+    return loss_sum, -1
+
+
+def _steps_c(lib, run: _Run, t0: int, t1: int):
+    """``_steps_python`` through the compiled kernel."""
+    def ptr(a):
+        return None if a is None else a.ctypes.data
+
+    loss = ctypes.c_double()
+    common = (ptr(run.indptr), ptr(run.indices), ptr(run.data), ptr(run.order))
+    params = (ptr(run.W), ptr(run.B), ptr(run.AW), ptr(run.AB))
+    if run.softmax:
+        C, K = run.W.shape
+        scratch = np.empty(C)
+        bad = lib.advsamp_softmax_steps(*common, ptr(run.labels), t0, t1, *params, C, K,
+                                        run.rho, run.lam, run.eps, ptr(scratch),
+                                        ctypes.addressof(loss))
+    else:
+        m1, n = run.step_labels.shape
+        scratch = np.empty((2, m1))
+        first = np.empty(m1, dtype=np.int64)
+        bad = lib.advsamp_neg_steps(*common, ptr(run.step_labels), ptr(run.step_lp),
+                                    n, m1, t0, t1, *params, run.W.shape[1],
+                                    run.rho, run.lam, run.eps, ptr(scratch[0]),
+                                    ptr(scratch[1]), ptr(first), ctypes.addressof(loss))
+    return loss.value, bad
+
+
 def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
           noise=None, val_dataset: SparseDataset | None = None) -> TrainResult:
     """Seeded, deterministic single-threaded epoch loop with Adagrad.
@@ -169,7 +279,10 @@ def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
     A step scores the labels it touches -- the positive and its m sampled
     negatives for ``neg_sampling``, all C labels for ``softmax_full`` -- on
     the nonzero features of one example, takes the method's loss and score
-    gradient, and updates those cells and biases by Adagrad.
+    gradient, and updates those cells and biases by Adagrad. The steps
+    between two learning-curve rows run as one call, of the compiled kernel
+    when it can be built (``advsamp.kernel``) and of ``_steps_python``
+    otherwise; ``TrainResult.backend`` says which ran.
     """
     softmax = config.method == "softmax_full"
     if softmax and noise is not None:
@@ -179,66 +292,52 @@ def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
     if softmax and dataset.num_labels > SOFTMAX_LABEL_GUARD:
         raise DataError("label set too large for full softmax training")
     check_compatible(model, noise, dataset)
+    run = _Run(dataset, config, model)
+    lib = kernel.load()
+    # one call runs the steps up to the next curve row
+    steps = (functools.partial(_steps_python, run) if lib is None
+             else functools.partial(_steps_c, lib, run))
     rng = np.random.default_rng(config.seed)
-    X = dataset.features
-    indptr, indices, data = X.indptr, X.indices, X.data
-    labels = dataset.labels
-    n = dataset.num_examples
-    W, B = model.weights, model.biases
-    AW, AB = model.accum_w, model.accum_b
-    rho, lam, eps = config.learning_rate, config.regularizer, config.adagrad_epsilon
-    if softmax:
-        # every label; a slice keeps W[:, idx] a cheap gather for large C
-        labs = rows = slice(None)
-    else:
-        Z = noise.prepare(X)
+    n, C = dataset.num_examples, dataset.num_labels
+    if not softmax:
+        Z = noise.prepare(dataset.features)
 
     curve = _LearningCurve(config, lambda: _val_metrics(model, noise, val_dataset, config))
-    steps = 0
+    done = 0
     loss_acc = 0.0
+    step_s = 0.0
+    log_every = config.log_every
 
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
+        run.order = rng.permutation(n)
         if not softmax:
-            Zo = Z[order]
-            # row 0 holds each step's positive label, rows 1..m its negatives
-            step_labels = np.vstack([labels[order]] + [
+            Zo = Z[run.order]
+            run.step_labels = np.ascontiguousarray(np.vstack([run.labels[run.order]] + [
                 noise.sample_batch(Zo, rng) for _ in range(config.negatives_per_positive)
-            ])
-            if lam > 0:
-                step_lp = np.stack([noise.log_prob_pairs(Zo, ys) for ys in step_labels])
-
-        for t in range(n):
-            i = order[t]
-            lo, hi = indptr[i], indptr[i + 1]
-            idx = indices[lo:hi]
-            vals = data[lo:hi]
-            if not softmax:
-                labs = step_labels[:, t]
-                rows = labs[:, None]
-            cells = (rows, idx)
-            w, b = W[cells], B[labs]
-            xi = w @ vals + b
-            if softmax:
-                loss, g = softmax_loss_and_grad(xi, labels[i])
-            else:
-                loss, g = pair_loss_and_grad(xi, labs, step_lp[:, t] if lam > 0 else None, lam)
-            gw, gb = g[:, None] * vals, g
-            if softmax and lam > 0:
-                # parameter L2 on the touched coordinates
-                gw = gw + 2.0 * lam * w
-                gb = gb + 2.0 * lam * b
-                loss += lam * float((w**2).sum() + (b**2).sum())
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch} step {t}: y={labels[i]}")
-            adagrad_step(W, AW, cells, w, gw, rho, eps)
-            adagrad_step(B, AB, labs, b, gb, rho, eps)
-
+            ]), dtype=np.int64)
+            if run.step_labels.min() < 0 or run.step_labels.max() >= C:
+                raise DataError("noise drew a label outside [0, C)")
+            if run.lam > 0:
+                run.step_lp = np.ascontiguousarray(np.stack(
+                    [noise.log_prob_pairs(Zo, ys) for ys in run.step_labels]), dtype=np.float64)
+                if run.step_lp.shape != run.step_labels.shape:
+                    raise DataError("noise log-probabilities do not match its draws")
+        t = 0
+        while t < n:
+            t1 = n if not log_every else min(n, t + log_every - done % log_every)
+            start = time.perf_counter()
+            loss, bad = steps(t, t1)
+            step_s += time.perf_counter() - start
+            if bad >= 0:
+                raise NumericError(f"non-finite score or loss at epoch {epoch} step {bad}: "
+                                   f"y={run.labels[run.order[bad]]}")
             loss_acc += loss
-            steps += 1
-            if config.log_every and steps % config.log_every == 0:
-                curve.log(epoch, steps, loss_acc)
+            done += t1 - t
+            t = t1
+            if log_every and done % log_every == 0:
+                curve.log(epoch, done, loss_acc)
                 loss_acc = 0.0
-        curve.log(epoch, steps, loss_acc, epoch_end=True)
+        curve.log(epoch, done, loss_acc, epoch_end=True)
         loss_acc = 0.0
-    return TrainResult(model, curve.rows)
+    return TrainResult(model, curve.rows, backend="python" if lib is None else "c",
+                       steps_per_s=done / step_s if step_s > 0 else 0.0)

@@ -48,12 +48,13 @@ def run(command, out, sets):
 
 
 class TestPipeline:
-    def test_full_adversarial_pipeline(self, workdir):
+    def test_full_adversarial_pipeline(self, workdir, capsys):
         out, base = workdir
         sets = base + ["noise=adversarial", "epochs=15"]
         assert run("preprocess", out, sets) == 0
         assert run("fit-aux", out, sets) == 0
         assert run("train", out, sets) == 0
+        train_line = capsys.readouterr().out.strip().splitlines()[-1]
         assert run("eval", out, sets) == 0
         commands = ("preprocess", "fit-aux", "train", "eval")
         for name in ("train.npz", "val.npz", "test.npz", "pca.npz", "tree.npz",
@@ -69,6 +70,11 @@ class TestPipeline:
             assert manifest["command"] == command
             assert manifest["seed"] == 42
             assert manifest["wall_clock_s"] > 0
+        trained = json.loads((out / "manifest-train.json").read_text())
+        want = "c" if shutil.which("cc") or shutil.which("gcc") else "python"
+        assert trained["train_backend"] == want
+        assert f"backend={want} " in train_line
+        assert trained["train_steps_per_s"] > 0
 
     def test_retrain_keeps_aux_fit_time(self, workdir):
         # a second train still finds the fit-aux record and shifts its curve
@@ -236,6 +242,58 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["frobnicate", "--out", "x"]) == 1
         assert main([]) == 1
+
+
+CACHE_KEYS = {
+    "train.npz": ("magic", "shape", "data", "indices", "indptr", "labels"),
+    "val.npz": ("magic", "shape", "data", "indices", "indptr", "labels"),
+    "test.npz": ("magic", "shape", "data", "indices", "indptr", "labels"),
+    "pca.npz": ("magic", "mean", "components", "eigenvalues"),
+    "tree.npz": ("magic", "meta", "node_w", "node_b", "label_leaf"),
+    "model.npz": ("magic", "shape", "weights", "biases"),
+}
+
+
+@pytest.fixture(scope="class")
+def trained_run(tmp_path_factory):
+    """An adversarial run through train, shared by the cases that copy it."""
+    tmp = tmp_path_factory.mktemp("cache")
+    write_svmlight(tmp / "train.txt", 80, 5, 8, seed=0)
+    write_svmlight(tmp / "test.txt", 30, 5, 8, seed=1)
+    sets = ["seed=42", f"train_path={tmp / 'train.txt'}", f"test_path={tmp / 'test.txt'}",
+            "pca_k=3", "epochs=1", "learning_rate=0.1", "log_every=0", "noise=adversarial"]
+    for command in ("preprocess", "fit-aux", "train"):
+        assert run(command, tmp / "run", sets) == 0
+    return tmp / "run", sets
+
+
+class TestCacheKeys:
+    """A cache that lacks a key, or is no archive at all, is a data error
+    (exit 2) of the command that reads it."""
+
+    @staticmethod
+    def command_for(name):
+        return "train" if name == "val.npz" else "eval"
+
+    @pytest.mark.parametrize("name,key", [(n, k) for n, keys in CACHE_KEYS.items()
+                                          for k in keys])
+    def test_missing_key_exits_2(self, trained_run, tmp_path, name, key, capsys):
+        src, sets = trained_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        with np.load(out / name) as z:
+            parts = {k: z[k] for k in z.files if k != key}
+        np.savez(out / name, **parts)
+        assert run(self.command_for(name), out, sets) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(CACHE_KEYS))
+    def test_not_an_archive_exits_2(self, trained_run, tmp_path, name):
+        src, sets = trained_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        (out / name).write_bytes(b"not an npz archive\n")
+        assert run(self.command_for(name), out, sets) == 2
 
 
 class TestConfig:

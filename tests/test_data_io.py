@@ -290,6 +290,8 @@ class TestRoundTrip:
         dict(indptr=np.array([0, 3])),  # wrong length
         dict(shape=np.array([3, 5])),  # no label count
         dict(labels=np.array([0, 1])),
+        dict(indices=np.array([0, 3, 1])),  # unsorted within a row
+        dict(indices=np.array([0, 1, 1])),  # repeated within a row
     ])
     def test_corrupt_dataset_cache_rejected(self, tmp_path, change):
         ds = dataset_from_dense([[1.0, 0, 0, 0, 0], [0, 2.0, 0, 3.0, 0], [0, 0, 0, 0, 0]],
@@ -300,6 +302,22 @@ class TestRoundTrip:
         np.savez(tmp_path / "c.npz", **parts)
         with pytest.raises(DataError):
             load_dataset(tmp_path / "c.npz")
+
+    @pytest.mark.parametrize("content", [b"", b"PK\x03\x04 truncated", b"text\n"])
+    def test_unreadable_caches_rejected(self, tmp_path, content):
+        (tmp_path / "c.npz").write_bytes(content)
+        for load in (load_dataset, load_pca):
+            with pytest.raises(DataError):
+                load(tmp_path / "c.npz")
+
+    def test_npy_file_rejected(self, tmp_path):
+        np.save(tmp_path / "c.npy", np.zeros(3))
+        with pytest.raises(DataError):
+            load_dataset(tmp_path / "c.npy")
+
+    def test_missing_file_stays_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path / "absent.npz")
 
     def test_wrong_magic(self, tmp_path, rng):
         ds = dataset_from_dense(rng.standard_normal((4, 2)), np.zeros(4, dtype=int), 1)

@@ -143,6 +143,28 @@ class TestAdversarial:
             AdversarialNoise(noise.tree, bad)
 
 
+class TestLabelRange:
+    """``log_prob_pairs`` rejects labels outside [0, C) instead of wrapping
+    -1 round to label C-1."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "frequency", "adversarial"])
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_log_prob_pairs_rejects(self, rng, kind, bad):
+        if kind == "adversarial":
+            noise, ds = TestAdversarial().fitted(rng)
+            Z = noise.prepare(ds.features[:2])
+        else:
+            noise = (UniformNoise(4) if kind == "uniform"
+                     else FrequencyNoise(np.array([3.0, 1.0, 2.0, 5.0])))
+            Z = noise.prepare(sp.csr_matrix(np.ones((2, 1))))
+        assert noise.log_prob_pairs(Z, [0, 3]).shape == (2,)
+        with pytest.raises(DataError):
+            noise.log_prob_pairs(Z, [0, bad])
+        if kind == "adversarial":
+            with pytest.raises(DataError):
+                noise.tree.log_prob_pairs(Z, [bad, 0])
+
+
 class TestFactory:
     def test_kinds(self, rng):
         assert isinstance(make_noise("uniform", num_labels=3), UniformNoise)

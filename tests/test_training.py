@@ -418,6 +418,8 @@ class TestTrainLoop:
         with pytest.raises(DataError):
             TrainConfig(method="neg_sampling", learning_rate=0.1,
                         negatives_per_positive=0)
+        with pytest.raises(DataError):
+            TrainConfig(method="neg_sampling", learning_rate=0.1, log_every=-1)
 
 
 class TestMetrics:
