@@ -170,15 +170,17 @@ def _build_noise(cfg, out, train_set):
         tree = AuxiliaryTree.load(out / "tree.npz")
         proj = load_pca(out / "pca.npz")
         return make_noise("adversarial", tree=tree, projection=proj)
-    raise DataError(f"unknown noise kind {cfg.noise!r}")
 
 
-def _aux_fit_offset(out) -> float:
-    manifest = out / "manifest-fit-aux.json"
-    if manifest.exists():
-        data = json.loads(manifest.read_text())
-        return float(data.get("aux_fit_wall_clock_s", 0.0))
-    return 0.0
+def _read_manifest(out, command) -> dict:
+    """The manifest an earlier ``command`` wrote into ``out``; {} if none."""
+    path = out / f"manifest-{command}.json"
+    if not path.exists():
+        return {}
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def cmd_train(args) -> int:
@@ -191,7 +193,7 @@ def cmd_train(args) -> int:
     if cfg.method == "neg_sampling":
         noise = _build_noise(cfg, out, train_set)
         if cfg.noise == "adversarial":
-            offset = _aux_fit_offset(out)
+            offset = float(_read_manifest(out, "fit-aux").get("aux_fit_wall_clock_s", 0.0))
     tconf = TrainConfig(
         method=cfg.method,
         learning_rate=cfg.learning_rate,
@@ -209,7 +211,8 @@ def cmd_train(args) -> int:
     result.write_metrics_csv(out / "metrics.csv", wall_clock_offset_s=offset)
     manifest.add_output(out / "model.npz")
     manifest.add_output(out / "metrics.csv")
-    manifest.write({"train_backend": result.backend,
+    manifest.write({"method": cfg.method, "noise": cfg.noise,
+                    "train_backend": result.backend,
                     "train_steps_per_s": result.steps_per_s})
     last = result.metrics[-1] if result.metrics else {}
     print(f"train: method={cfg.method} noise={cfg.noise} backend={result.backend} "
@@ -219,6 +222,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, out, manifest = _prepare(args, "eval")
+    trained = _read_manifest(out, "train")
+    for key in ("method", "noise"):
+        if key in trained and trained[key] != getattr(cfg, key):
+            raise DataError(f"model.npz was trained with {key}={trained[key]}, "
+                            f"not {key}={getattr(cfg, key)}")
     name = "test.npz" if cfg.eval_split == "test" else "val.npz"
     dataset = load_dataset(out / name)
     model = LinearClassifier.load(out / "model.npz")
@@ -258,11 +266,10 @@ def cmd_diagnose(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["candidate", "eta_bar"])
         writer.writerow(["adversarial(p_data)", report.eta_bar])
-        for i, eta in enumerate(etas):
-            writer.writerow([i, eta])
+        writer.writerows(enumerate(etas))
     manifest.add_output(out / "sweep.csv")
     manifest.write({"eta_bar_adversarial": report.eta_bar,
-                    "eta_bar_sweep_max": max(etas) if etas else None})
+                    "eta_bar_sweep_max": max(etas)})
     print(f"diagnose: eta_bar(adversarial)={report.eta_bar:.6g} "
           f"sweep_max={max(etas):.6g}")
     return 0

@@ -15,6 +15,14 @@ from .errors import DataError
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
+_CHOICES = {
+    "multilabel_policy": ("smallest_id", "first_listed"),
+    "method": ("neg_sampling", "softmax_full"),
+    "noise": ("uniform", "frequency", "adversarial"),
+    "eval_split": ("test", "validation"),
+}
+# smallest values for which diagnose's tables and sweep are defined
+_MINIMUM = {"diag_contexts": 1, "diag_labels": 2, "diag_sweep": 1}
 
 
 @dataclass
@@ -44,6 +52,15 @@ class ExperimentConfig:
     diag_labels: int = 4
     diag_sweep: int = 500
     diag_n_scale: int = 1
+
+    def __post_init__(self):
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise DataError(f"{key} must be one of {', '.join(allowed)}, "
+                                f"not {getattr(self, key)!r}")
+        for key, low in _MINIMUM.items():
+            if getattr(self, key) < low:
+                raise DataError(f"{key} must be at least {low}, not {getattr(self, key)}")
 
     @classmethod
     def field_types(cls):

@@ -1,4 +1,4 @@
-"""Numerical verification of the equivalence and optimal-SNR theory.
+"""The optimal-SNR theory on explicit probability tables.
 
 Everything here operates on explicit conditional probability tables over a
 small grid of contexts X and labels Y, where the scores are free
@@ -9,8 +9,8 @@ gradient covariance is block diagonal with blocks
 C_x = N diag(alpha) - 2 N alpha alpha^T, and the scalar signal-to-noise
 ratio is eta = 1 / Tr[Cov H^-1] = 1 / (N sum_x (|Y| - 2 sum_y alpha)).
 
-Monte-Carlo estimators of the stochastic gradient second moments are
-provided as independent cross-checks of the closed forms.
+The covariance blocks, eta's trace form and the Monte-Carlo and
+reparameterization cross-checks are test oracles (``tests/snr_oracles.py``).
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aux_tree import log_sigmoid, sigmoid
+from .aux_tree import sigmoid
 from .errors import DataError, NumericError
 
 ROW_SUM_TOL = 1e-12
-FORM_AGREEMENT_TOL = 1e-9
 
 
 def _check_table(table, name):
@@ -53,246 +52,70 @@ class NonparametricProblem:
         if self.n_scale < 1:
             raise DataError("n_scale must be a positive integer")
 
-    @property
-    def num_contexts(self) -> int:
-        return self.p_data.shape[0]
-
-    @property
-    def num_labels(self) -> int:
-        return self.p_data.shape[1]
-
 
 def optimal_scores(problem: NonparametricProblem) -> np.ndarray:
     """xi*_{x,y} = log p_data(y|x) - log p_noise(y|x)."""
     return np.log(problem.p_data) - np.log(problem.p_noise)
 
 
-def expected_loss(problem: NonparametricProblem, scores) -> float:
-    """Expected pair loss, summed over distinct contexts."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return float(
-        (-problem.p_data * log_sigmoid(scores)
-         - problem.p_noise * log_sigmoid(-scores)).sum()
-    )
-
-
-def expected_gradient(problem: NonparametricProblem, scores) -> np.ndarray:
-    """d expected_loss / d xi: -p_data sigma(-xi) + p_noise sigma(xi)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return -problem.p_data * sigmoid(-scores) + problem.p_noise * sigmoid(scores)
-
-
 def hessian_alpha(problem: NonparametricProblem) -> np.ndarray:
-    """Diagonal Hessian entries alpha at the optimal scores.
-
-    Computed in the simplified form p_noise * sigma(xi*) and cross-checked
-    against the pre-simplification form (p_data + p_noise) * sigma * sigma.
-    """
-    xi = optimal_scores(problem)
-    alpha = problem.p_noise * sigmoid(xi)
-    alpha_raw = (problem.p_data + problem.p_noise) * sigmoid(-xi) * sigmoid(xi)
-    if np.max(np.abs(alpha - alpha_raw)) > 1e-12:
-        raise NumericError("the two alpha forms disagree beyond 1e-12")
-    return alpha
+    """Diagonal Hessian entries alpha = p_noise * sigma(xi*) at the optimal scores."""
+    return problem.p_noise * sigmoid(optimal_scores(problem))
 
 
-def noise_covariance(problem: NonparametricProblem) -> np.ndarray:
-    """Per-context covariance blocks C_x = N diag(alpha) - 2 N a a^T; (|X|, |Y|, |Y|)."""
-    alpha = hessian_alpha(problem)
-    N = problem.n_scale
-    blocks = np.empty((problem.num_contexts, problem.num_labels, problem.num_labels))
-    for i, a in enumerate(alpha):
-        blocks[i] = N * np.diag(a) - 2.0 * N * np.outer(a, a)
-    return blocks
-
-
-def sum_alpha_via_f(problem: NonparametricProblem) -> np.ndarray:
-    """Per-context sum of alpha as E_{p_noise}[f(p_data/p_noise)], f(z)=1/(1+1/z)."""
-    ratio = problem.p_data / problem.p_noise
-    return (problem.p_noise * (1.0 / (1.0 + 1.0 / ratio))).sum(axis=1)
+def _eta(alpha, n_scale):
+    """Per-context sums of alpha and the closed-form eta over the last two
+    axes of ``alpha``: 1 / (N sum_x (|Y| - 2 sum_y alpha))."""
+    if np.any(alpha <= 0):
+        raise NumericError("singular Hessian: some alpha entries vanish")
+    sums = alpha.sum(axis=-1)
+    return sums, 1.0 / (n_scale * (alpha.shape[-1] - 2.0 * sums).sum(axis=-1))
 
 
 @dataclass
 class SnrReport:
     alpha: np.ndarray  # (|X|, |Y|)
-    cov_blocks: np.ndarray  # (|X|, |Y|, |Y|)
     sum_alpha: np.ndarray  # (|X|,)
     eta_bar: float
-    eta_bar_trace: float  # matrix-trace evaluation, agrees within 1e-9
     n_scale: int
 
     def to_dict(self):
         return {
             "eta_bar": self.eta_bar,
-            "eta_bar_trace": self.eta_bar_trace,
             "n_scale": self.n_scale,
             "sum_alpha": self.sum_alpha.tolist(),
             "alpha": self.alpha.tolist(),
-            "cov_blocks": self.cov_blocks.tolist(),
         }
 
 
 def snr(problem: NonparametricProblem) -> SnrReport:
-    """Scalar SNR eta, via the matrix trace and the closed form; both must agree."""
+    """Scalar SNR eta of one problem, in closed form."""
     alpha = hessian_alpha(problem)
-    if np.any(alpha <= 0):
-        raise NumericError("singular Hessian: some alpha entries vanish")
-    blocks = noise_covariance(problem)
-    N = problem.n_scale
-    # trace form: sum_x Tr[C_x diag(1/alpha_x)]
-    inv_eta_trace = sum(
-        float(np.trace(blocks[i] @ np.diag(1.0 / alpha[i])))
-        for i in range(problem.num_contexts)
-    )
-    sums = alpha.sum(axis=1)
-    inv_eta_closed = N * float((problem.num_labels - 2.0 * sums).sum())
-    if abs(inv_eta_trace - inv_eta_closed) > FORM_AGREEMENT_TOL * max(1.0, abs(inv_eta_closed)):
-        raise NumericError(
-            f"trace form {inv_eta_trace} and closed form {inv_eta_closed} disagree"
-        )
-    return SnrReport(
-        alpha=alpha,
-        cov_blocks=blocks,
-        sum_alpha=sums,
-        eta_bar=1.0 / inv_eta_closed,
-        eta_bar_trace=1.0 / inv_eta_trace,
-        n_scale=N,
-    )
+    sums, eta = _eta(alpha, problem.n_scale)
+    return SnrReport(alpha=alpha, sum_alpha=sums, eta_bar=float(eta),
+                     n_scale=problem.n_scale)
 
 
 def random_noise_tables(num_contexts: int, num_labels: int, count: int, rng,
-                        concentration: float = 1.0) -> list[np.ndarray]:
-    """Random strictly positive candidate noise tables (Dirichlet rows)."""
-    tables = []
-    for _ in range(count):
-        t = rng.dirichlet(np.full(num_labels, concentration), size=num_contexts)
-        t = np.clip(t, 1e-12, None)
-        t /= t.sum(axis=1, keepdims=True)
-        tables.append(t)
+                        concentration: float = 1.0) -> np.ndarray:
+    """(count, |X|, |Y|) strictly positive candidate noise tables (Dirichlet rows)."""
+    tables = rng.dirichlet(np.full(num_labels, concentration),
+                           size=(count, num_contexts))
+    tables = np.clip(tables, 1e-12, None)
+    tables /= tables.sum(axis=-1, keepdims=True)
     return tables
 
 
 def snr_sweep(p_data, candidates, n_scale: int = 1) -> list[float]:
-    """eta for each candidate noise table against a fixed p_data."""
-    return [
-        snr(NonparametricProblem(p_data, cand, n_scale)).eta_bar for cand in candidates
-    ]
-
-
-def mc_gradient_covariance(problem: NonparametricProblem, n_samples: int,
-                           seed: int = 0) -> np.ndarray:
-    """Monte-Carlo estimate of the per-context covariance blocks.
-
-    For each context, draws (y, y') ~ p_data(.|x) p_noise(.|x), forms the
-    stochastic gradient restricted to that context's block, and averages
-    outer products (the gradient is mean-zero at the optimum, so the
-    second moment is the covariance).
-    """
-    rng = np.random.default_rng(seed)
-    xi = optimal_scores(problem)
-    N = problem.n_scale
-    Y = problem.num_labels
-    out = np.zeros((problem.num_contexts, Y, Y))
-    for i in range(problem.num_contexts):
-        ys = rng.choice(Y, size=n_samples, p=problem.p_data[i])
-        yn = rng.choice(Y, size=n_samples, p=problem.p_noise[i])
-        a = sigmoid(-xi[i, ys])  # positive-term magnitude
-        b = sigmoid(xi[i, yn])  # negative-term magnitude
-        M = np.zeros((Y, Y))
-        np.add.at(M, (ys, ys), a * a)
-        np.add.at(M, (yn, yn), b * b)
-        np.add.at(M, (ys, yn), -a * b)
-        np.add.at(M, (yn, ys), -a * b)
-        # ghat = N [-a e_y + b e_y']; block C_x = E[ghat ghat^T] / N
-        out[i] = N * M / n_samples
-    return out
-
-
-def mc_gradient_moments(problem: NonparametricProblem, n_samples: int,
-                        seed: int = 0):
-    """Joint-draw Monte Carlo over the full (|X| |Y|)-dimensional gradient.
-
-    Returns (mean, mean_se, second_moment, second_moment_se) where the
-    context x is drawn uniformly. Useful for checking mean-zero gradients
-    and cross-context block diagonality.
-    """
-    rng = np.random.default_rng(seed)
-    xi = optimal_scores(problem)
-    N = problem.n_scale
-    X, Y = problem.p_data.shape
-    dim = X * Y
-
-    xs = rng.integers(X, size=n_samples)
-    u = rng.random(n_samples)
-    cum_d = np.cumsum(problem.p_data, axis=1)
-    ys = (u[:, None] > cum_d[xs]).sum(axis=1)
-    u2 = rng.random(n_samples)
-    cum_n = np.cumsum(problem.p_noise, axis=1)
-    yn = (u2[:, None] > cum_n[xs]).sum(axis=1)
-
-    a = N * sigmoid(-xi[xs, ys])
-    b = N * sigmoid(xi[xs, yn])
-    pos_idx = xs * Y + ys
-    neg_idx = xs * Y + yn
-
-    mean = np.zeros(dim)
-    np.add.at(mean, pos_idx, -a)
-    np.add.at(mean, neg_idx, b)
-    mean /= n_samples
-    sq = np.zeros(dim)
-    np.add.at(sq, pos_idx, a * a)
-    np.add.at(sq, neg_idx, b * b)
-    np.add.at(sq, pos_idx, np.where(pos_idx == neg_idx, -2 * a * b, 0.0))
-    sq /= n_samples
-    mean_se = np.sqrt(np.maximum(sq - mean**2, 0.0) / n_samples)
-
-    m2 = np.zeros((dim, dim))
-    m2sq = np.zeros((dim, dim))
-    for ii, jj, val in (
-        (pos_idx, pos_idx, a * a),
-        (neg_idx, neg_idx, b * b),
-        (pos_idx, neg_idx, -a * b),
-        (neg_idx, pos_idx, -a * b),
-    ):
-        np.add.at(m2, (ii, jj), val)
-        np.add.at(m2sq, (ii, jj), val * val)
-    m2 /= n_samples
-    m2sq /= n_samples
-    m2_se = np.sqrt(np.maximum(m2sq - m2**2, 0.0) / n_samples)
-    return mean, mean_se, m2, m2_se
-
-
-def full_hessian(problem: NonparametricProblem) -> np.ndarray:
-    return np.diag(hessian_alpha(problem).ravel())
-
-
-def full_covariance(problem: NonparametricProblem) -> np.ndarray:
-    X, Y = problem.p_data.shape
-    out = np.zeros((X * Y, X * Y))
-    for i, block in enumerate(noise_covariance(problem)):
-        out[i * Y : (i + 1) * Y, i * Y : (i + 1) * Y] = block
-    return out
-
-
-def reparameterization_check(problem: NonparametricProblem, jacobian=None,
-                             seed: int = 0, rel_tol: float = 1e-8) -> bool:
-    """eta is invariant under invertible linear reparameterization.
-
-    Transforms H -> J^T H J and Cov -> J^T Cov J and recomputes
-    1/Tr[Cov' H'^-1]; returns True if it matches the untransformed eta.
-    """
-    dim = problem.num_contexts * problem.num_labels
-    if jacobian is None:
-        jacobian = np.random.default_rng(seed).standard_normal((dim, dim))
-    J = np.asarray(jacobian, dtype=np.float64)
-    if J.shape != (dim, dim):
-        raise DataError(f"jacobian must be {dim}x{dim}")
-    if np.linalg.cond(J) > 1e6:
-        raise NumericError("reparameterization map is ill-conditioned")
-    H = full_hessian(problem)
-    cov = full_covariance(problem)
-    eta_plain = 1.0 / float(np.trace(cov @ np.linalg.inv(H)))
-    Ht = J.T @ H @ J
-    covt = J.T @ cov @ J
-    eta_trans = 1.0 / float(np.trace(covt @ np.linalg.inv(Ht)))
-    return abs(eta_trans - eta_plain) <= rel_tol * abs(eta_plain)
+    """eta for each of a (count, |X|, |Y|) stack of candidate noise tables
+    against a fixed p_data, checked and swept as one problem of count * |X| rows."""
+    p_data = _check_table(p_data, "p_data")
+    try:
+        stack = np.asarray(candidates, dtype=np.float64)
+    except ValueError as exc:  # tables of different shapes
+        raise DataError("p_data and p_noise shapes differ") from exc
+    if stack.ndim != 3 or len(stack) == 0:
+        raise DataError("candidates must be a non-empty stack of 2-d tables")
+    rows = NonparametricProblem(np.tile(p_data, (len(stack), 1)),
+                                stack.reshape(-1, stack.shape[-1]), n_scale)
+    return _eta(hessian_alpha(rows).reshape(stack.shape), n_scale)[1].tolist()

@@ -65,9 +65,3 @@ def hierarchical_clusters(num_clusters: int, labels_per_cluster: int, n: int,
     X[np.arange(n), labels // labels_per_cluster] += c_str[labels // labels_per_cluster]
     X[np.arange(n), num_clusters + labels % labels_per_cluster] += l_str[labels % labels_per_cluster]
     return SparseDataset(sp.csr_matrix(X), labels, num_labels)
-
-
-def dense_dataset(X: np.ndarray, labels, num_labels: int) -> SparseDataset:
-    """Wrap a dense feature matrix as a SparseDataset."""
-    return SparseDataset(sp.csr_matrix(np.asarray(X, dtype=np.float64)),
-                         np.asarray(labels, dtype=np.int64), num_labels)

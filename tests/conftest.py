@@ -1,8 +1,21 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from advsamp.data_io import SparseDataset
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """Import ``scripts/<name>.py`` by path; the scripts are not a package."""
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def csr_row(dense):

@@ -18,23 +18,18 @@ from advsamp.aux_tree import (
     fit_tree,
     log_sigmoid,
 )
-from advsamp.data_io import PcaProjection, apply_pca_matrix, fit_pca, split
+from advsamp.data_io import PcaProjection
 from advsamp.diagnostics import (
     NonparametricProblem,
-    expected_gradient,
-    expected_loss,
     hessian_alpha,
-    mc_gradient_covariance,
-    noise_covariance,
     random_noise_tables,
     snr,
     snr_sweep,
-    sum_alpha_via_f,
 )
 from advsamp.inference import PredictionConfig, evaluate
 from advsamp.linear_model import LinearClassifier
-from advsamp.noise import AdversarialNoise, FrequencyNoise, UniformNoise
-from advsamp.synthetic import hierarchical_clusters, one_hot_contexts
+from advsamp.noise import AdversarialNoise, FrequencyNoise
+from advsamp.synthetic import one_hot_contexts
 from advsamp.training import (
     TrainConfig,
     pair_loss_and_grad,
@@ -42,7 +37,17 @@ from advsamp.training import (
     train,
 )
 
-from conftest import CountingRng
+from conftest import CountingRng, load_script
+from snr_oracles import (
+    FORM_AGREEMENT_TOL,
+    eta_trace,
+    expected_gradient,
+    mc_gradient_covariance,
+    noise_covariance,
+    sum_alpha_via_f,
+)
+
+convergence = load_script("convergence_comparison")
 
 # criterion 6/7 experiment shape: 16 clusters x 16 labels, C = 256, K = 32,
 # N = 50 000; weak within-cluster signal makes fine label distinctions the
@@ -65,35 +70,18 @@ def _report(num: int, desc: str, ok: bool) -> bool:
     return ok
 
 
-def _steps_to_fraction(metrics, fraction):
-    accs = [(m["steps"], m["val_acc"]) for m in metrics if m["val_acc"] != ""]
-    final = accs[-1][1]
-    return next(s for s, a in accs if a >= fraction * final), final
-
-
 @pytest.fixture(scope="session")
 def cluster_runs():
-    """Per-seed uniform/adversarial training runs on the clustered data."""
+    """Per-seed uniform/adversarial training runs on the clustered data, made
+    by ``scripts/convergence_comparison.py``."""
     runs = []
     for seed in CLUSTER_SEEDS:
-        ds = hierarchical_clusters(CLUSTERS, LABELS_PER_CLUSTER, CLUSTER_N,
-                                   seed=seed, noise_scale=CLUSTER_NOISE_SCALE,
-                                   zipf_exponent=CLUSTER_ZIPF)
-        train_set, val_set = split(ds, 0.1, seed)
-        proj = fit_pca(train_set, CLUSTER_PCA_K, seed=seed)
-        tree = fit_tree(apply_pca_matrix(proj, train_set.features),
-                        train_set.labels, train_set.num_labels)
-        entry = {"val": val_set, "seed": seed}
-        for name, noise in (("uniform", UniformNoise(train_set.num_labels)),
-                            ("adversarial", AdversarialNoise(tree, proj))):
-            model = LinearClassifier(train_set.num_labels, train_set.num_features)
-            cfg = TrainConfig(method="neg_sampling", learning_rate=CLUSTER_LR,
-                              epochs=CLUSTER_EPOCHS, seed=seed, log_every=3000,
-                              eval_at_log=True)
-            result = train(train_set, cfg, model, noise, val_set)
-            entry[name] = {"model": model, "noise": noise,
-                           "metrics": result.metrics}
-        runs.append(entry)
+        val_set, trained = convergence.compare_noises(
+            seed=seed, clusters=CLUSTERS, labels_per_cluster=LABELS_PER_CLUSTER,
+            n=CLUSTER_N, noise_scale=CLUSTER_NOISE_SCALE, zipf_exponent=CLUSTER_ZIPF,
+            pca_k=CLUSTER_PCA_K, epochs=CLUSTER_EPOCHS, learning_rate=CLUSTER_LR,
+            noises=("uniform", "adversarial"))
+        runs.append({"val": val_set, "seed": seed, **trained})
     return runs
 
 
@@ -191,9 +179,9 @@ class TestCriterion3:
         tol = np.maximum(0.02 * np.abs(exact), 1e-3)
         cov_ok = bool(np.all(np.abs(mc - exact) <= tol))
 
-        # (c) matrix-trace eta vs the closed form (snr() raises beyond 1e-9)
-        rep = snr(prob)
-        trace_ok = abs(rep.eta_bar_trace - rep.eta_bar) <= 1e-9 * abs(rep.eta_bar)
+        # (c) matrix-trace eta vs the closed form snr() computes
+        eta = snr(prob).eta_bar
+        trace_ok = abs(eta_trace(prob) - eta) <= FORM_AGREEMENT_TOL * abs(eta)
 
         elapsed = time.perf_counter() - start
         ok = diag_ok and mixed_ok and cov_ok and trace_ok and elapsed < 60
@@ -320,8 +308,9 @@ class TestCriterion6:
         start = time.perf_counter()
         lines, ok = [], True
         for entry in cluster_runs:
-            s_u, f_u = _steps_to_fraction(entry["uniform"]["metrics"], 0.9)
-            s_a, f_a = _steps_to_fraction(entry["adversarial"]["metrics"], 0.9)
+            s_u, f_u = convergence.steps_to_fraction(entry["uniform"]["result"].metrics, 0.9)
+            s_a, f_a = convergence.steps_to_fraction(entry["adversarial"]["result"].metrics,
+                                                     0.9)
             seed_ok = s_a < s_u and f_a >= f_u
             ok = ok and seed_ok
             lines.append(f"seed {entry['seed']}: adv {s_a}/{f_a:.4f} "
@@ -365,22 +354,11 @@ class TestCriterion8:
 
         from advsamp.cli import main as cli_main
 
+        eurlex = load_script("run_eurlex")
         results = {}
-        for method, noise, rho in (("softmax_full", "uniform", 0.3),
-                                   ("neg_sampling", "uniform", 3e-3)):
+        for method in ("softmax_full", "neg_sampling"):
             out = tmp_path / method
-            sets = [
-                "seed=0", f"train_path={Path(data_dir) / 'train.txt'}",
-                f"test_path={Path(data_dir) / 'test.txt'}", "one_based=true",
-                "multilabel_policy=smallest_id", "validation_fraction=0.1",
-                "feature_pca_k=512", "pca_k=16", f"method={method}",
-                f"noise={noise}", f"learning_rate={rho}", "regularizer=3e-4",
-                "epochs=10",
-            ]
-            for command in ("preprocess", "train", "eval"):
-                argv = [command, "--out", str(out)]
-                for s in sets:
-                    argv += ["--set", s]
+            for argv in eurlex.pipeline_argvs(data_dir, out, method, "uniform"):
                 assert cli_main(argv) == 0
             results[method] = json.loads((out / "eval.json").read_text())["accuracy"]
 

@@ -179,12 +179,61 @@ class TestDiagnose:
                      "--set", "diag_sweep=50"])
         assert code == 0
         report = json.loads((out / "snr_report.json").read_text())
+        assert set(report) == {"eta_bar", "n_scale", "sum_alpha", "alpha"}
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert rows[0] == "candidate,eta_bar"
         assert rows[1].startswith("adversarial")
         sweep = [float(r.split(",")[1]) for r in rows[2:]]
         assert len(sweep) == 50
         assert max(sweep) <= report["eta_bar"] + 1e-12
+
+    @pytest.mark.parametrize("key", ["diag_sweep=0", "diag_labels=1", "diag_contexts=0",
+                                     "diag_sweep=-3"])
+    def test_degenerate_sizes_exit_2(self, tmp_path, key, capsys):
+        code = main(["diagnose", "--out", str(tmp_path / "d"), "--set", "seed=1",
+                     "--set", key])
+        assert code == 2
+        assert key.split("=")[0] in capsys.readouterr().err
+
+    def test_smallest_sizes_run(self, tmp_path):
+        out = tmp_path / "d"
+        code = main(["diagnose", "--out", str(out), "--set", "seed=1",
+                     "--set", "diag_sweep=1", "--set", "diag_labels=2",
+                     "--set", "diag_contexts=1"])
+        assert code == 0
+        assert len((out / "sweep.csv").read_text().strip().splitlines()) == 3
+
+
+class TestEvalMatchesTraining:
+    """``eval`` reads the method and noise that trained ``model.npz`` from
+    ``manifest-train.json`` and refuses others."""
+
+    @pytest.mark.parametrize("override", ["noise=uniform", "method=softmax_full"])
+    def test_mismatch_exits_2(self, workdir, override, capsys):
+        out, base = workdir
+        sets = base + ["noise=adversarial"]
+        for command in ("preprocess", "fit-aux", "train"):
+            assert run(command, out, sets) == 0
+        trained = json.loads((out / "manifest-train.json").read_text())
+        assert (trained["method"], trained["noise"]) == ("neg_sampling", "adversarial")
+        assert run("eval", out, sets + [override]) == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (out / "eval.json").exists()
+        assert run("eval", out, sets) == 0
+
+    def test_without_train_manifest_eval_runs(self, workdir):
+        out, base = workdir
+        assert run("preprocess", out, base) == 0
+        assert run("train", out, base) == 0
+        (out / "manifest-train.json").unlink()
+        assert run("eval", out, base + ["noise=frequency"]) == 0
+
+    def test_unreadable_train_manifest_exits_2(self, workdir):
+        out, base = workdir
+        assert run("preprocess", out, base) == 0
+        assert run("train", out, base) == 0
+        (out / "manifest-train.json").write_text("{not json")
+        assert run("eval", out, base) == 2
 
 
 class TestExitCodes:
@@ -211,6 +260,16 @@ class TestExitCodes:
         code = main(["diagnose", "--out", str(tmp_path / "o"),
                      "--set", "seed=1", "--set", key])
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["eval_split=tset", "method=neg_samplng"])
+    def test_misspelt_choice_at_eval_exits_2(self, workdir, key, capsys):
+        # each used to exit 0: on val.npz, or without bias removal
+        out, base = workdir
+        assert run("preprocess", out, base) == 0
+        assert run("train", out, base) == 0
+        assert run("eval", out, base + [key]) == 2
+        assert key.split("=")[0] in capsys.readouterr().err
+        assert not (out / "eval.json").exists()
 
     def test_threads_flag_removed(self, tmp_path, capsys):
         code = main(["diagnose", "--out", str(tmp_path / "o"),
@@ -320,6 +379,21 @@ class TestConfig:
             ExperimentConfig.from_mapping({"seed": "1", "bias_removal": "maybe"})
         with pytest.raises(DataError):
             ExperimentConfig.from_mapping({"seed": "1", "learning_rate": "fast"})
+
+    @pytest.mark.parametrize("key,value", [
+        ("method", "neg_samplng"), ("noise", "adversarial2"), ("eval_split", "tset"),
+        ("multilabel_policy", "largest_id"), ("noise", ""),
+    ])
+    def test_unknown_choice_rejected(self, key, value):
+        with pytest.raises(DataError, match=key):
+            ExperimentConfig.from_mapping({"seed": "1", key: value})
+
+    @pytest.mark.parametrize("key,low", [("diag_contexts", 1), ("diag_labels", 2),
+                                         ("diag_sweep", 1)])
+    def test_diag_minimum(self, key, low):
+        assert getattr(ExperimentConfig.from_mapping({"seed": "1", key: str(low)}), key) == low
+        with pytest.raises(DataError, match=key):
+            ExperimentConfig.from_mapping({"seed": "1", key: str(low - 1)})
 
     def test_bad_override_format(self):
         with pytest.raises(DataError):

@@ -1,24 +1,30 @@
 import numpy as np
 import pytest
 
+from advsamp.aux_tree import sigmoid
 from advsamp.diagnostics import (
     NonparametricProblem,
+    hessian_alpha,
+    optimal_scores,
+    random_noise_tables,
+    snr,
+    snr_sweep,
+)
+from advsamp.errors import DataError, NumericError
+
+from snr_oracles import (
+    FORM_AGREEMENT_TOL,
+    eta_trace,
     expected_gradient,
     expected_loss,
     full_covariance,
     full_hessian,
-    hessian_alpha,
     mc_gradient_covariance,
     mc_gradient_moments,
     noise_covariance,
-    optimal_scores,
-    random_noise_tables,
     reparameterization_check,
-    snr,
-    snr_sweep,
     sum_alpha_via_f,
 )
-from advsamp.errors import DataError, NumericError
 
 FD_EPS = 1e-6
 
@@ -106,6 +112,14 @@ class TestHessian:
         oracle = prob.p_data * prob.p_noise / (prob.p_data + prob.p_noise)
         assert np.abs(hessian_alpha(prob) - oracle).max() < 1e-14
 
+    @pytest.mark.parametrize("X,Y", [(3, 4), (5, 200)])
+    def test_alpha_pre_simplification_form(self, rng, X, Y):
+        # (p_D + p_n) sigma(-xi*) sigma(xi*), the form before simplification
+        prob = random_problem(rng, X=X, Y=Y)
+        xi = optimal_scores(prob)
+        raw = (prob.p_data + prob.p_noise) * sigmoid(-xi) * sigmoid(xi)
+        assert np.abs(hessian_alpha(prob) - raw).max() <= 1e-12
+
     def test_diagonal_finite_difference_oracle(self, rng):
         prob = random_problem(rng, X=2, Y=3)
         xi = optimal_scores(prob)
@@ -172,7 +186,7 @@ class TestMcMoments:
         # with x drawn uniformly, E[g g^T] = (1/|X|) blockdiag(N C_x)
         prob = random_problem(rng, X=2, Y=3, n_scale=2)
         _, _, m2, m2_se = mc_gradient_moments(prob, 300_000, seed=5)
-        expect = full_covariance(prob) * prob.n_scale / prob.num_contexts
+        expect = full_covariance(prob) * prob.n_scale / len(prob.p_data)
         assert np.all(np.abs(m2 - expect) <= 4 * m2_se + 1e-3)
 
     def test_cross_context_blocks_exactly_zero(self, rng):
@@ -212,9 +226,16 @@ class TestSumAlpha:
 class TestSnr:
     def test_matched_uniform_value(self):
         # sum alpha = 1/2 per context: 1/eta = N |X| (|Y| - 1)
-        rep = snr(uniform_problem(X=3, Y=4))
-        assert rep.eta_bar == pytest.approx(1.0 / 9.0, abs=1e-12)
-        assert rep.eta_bar_trace == pytest.approx(rep.eta_bar, rel=1e-9)
+        prob = uniform_problem(X=3, Y=4)
+        eta = snr(prob).eta_bar
+        assert eta == pytest.approx(1.0 / 9.0, abs=1e-12)
+        assert abs(eta_trace(prob) - eta) <= FORM_AGREEMENT_TOL * eta
+
+    @pytest.mark.parametrize("X,Y,n_scale", [(1, 2, 1), (3, 4, 1), (2, 7, 5), (4, 40, 2)])
+    def test_closed_form_matches_trace_oracle(self, rng, X, Y, n_scale):
+        prob = random_problem(rng, X=X, Y=Y, n_scale=n_scale)
+        eta = snr(prob).eta_bar
+        assert abs(eta_trace(prob) - eta) <= FORM_AGREEMENT_TOL * eta
 
     def test_n_scale_inverse(self, rng):
         p_d = rng.dirichlet(np.ones(4), size=2)
@@ -225,8 +246,7 @@ class TestSnr:
 
     def test_report_dict(self, rng):
         d = snr(random_problem(rng)).to_dict()
-        assert set(d) == {"eta_bar", "eta_bar_trace", "n_scale", "sum_alpha",
-                          "alpha", "cov_blocks"}
+        assert set(d) == {"eta_bar", "n_scale", "sum_alpha", "alpha"}
 
     def test_matched_noise_maximizes_snr(self, rng):
         # the data distribution itself beats every random candidate
@@ -240,6 +260,45 @@ class TestSnr:
         p_d = rng.dirichlet(np.ones(3), size=2)
         etas = snr_sweep(p_d, random_noise_tables(2, 3, 7, rng))
         assert len(etas) == 7 and all(e > 0 for e in etas)
+        with pytest.raises(DataError):
+            snr_sweep(p_d, [])
+
+    @pytest.mark.parametrize("X,Y,n_scale", [(3, 4, 1), (2, 100, 3), (5, 200, 1)])
+    def test_sweep_equals_per_table_snr(self, rng, X, Y, n_scale):
+        # one pass over the stack gives each table's own snr() bit for bit
+        p_d = random_noise_tables(X, Y, 1, rng)[0]
+        tables = random_noise_tables(X, Y, 60, rng)
+        loop = [snr(NonparametricProblem(p_d, t, n_scale)).eta_bar for t in tables]
+        assert snr_sweep(p_d, tables, n_scale) == loop
+        assert snr_sweep(p_d, list(tables), n_scale) == loop
+
+
+class TestSweepValidation:
+    """The stacked sweep rejects what one NonparametricProblem per table would."""
+
+    P_D = [[0.5, 0.5], [0.25, 0.75]]
+    GOOD = [[0.5, 0.5], [0.5, 0.5]]
+
+    @pytest.mark.parametrize("bad", [
+        [[1.0, 0.0], [0.5, 0.5]],  # not strictly positive
+        [[0.6, 0.6], [0.5, 0.5]],  # a row off 1
+        [[0.5, 0.5]],  # one context short
+        [[0.25, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]],  # more labels
+        [0.5, 0.5],  # not a table
+    ])
+    def test_rejects_a_bad_candidate(self, bad):
+        with pytest.raises(DataError):
+            NonparametricProblem(self.P_D, bad)
+        with pytest.raises(DataError):
+            snr_sweep(self.P_D, [self.GOOD, bad, self.GOOD])
+
+    def test_rejects_bad_p_data(self):
+        with pytest.raises(DataError):
+            snr_sweep([[0.6, 0.6], [0.5, 0.5]], [self.GOOD])
+
+    def test_rejects_bad_n_scale(self):
+        with pytest.raises(DataError):
+            snr_sweep(self.P_D, [self.GOOD], n_scale=0)
 
 
 class TestReparameterization:
@@ -265,7 +324,27 @@ class TestReparameterization:
 
 class TestRandomTables:
     def test_valid_rows(self, rng):
-        for t in random_noise_tables(4, 6, 5, rng):
+        tables = random_noise_tables(4, 6, 5, rng)
+        assert len(tables) == 5
+        for t in tables:
             assert t.shape == (4, 6)
             assert np.all(t > 0)
             assert np.abs(t.sum(axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("concentration", [1.0, 0.05])
+    def test_one_draw_equals_per_table_draws(self, concentration):
+        # the stacked draw consumes the generator as one draw per table does
+        def per_table(rng):
+            tables = []
+            for _ in range(40):
+                t = rng.dirichlet(np.full(7, concentration), size=3)
+                t = np.clip(t, 1e-12, None)
+                t /= t.sum(axis=1, keepdims=True)
+                tables.append(t)
+            return tables, rng.random()
+
+        stacked_rng, loop_rng = np.random.default_rng(3), np.random.default_rng(3)
+        stacked = random_noise_tables(3, 7, 40, stacked_rng, concentration)
+        loop, after = per_table(loop_rng)
+        assert np.array_equal(stacked, np.array(loop))
+        assert stacked_rng.random() == after
