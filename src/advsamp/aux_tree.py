@@ -46,9 +46,9 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
 
 
-def log_sigmoid(z):
-    """log sigma(z), stable for large |z|."""
-    return -np.logaddexp(0.0, -np.asarray(z, dtype=np.float64))
+def log_sigmoid(z, out=None):
+    """log sigma(z), stable for large |z|; written into ``out`` when given."""
+    return np.negative(np.logaddexp(0.0, -np.asarray(z, dtype=np.float64), out=out), out=out)
 
 
 @dataclass
@@ -243,12 +243,17 @@ class AuxiliaryTree:
         the log-probability of reaching node 2^(l+1) - 1 + j.
         """
         Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
-        Z = Xr @ self.node_w.T + self.node_b
-        acc = np.zeros((Xr.shape[0], 1))
+        n = Xr.shape[0]
+        acc = np.zeros((n, 1))
         for level in range(self.depth):
-            z = Z[:, (1 << level) - 1:(2 << level) - 1]
-            acc = np.stack([acc + log_sigmoid(-z), acc + log_sigmoid(z)], axis=2)
-            acc = acc.reshape(Xr.shape[0], -1)
+            nodes = slice((1 << level) - 1, (2 << level) - 1)
+            z = Xr @ self.node_w[nodes].T + self.node_b[nodes]
+            children = np.empty((n, 1 << level, 2))
+            log_right = log_sigmoid(z, out=children[:, :, 1])
+            # log sigma(-z) = log sigma(z) - z: one log_sigmoid per level
+            np.subtract(log_right, z, out=children[:, :, 0])
+            children += acc[:, :, None]
+            acc = children.reshape(n, -1)
         return acc[:, self.label_leaf]
 
     def log_prob_pairs(self, Xr, ys) -> np.ndarray:

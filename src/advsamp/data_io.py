@@ -20,14 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, ParseError
+from .errors import DataError, NumericError, ParseError
 
 DATASET_MAGIC = "advsamp-dataset-v1"
 PCA_MAGIC = "advsamp-pca-v1"
 
-PCA_RESIDUAL_TOL = 1e-9  # Ritz residual bound, relative to the top eigenvalue
 PCA_ZERO_TOL = 1e-12  # zero level, relative to the mean squared norm E|x|^2
-PCA_MAX_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -206,17 +204,18 @@ class PcaProjection:
 
 
 def fit_pca(dataset: SparseDataset, k: int, seed=0) -> PcaProjection:
-    """Top-k PCA by block subspace iteration with Rayleigh-Ritz.
+    """Top-k PCA by Lanczos iteration (ARPACK through scipy's ``eigsh``).
 
-    The covariance is never formed densely; each round applies it to a
-    block of min(K, 2k) orthonormal columns through the sparse feature
-    matrix, solves the small projected eigenproblem, and re-orthonormalizes
-    the rotated block. It stops once every wanted Ritz residual is at most
-    ``PCA_RESIDUAL_TOL`` times the top eigenvalue, or the roundoff level if
-    that is larger. Each component's largest-magnitude entry is positive.
-    Rank-deficient data (rank < k) is completed with arbitrary orthonormal
-    directions and a warning.
+    The covariance is never formed densely; it is applied to vectors
+    through the sparse feature matrix. The start vector is drawn from
+    ``seed``, so a seed fixes the result bit for bit. Each component's
+    largest-magnitude entry is positive. Rank-deficient data (rank < k) is
+    completed with arbitrary orthonormal directions and a warning; a solve
+    that does not converge is a NumericError.
     """
+    # imported here, so that commands without PCA do not load scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     K = dataset.num_features
     n = dataset.num_examples
     if not 0 < k < K:
@@ -226,29 +225,22 @@ def fit_pca(dataset: SparseDataset, k: int, seed=0) -> PcaProjection:
 
     X = dataset.features
     mean = np.asarray(X.mean(axis=0)).ravel()
-    # eigenvalues (and residuals) at this level are roundoff of the
-    # implicit covariance E[x x^T] - mean mean^T
+    # eigenvalues at this level are roundoff of the implicit covariance
+    # E[x x^T] - mean mean^T
     zero = PCA_ZERO_TOL * (X.data @ X.data) / n
 
-    rng = np.random.default_rng(seed)
-    Q = np.linalg.qr(rng.standard_normal((K, min(K, 2 * k))))[0]
-    for _ in range(PCA_MAX_ROUNDS):
-        CQ = X.T @ (X @ Q) / n - np.outer(mean, mean @ Q)
-        theta, S = np.linalg.eigh(Q.T @ CQ)
-        theta, S = theta[::-1], S[:, ::-1]
-        V, CV = Q @ S, CQ @ S
-        resid = np.linalg.norm(CV[:, :k] - V[:, :k] * theta[:k], axis=0)
-        tol = max(PCA_RESIDUAL_TOL * theta[0], zero)
-        if resid.max() <= tol:
-            break
-        Q = np.linalg.qr(CV)[0]
-    else:
-        warnings.warn(f"PCA did not converge in {PCA_MAX_ROUNDS} rounds "
-                      f"(Ritz residual {resid.max():.2e} > {tol:.2e})")
+    def cov(V):
+        return X.T @ (X @ V) / n - np.multiply.outer(mean, mean @ V)
 
-    comps = np.ascontiguousarray(V[:, :k].T)
+    op = LinearOperator((K, K), matvec=cov, matmat=cov, dtype=np.float64)
+    v0 = np.random.default_rng(seed).standard_normal(K)
+    try:
+        eigs, V = eigsh(op, k, which="LA", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise NumericError(f"PCA did not converge: {exc}") from exc
+
+    eigs, comps = eigs[::-1].copy(), np.ascontiguousarray(V[:, ::-1].T)
     comps *= np.sign(comps[np.arange(k), np.abs(comps).argmax(axis=1)])[:, None]
-    eigs = theta[:k].copy()
     rank = int(np.count_nonzero(eigs > zero))
     if rank < k:
         warnings.warn(

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data_io import SparseDataset
 from .errors import DataError
@@ -45,7 +44,7 @@ def _score_matrix(model: LinearClassifier, noise, dataset: SparseDataset,
                   bias_removal: bool) -> np.ndarray:
     scores = np.asarray(dataset.features @ model.weights.T) + model.biases
     if bias_removal and noise is not None:
-        scores = scores + noise.log_prob_matrix(noise.prepare(dataset.features))
+        scores += noise.log_prob_matrix(noise.prepare(dataset.features))
     return scores
 
 
@@ -69,9 +68,11 @@ def evaluate(model: LinearClassifier, noise, dataset: SparseDataset,
     # np.argmax returns the lowest index among ties, matching the tie-break
     predictions = np.argmax(scores, axis=1)
     accuracy = float(np.mean(predictions == dataset.labels))
-    log_norm = logsumexp(scores, axis=1)
-    log_lik = float(
-        np.mean(scores[np.arange(len(dataset)), dataset.labels] - log_norm)
-    )
+    true_scores = scores[np.arange(len(dataset)), dataset.labels]
+    # logsumexp in place, as scores is not read again (no (n, C) temporaries)
+    row_max = scores.max(axis=1)
+    scores -= row_max[:, None]
+    log_norm = np.log(np.exp(scores, out=scores).sum(axis=1)) + row_max
+    log_lik = float(np.mean(true_scores - log_norm))
     return EvalReport(accuracy, log_lik, dataset.num_examples,
                       time.perf_counter() - start)

@@ -11,8 +11,10 @@ import pytest
 import advsamp
 from advsamp.cli import main
 from advsamp.config import ExperimentConfig, load_config, read_config_file
-from advsamp.errors import DataError
+from advsamp.data_io import fit_pca
+from advsamp.errors import DataError, NumericError
 from advsamp.linear_model import LinearClassifier
+from conftest import dataset_from_dense
 
 
 def write_svmlight(path, n, C, K, seed, multilabel=False, centers_seed=99):
@@ -298,6 +300,20 @@ class TestExitCodes:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2, proc.stderr
 
+    def test_pca_no_convergence_exits_3(self, workdir, monkeypatch, capsys):
+        import scipy.sparse.linalg as spla
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        ds = dataset_from_dense(np.eye(4, 5), [0, 1, 0, 1], 2)
+        with pytest.raises(NumericError, match="did not converge"):
+            fit_pca(ds, 2)
+        out, base = workdir
+        assert run("preprocess", out, base) == 3
+        assert "did not converge" in capsys.readouterr().err
+
     def test_usage_error(self, capsys):
         assert main(["frobnicate", "--out", "x"]) == 1
         assert main([]) == 1
@@ -404,3 +420,16 @@ class TestConfig:
         cfgfile.write_text("seed = 1\nnot a kv line\n")
         with pytest.raises(DataError, match=":2"):
             read_config_file(cfgfile)
+
+
+def test_cli_import_skips_heavy_scipy_modules():
+    # scipy.sparse.linalg and scipy.special cost every command import time and
+    # resident memory; only the calls that need them import them
+    src = Path(advsamp.__file__).resolve().parents[1]
+    code = ("import sys, advsamp.cli; "
+            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.special') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
