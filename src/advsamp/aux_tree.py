@@ -100,15 +100,6 @@ def split_labels(problem: NodeFitProblem, w, b) -> np.ndarray:
     return zeta
 
 
-def node_objective(problem: NodeFitProblem, w, b, zeta, lam: float) -> float:
-    """Regularized per-node log likelihood."""
-    X, slots = problem.rows, problem.slots
-    if X.shape[0] == 0:
-        return -lam * (w @ w + b * b)
-    z = zeta[slots] * (X @ w + b)
-    return float(log_sigmoid(z).sum() - lam * (w @ w + b * b))
-
-
 def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0):
     """Maximize the regularized node objective over (w, b) by Newton ascent.
 
@@ -188,22 +179,19 @@ def init_node(problem: NodeFitProblem):
 def fit_node(problem: NodeFitProblem, lam: float):
     """Alternate Newton ascent and balanced re-splitting to a fixed point.
 
-    Returns (w, b, zeta, trace) where ``trace`` lists the regularized
-    objective after every half-step; it is nondecreasing.
+    Returns (w, b, zeta). Neither half-step lowers the regularized node
+    objective (``tests/test_aux_tree.py`` traces it).
     """
     w, b = init_node(problem)
     zeta = split_labels(problem, w, b)
-    trace = []
     for _ in range(ALTERNATION_GUARD):
         w, b = newton_fit(problem, zeta, lam, w0=w, b0=b)
-        trace.append(node_objective(problem, w, b, zeta, lam))
         new_zeta = split_labels(problem, w, b)
-        trace.append(node_objective(problem, w, b, new_zeta, lam))
         if np.array_equal(new_zeta, zeta):
-            return w, b, zeta, trace
+            return w, b, zeta
         zeta = new_zeta
     warnings.warn(f"node fit did not reach a split fixed point in {ALTERNATION_GUARD} rounds")
-    return w, b, zeta, trace
+    return w, b, zeta
 
 
 class AuxiliaryTree:
@@ -347,7 +335,7 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
             node_b[node] = B_PAD
         else:
             problem = NodeFitProblem(np.array(ids), features_for(ids), C)
-            w, b, zeta, _ = fit_node(problem, lam)
+            w, b, zeta = fit_node(problem, lam)
             node_w[node] = w
             node_b[node] = b
             right = [y for y, s in zip(ids, zeta) if s > 0]

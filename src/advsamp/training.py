@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernel
+from . import inference, kernel
 from .data_io import SparseDataset
 from .errors import DataError, NumericError
-from .inference import PredictionConfig, check_compatible, evaluate
+from .inference import PredictionConfig, check_compatible, evaluate, noise_log_probs
 from .linear_model import LinearClassifier
 
 SOFTMAX_LABEL_GUARD = 100_000
@@ -162,11 +162,22 @@ class _LearningCurve:
 
 
 def _val_metrics(model, noise, val_dataset, config):
+    """() -> (val_log_lik, val_acc) of the model as it stands. The validation
+    rows' noise log-probabilities are the same at every call, so they are
+    computed once here when their (n, C) table fits the evaluation budget;
+    above it, every call streams them block by block."""
     if val_dataset is None:
-        return "", ""
+        return lambda: ("", "")
     cfg = PredictionConfig(bias_removal=config.bias_removal_at_eval and noise is not None)
-    report = evaluate(model, noise, val_dataset, cfg)
-    return report.log_likelihood, report.accuracy
+    n, C = val_dataset.num_examples, val_dataset.num_labels
+    if cfg.bias_removal and n * C * 8 <= inference.EVAL_BLOCK_BYTES:
+        cfg.noise_log_probs = noise_log_probs(noise, val_dataset.features)
+
+    def metrics():
+        report = evaluate(model, noise, val_dataset, cfg)
+        return report.log_likelihood, report.accuracy
+
+    return metrics
 
 
 class _Run:
@@ -302,7 +313,7 @@ def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
     if not softmax:
         Z = noise.prepare(dataset.features)
 
-    curve = _LearningCurve(config, lambda: _val_metrics(model, noise, val_dataset, config))
+    curve = _LearningCurve(config, _val_metrics(model, noise, val_dataset, config))
     done = 0
     loss_acc = 0.0
     step_s = 0.0

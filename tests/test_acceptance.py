@@ -14,7 +14,6 @@ import pytest
 from advsamp.aux_tree import (
     NodeFitProblem,
     all_deltas,
-    fit_node,
     fit_tree,
     log_sigmoid,
 )
@@ -38,6 +37,7 @@ from advsamp.training import (
 )
 
 from conftest import CountingRng, load_script
+from test_aux_tree import fit_node_traced
 from snr_oracles import (
     FORM_AGREEMENT_TOL,
     eta_trace,
@@ -283,7 +283,7 @@ class TestCriterion5:
             L = int(rng.choice([2, 4, 6, 8]))
             feats = [rng.standard_normal((rng.integers(1, 6), 3)) for _ in range(L)]
             problem = NodeFitProblem(np.arange(L), feats, L)
-            _, _, _, trace = fit_node(problem, lam=0.1)
+            _, _, _, trace = fit_node_traced(problem, lam=0.1)
             ok = ok and bool(np.all(np.diff(trace) >= -1e-12))
 
         # delta identity: w.s_y + n_y b equals the log-sigmoid difference sum

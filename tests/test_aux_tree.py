@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from advsamp.aux_tree import (
+    ALTERNATION_GUARD,
     AuxiliaryTree,
     NodeFitProblem,
     all_deltas,
@@ -16,7 +17,6 @@ from advsamp.aux_tree import (
     init_node,
     log_sigmoid,
     newton_fit,
-    node_objective,
     sigmoid,
     split_labels,
 )
@@ -63,6 +63,32 @@ def make_problem(features_by_label, label_ids=None, num_real=None):
         num_real = L
     feats = [np.asarray(f, dtype=np.float64).reshape(-1, len(features_by_label[0][0]) if len(features_by_label[0]) else 1) for f in features_by_label]
     return NodeFitProblem(np.asarray(label_ids), feats, num_real)
+
+
+def node_objective(problem, w, b, zeta, lam):
+    """Regularized per-node log likelihood, the quantity ``fit_node`` ascends."""
+    X, slots = problem.rows, problem.slots
+    if X.shape[0] == 0:
+        return -lam * (w @ w + b * b)
+    z = zeta[slots] * (X @ w + b)
+    return float(log_sigmoid(z).sum() - lam * (w @ w + b * b))
+
+
+def fit_node_traced(problem, lam):
+    """``fit_node``'s alternation, also returning the objective after every
+    half-step (Newton ascent, then re-split) as ``trace``."""
+    w, b = init_node(problem)
+    zeta = split_labels(problem, w, b)
+    trace = []
+    for _ in range(ALTERNATION_GUARD):
+        w, b = newton_fit(problem, zeta, lam, w0=w, b0=b)
+        trace.append(node_objective(problem, w, b, zeta, lam))
+        new_zeta = split_labels(problem, w, b)
+        trace.append(node_objective(problem, w, b, new_zeta, lam))
+        if np.array_equal(new_zeta, zeta):
+            break
+        zeta = new_zeta
+    return w, b, zeta, trace
 
 
 def per_edge_oracle(tree, x, y):
@@ -359,20 +385,20 @@ class TestFitNode:
         centers = {0: np.array([4.0, 0.0]), 1: np.array([-4.0, 0.0])}
         feats = [centers[j // 2] + 0.2 * rng.standard_normal((6, 2)) for j in range(4)]
         p = make_problem(feats)
-        w, b, zeta, trace = fit_node(p, lam=0.1)
+        w, b, zeta = fit_node(p, lam=0.1)
         assert zeta[0] == zeta[1] and zeta[2] == zeta[3] and zeta[0] != zeta[2]
         _, best_obj = self.exhaustive_best(p, 0.1)
         assert node_objective(p, w, b, zeta, 0.1) >= best_obj - 1e-6
 
     def test_two_labels_single_solve(self, rng):
         feats = [rng.standard_normal((3, 2)) for _ in range(2)]
-        w, b, zeta, trace = fit_node(make_problem(feats), lam=0.1)
+        w, b, zeta = fit_node(make_problem(feats), lam=0.1)
         assert sorted(zeta) == [-1, 1]
 
     def test_identical_features_tie_break(self):
         same = np.array([[0.5, -0.5], [0.5, -0.5]])
         with pytest.warns(UserWarning):
-            w, b, zeta, _ = fit_node(make_problem([same.copy() for _ in range(4)]), lam=1.0)
+            w, b, zeta = fit_node(make_problem([same.copy() for _ in range(4)]), lam=1.0)
         assert np.linalg.norm(w) < 1e-4
         assert list(zeta) == [1, 1, -1, -1]
 
@@ -381,9 +407,13 @@ class TestFitNode:
             L = int(rng.choice([2, 4, 6, 8]))
             k = int(rng.integers(2, 5))
             feats = [rng.standard_normal((rng.integers(1, 6), k)) for _ in range(L)]
-            _, _, _, trace = fit_node(make_problem(feats), lam=0.1)
+            problem = make_problem(feats)
+            w, b, zeta, trace = fit_node_traced(problem, lam=0.1)
             diffs = np.diff(trace)
             assert np.all(diffs >= -1e-12), f"trial {trial}: {trace}"
+            # the traced copy is the alternation fit_node runs
+            fw, fb, fzeta = fit_node(problem, lam=0.1)
+            assert np.array_equal(fw, w) and fb == b and np.array_equal(fzeta, zeta)
 
 
 class TestTreeValidation:

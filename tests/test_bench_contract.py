@@ -79,6 +79,10 @@ def test_traced_pipeline_records_each_layer(tracer, tmp_path):
                  "aux_tree.sample_batch", "training.train", "inference.evaluate",
                  "noise.log_prob_matrix", "aux_tree.log_prob_all"):
         assert name in names, name
+    # validation inside train is what training.val_evals counts
+    parents = {tracer.spans[s["parent"]]["name"] for s in tracer.spans
+               if s["name"] == "inference.evaluate" and s["parent"] is not None}
+    assert "training.train" in parents
 
 
 def test_benchmark_tree_oracle_matches_package():

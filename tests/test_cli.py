@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 import advsamp
+import advsamp.inference
 from advsamp.cli import main
 from advsamp.config import ExperimentConfig, load_config, read_config_file
-from advsamp.data_io import fit_pca
+from advsamp.data_io import fit_pca, load_dataset
 from advsamp.errors import DataError, NumericError
 from advsamp.linear_model import LinearClassifier
+from advsamp.noise import AdversarialNoise
 from conftest import dataset_from_dense
 
 
@@ -172,6 +175,51 @@ class TestPipeline:
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert lines[0].startswith("epoch,steps,wall_clock_s")
         assert len(lines) > 2
+
+
+class TestValidationNoise:
+    """``train`` computes the validation rows' noise log-probabilities once
+    when their table fits the evaluation budget, and streams them at every
+    validation otherwise; the learning curve is the same either way."""
+
+    def run_train(self, out, sets, monkeypatch, budget):
+        sizes = []
+        log_prob_matrix = AdversarialNoise.log_prob_matrix
+
+        def counted(noise, Z):
+            sizes.append(len(Z))
+            return log_prob_matrix(noise, Z)
+
+        with monkeypatch.context() as m:
+            m.setattr(advsamp.inference, "EVAL_BLOCK_BYTES", budget)
+            m.setattr(AdversarialNoise, "log_prob_matrix", counted)
+            for command in ("preprocess", "fit-aux", "train"):
+                assert run(command, out, sets) == 0
+        with open(out / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        with np.load(out / "model.npz") as z:
+            model = {k: z[k] for k in z.files}
+        return rows, model, sizes
+
+    def test_cached_and_streamed_curves_agree(self, workdir, monkeypatch):
+        out, base = workdir
+        sets = base + ["noise=adversarial", "log_every=20", "eval_at_log=1"]
+        cached, model, sizes = self.run_train(out, sets, monkeypatch,
+                                              advsamp.inference.EVAL_BLOCK_BYTES)
+        n_val = load_dataset(out / "val.npz").num_examples
+        assert sizes == [n_val]  # one table for all validations
+        streamed, model0, sizes0 = self.run_train(out.parent / "zero", sets, monkeypatch, 0)
+        # budget 0: every validation evaluates one row per block
+        assert len(cached) > 2 and sizes0 == [1] * (n_val * len(cached))
+        for key in model:
+            assert np.array_equal(model[key], model0[key]), key
+        for row, row0 in zip(cached, streamed, strict=True):
+            ll, ll0 = float(row.pop("val_log_lik")), float(row0.pop("val_log_lik"))
+            # one-row blocks take BLAS's matrix-vector product, which may
+            # round differently in the last bit
+            assert abs(ll - ll0) <= 1e-12 * abs(ll)
+            del row["wall_clock_s"], row0["wall_clock_s"]
+            assert row == row0
 
 
 class TestDiagnose:

@@ -1,12 +1,22 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from advsamp import inference
+from advsamp.data_io import PcaProjection, SparseDataset
 from advsamp.errors import DataError
-from advsamp.inference import EvalReport, PredictionConfig, _score_matrix, evaluate
+from advsamp.inference import EvalReport, PredictionConfig, evaluate
 from advsamp.linear_model import LinearClassifier
-from advsamp.noise import FrequencyNoise, UniformNoise
+from advsamp.noise import AdversarialNoise, FrequencyNoise, UniformNoise
 
 from conftest import dataset_from_dense
+from eval_oracle import dense_evaluate, score_matrix
+from test_aux_tree import random_tree
 
 
 def model_with(weights, biases):
@@ -15,6 +25,30 @@ def model_with(weights, biases):
     m.weights[:] = weights
     m.biases[:] = biases
     return m
+
+
+def adversarial_noise(C, K, k, rng):
+    """Adversarial noise from a random tree on a random orthonormal k-dim projection."""
+    basis, _ = np.linalg.qr(rng.standard_normal((K, k)))
+    return AdversarialNoise(random_tree(C, k, rng), PcaProjection(rng.standard_normal(K), basis.T))
+
+
+def make_noise(kind, C, K, rng):
+    if kind == "uniform":
+        return UniformNoise(C)
+    if kind == "frequency":
+        # zero counts without smoothing reach the log-probability floor
+        counts = rng.integers(0, 4, C)
+        counts[0] += 1
+        return FrequencyNoise(counts, smoothing=float(rng.integers(0, 2)))
+    if kind == "adversarial":
+        return adversarial_noise(C, K, min(K, 3), rng)
+    return None
+
+
+def budget_for(rows, C):
+    """An EVAL_BLOCK_BYTES that makes blocks of exactly ``rows`` rows."""
+    return rows * inference.BLOCK_TABLES * 8 * C
 
 
 def accuracy(model, noise, X, labels, bias_removal):
@@ -27,21 +61,21 @@ class TestCorrectedScore:
         m = model_with(rng.standard_normal((3, 2)), rng.standard_normal(3))
         noise = FrequencyNoise([5, 3, 2], smoothing=0.0)
         ds = dataset_from_dense(rng.standard_normal((4, 2)), [0, 1, 2, 0], 3)
-        raw = _score_matrix(m, None, ds, bias_removal=False)
-        assert np.array_equal(_score_matrix(m, noise, ds, True), raw + noise.log_probs)
+        raw = score_matrix(m, None, ds, bias_removal=False)
+        assert np.array_equal(score_matrix(m, noise, ds, True), raw + noise.log_probs)
 
     def test_uniform_noise_is_constant_shift(self, rng):
         m = model_with(rng.standard_normal((4, 2)), rng.standard_normal(4))
         ds = dataset_from_dense(rng.standard_normal((3, 2)), [0, 1, 3], 4)
-        raw = _score_matrix(m, None, ds, bias_removal=False)
-        corr = _score_matrix(m, UniformNoise(4), ds, bias_removal=True)
+        raw = score_matrix(m, None, ds, bias_removal=False)
+        corr = score_matrix(m, UniformNoise(4), ds, bias_removal=True)
         assert np.allclose(corr, raw - np.log(4), atol=1e-12)
 
     def test_bias_removal_off_returns_raw(self, rng):
         m = model_with(rng.standard_normal((4, 2)), rng.standard_normal(4))
         ds = dataset_from_dense(rng.standard_normal((3, 2)), [0, 1, 3], 4)
-        corr = _score_matrix(m, FrequencyNoise([1, 2, 3, 4]), ds, bias_removal=False)
-        assert np.array_equal(corr, _score_matrix(m, None, ds, bias_removal=False))
+        corr = score_matrix(m, FrequencyNoise([1, 2, 3, 4]), ds, bias_removal=False)
+        assert np.array_equal(corr, score_matrix(m, None, ds, bias_removal=False))
 
 
 class TestPredictTopk:
@@ -119,3 +153,71 @@ class TestEvaluate:
         rep = EvalReport(0.5, -1.0, 10, 0.2)
         d = rep.to_dict()
         assert d["accuracy"] == 0.5 and d["n_points"] == 10
+
+
+class TestStreaming:
+    """``evaluate`` streams over row blocks; the whole-matrix oracle in
+    ``eval_oracle.py`` is the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 30), C=st.integers(2, 12), K=st.integers(1, 5),
+           block=st.sampled_from(["one", "odd", "all"]),
+           kind=st.sampled_from([None, "uniform", "frequency", "adversarial"]),
+           bias_removal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_streamed_matches_dense_oracle(self, n, C, K, block, kind, bias_removal, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, K)) * (rng.random((n, K)) < 0.7)
+        ds = dataset_from_dense(X, rng.integers(0, C, n), C)
+        m = model_with(rng.standard_normal((C, K)), rng.standard_normal(C))
+        noise = make_noise(kind, C, K, rng)
+        rows = {"one": 1, "odd": 3, "all": n + int(rng.integers(0, 3))}[block]
+        with mock.patch.object(inference, "EVAL_BLOCK_BYTES", budget_for(rows, C)):
+            assert inference.block_rows(C) == rows
+            rep = evaluate(m, noise, ds, PredictionConfig(bias_removal=bias_removal))
+        acc, log_lik = dense_evaluate(m, noise, ds, bias_removal)
+        assert rep.accuracy == acc
+        assert abs(rep.log_likelihood - log_lik) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_given_noise_table_equals_computed(self, rng, rows):
+        ds = dataset_from_dense(rng.standard_normal((40, 4)), rng.integers(0, 9, 40), 9)
+        m = model_with(rng.standard_normal((9, 4)), rng.standard_normal(9))
+        noise = adversarial_noise(9, 4, 2, rng)
+        whole = noise.log_prob_matrix(noise.prepare(ds.features))
+        with mock.patch.object(inference, "EVAL_BLOCK_BYTES", budget_for(rows, 9)):
+            table = inference.noise_log_probs(noise, ds.features)
+            computed = evaluate(m, noise, ds, PredictionConfig())
+            given_table = evaluate(m, noise, ds, PredictionConfig(noise_log_probs=table))
+        # a block of one row goes through BLAS's matrix-vector product,
+        # which may round differently from the matrix-matrix one
+        assert np.abs(table - whole).max() <= 1e-12
+        if rows >= 40:
+            assert np.array_equal(table, whole)
+        assert (given_table.accuracy, given_table.log_likelihood) == \
+            (computed.accuracy, computed.log_likelihood)
+
+    def test_noise_table_of_wrong_shape(self, rng):
+        ds = dataset_from_dense(rng.standard_normal((5, 2)), [0, 1, 2, 0, 1], 3)
+        cfg = PredictionConfig(noise_log_probs=np.zeros((4, 3)))
+        with pytest.raises(DataError):
+            evaluate(LinearClassifier(3, 2), UniformNoise(3), ds, cfg)
+
+    def test_peak_memory_bounded_by_budget(self):
+        # the dense path would hold ~3.5 tables of n x C float64 (16 MB each)
+        budget = 2**20
+        n, C, K = 4000, 500, 32
+        assert n * C * 8 > 15 * budget
+        rng = np.random.default_rng(0)
+        X = sp.random(n, K, density=0.25, format="csr", random_state=rng)
+        ds = SparseDataset(X, rng.integers(0, C, n), C)
+        m = model_with(rng.standard_normal((C, K)), rng.standard_normal(C))
+        noise = adversarial_noise(C, K, 4, rng)
+        with mock.patch.object(inference, "EVAL_BLOCK_BYTES", budget):
+            tracemalloc.start()
+            try:
+                rep = evaluate(m, noise, ds, PredictionConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert rep.n_points == n
+        assert peak < 2 * budget, f"peak {peak / 2**20:.1f} MiB"
