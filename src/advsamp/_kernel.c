@@ -1,6 +1,8 @@
 /*
- * Compiled training steps for advsamp.training.
+ * Compiled kernels for advsamp: the training steps of advsamp.training and
+ * the svmlight reader of advsamp.data_io (at the end of this file).
  *
+ * Training steps.
  * One call runs steps t0 .. t1-1 of an epoch: step t trains on example
  * order[t] and applies Adagrad to the cells it touches. The arithmetic is
  * that of the reference loop ``training._steps_python``; only the order of
@@ -16,6 +18,8 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* log(1 + exp(s)), as numpy.logaddexp(0, s) */
 static double softplus(double s)
@@ -158,5 +162,209 @@ int64_t advsamp_softmax_steps(const int64_t *indptr, const int64_t *indices, con
         total += loss;
     }
     *loss_out = total;
+    return -1;
+}
+
+/*
+ * svmlight parsing. advsamp_parse_svmlight reads a whole file,
+ * buf[0 .. len-1] with buf[len] == 0 (as in a Python bytes object), in one
+ * pass. It accepts a strict ASCII subset of the format that
+ * ``data_io._load_svmlight_python`` parses to the same result: lines end in
+ * '\n' and hold only printable ASCII, the only blank is ' ', labels and
+ * feature indices are plain decimal digits, and values are decimal floats
+ * [+-]digits[.digits][(e|E)[+-]digits] (a mantissa digit on either side of
+ * the point). Anything else -- a tab, '\r', a non-ASCII byte, a sign or '_'
+ * in an integer, "nan" or "inf", a non-finite value, an int64 overflow, a
+ * decreasing or negative index, an index past the header's K -- makes it
+ * return the 1-based number of the line it stopped at, and the caller reads
+ * the file with the Python reader, which then decides it.
+ *
+ * Output: row r has labels labels[label_ptr[r] .. label_ptr[r+1]-1] in
+ * file order and the CSR feature row indptr[r] .. indptr[r+1]-1 of
+ * (indices, data). The arrays hold max_rows + 1, max_labels and max_nnz
+ * entries; a file that needs more is declined. On success it stores rows,
+ * label count, nnz and K in sizes[0 .. 3] and returns -1.
+ */
+
+#define MAX_INDEX (INT64_MAX - 1) /* so that index + 1 is an int64 too */
+
+static const double POW10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+                               1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+                               1e20, 1e21, 1e22};
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* the digits at p as an int64 <= MAX_INDEX; NULL when there are none or too many */
+static const char *parse_count(const char *p, const char *end, int64_t *out)
+{
+    const char *start = p;
+    int64_t v = 0;
+    for (; p < end && is_digit(*p); p++) {
+        int d = *p - '0';
+        if (v > (MAX_INDEX - d) / 10)
+            return NULL;
+        v = v * 10 + d;
+    }
+    *out = v;
+    return p == start ? NULL : p;
+}
+
+/*
+ * The value of the decimal float [p, end), rounded as Python's float()
+ * rounds it, into *out; 0 when the text is outside the grammar above or
+ * the value is not finite. Short mantissas with small exponents take
+ * Clinger's exact path (an integer below 2^53 times or divided by an exact
+ * power of ten is one correctly rounded operation); the rest go through
+ * strtod, which is correctly rounded too.
+ */
+static int parse_value(const char *p, const char *end, double *out)
+{
+    const char *start = p;
+    int neg = 0, exact = 1;
+    int64_t digits = 0, exp10 = 0, e = 0;
+    uint64_t mant = 0;
+    if (p < end && (*p == '+' || *p == '-'))
+        neg = *p++ == '-';
+    for (int frac = 0; p < end; p++) {
+        if (*p == '.' && !frac) {
+            frac = 1;
+            continue;
+        }
+        if (!is_digit(*p))
+            break;
+        digits++;
+        if (mant < (UINT64_C(1) << 53) / 10)
+            mant = mant * 10 + (uint64_t)(*p - '0');
+        else
+            exact = 0;
+        exp10 -= frac;
+    }
+    if (digits == 0)
+        return 0;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        int eneg = 0;
+        p++;
+        if (p < end && (*p == '+' || *p == '-'))
+            eneg = *p++ == '-';
+        if (p == end || !is_digit(*p))
+            return 0;
+        for (; p < end && is_digit(*p); p++)
+            if (e < 100000)
+                e = e * 10 + (*p - '0');
+        exp10 += eneg ? -e : e;
+    }
+    if (p != end)
+        return 0;
+    double v;
+    if (exact && exp10 >= -22 && exp10 <= 22) {
+        v = exp10 < 0 ? (double)mant / POW10[-exp10] : (double)mant * POW10[exp10];
+        v = neg ? -v : v;
+    } else {
+        char *stop;
+        v = strtod(start, &stop);
+        if (stop != end)
+            return 0;
+    }
+    *out = v;
+    return isfinite(v) != 0;
+}
+
+/* a first line of exactly three digit fields "N K C": K into *k */
+static int parse_header(const char *p, const char *end, int64_t *k)
+{
+    int64_t field[3];
+    for (int i = 0; i < 3; i++) {
+        while (p < end && *p == ' ')
+            p++;
+        p = parse_count(p, end, &field[i]);
+        if (p == NULL || (p < end && *p != ' '))
+            return 0;
+    }
+    while (p < end && *p == ' ')
+        p++;
+    if (p != end)
+        return 0;
+    *k = field[1];
+    return 1;
+}
+
+int64_t advsamp_parse_svmlight(const char *buf, int64_t len, int64_t offset,
+                               int64_t max_rows, int64_t max_labels, int64_t max_nnz,
+                               int64_t *label_ptr, int64_t *labels, int64_t *indptr,
+                               int64_t *indices, double *data, int64_t *sizes)
+{
+    const char *p = buf, *stop = buf + len;
+    int64_t line = 0, rows = 0, nlab = 0, nnz = 0, num_features = 0, header_k = -1;
+    label_ptr[0] = indptr[0] = 0;
+    for (const char *next; p < stop; p = next) {
+        const char *eol = p, *q = p;
+        line++;
+        for (; eol < stop && *eol != '\n'; eol++)
+            if ((unsigned char)*eol < ' ' || (unsigned char)*eol > '~')
+                return line;
+        next = eol + (eol < stop);
+        while (q < eol && *q == ' ')
+            q++;
+        if (q == eol)
+            continue;
+        if (line == 1 && !memchr(q, ':', eol - q) && !memchr(q, ',', eol - q)
+            && parse_header(q, eol, &header_k))
+            continue;
+        if (rows == max_rows)
+            return line;
+        const char *te = q;
+        while (te < eol && *te != ' ')
+            te++;
+        if (q == p && !memchr(q, ':', te - q)) {
+            /* the label field: ids separated by commas, empty ids skipped */
+            while (q < te) {
+                if (*q == ',') {
+                    q++;
+                    continue;
+                }
+                if (nlab == max_labels)
+                    return line;
+                q = parse_count(q, te, &labels[nlab++]);
+                if (q == NULL || (q < te && *q != ','))
+                    return line;
+            }
+        }
+        int64_t prev = -1;
+        for (;;) {
+            while (q < eol && *q == ' ')
+                q++;
+            if (q == eol)
+                break;
+            int64_t idx;
+            te = q;
+            while (te < eol && *te != ' ')
+                te++;
+            q = parse_count(q, te, &idx);
+            if (q == NULL || q == te || *q != ':' || nnz == max_nnz)
+                return line;
+            idx -= offset;
+            if (idx <= prev || !parse_value(q + 1, te, &data[nnz]))
+                return line;
+            indices[nnz++] = prev = idx;
+            q = te;
+        }
+        if (prev + 1 > num_features)
+            num_features = prev + 1;
+        rows++;
+        label_ptr[rows] = nlab;
+        indptr[rows] = nnz;
+    }
+    if (header_k >= 0) {
+        if (num_features > header_k)
+            return line;
+        num_features = header_k;
+    }
+    sizes[0] = rows;
+    sizes[1] = nlab;
+    sizes[2] = nnz;
+    sizes[3] = num_features;
     return -1;
 }

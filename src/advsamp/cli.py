@@ -93,7 +93,9 @@ def cmd_preprocess(args) -> int:
     if not cfg.train_path:
         raise DataError("preprocess needs train_path")
     manifest.add_input(cfg.train_path)
+    start = time.perf_counter()
     raw = load_svmlight(cfg.train_path, one_based=cfg.one_based)
+    parse_s = time.perf_counter() - start
     full, label_map = reduce_multilabel(raw, cfg.multilabel_policy, return_map=True)
     train_set, val_set = split(full, cfg.validation_fraction, cfg.seed)
     feature_proj = None
@@ -115,10 +117,13 @@ def cmd_preprocess(args) -> int:
         "num_val": val_set.num_examples,
         "num_features": train_set.num_features,
         "num_labels": train_set.num_labels,
+        "parse_backend": raw.backend,
     }
     if cfg.test_path:
         manifest.add_input(cfg.test_path)
+        start = time.perf_counter()
         raw_test = load_svmlight(cfg.test_path, one_based=cfg.one_based)
+        parse_s += time.perf_counter() - start
         # test labels must live in the training label space
         test_set = reduce_multilabel(raw_test, cfg.multilabel_policy,
                                      label_map=label_map,
@@ -131,10 +136,11 @@ def cmd_preprocess(args) -> int:
         manifest.add_output(out / "test.npz")
         # rows without a label, or whose label never occurs in training,
         # leave the test set and so the accuracy denominator
-        summary["test_rows_dropped"] = len(raw_test.examples) - test_set.num_examples
+        summary["test_rows_dropped"] = raw_test.num_examples - test_set.num_examples
+    summary["parse_s"] = parse_s
     manifest.write(summary)
     line = (f"preprocess: N={train_set.num_examples} K={train_set.num_features} "
-            f"C={train_set.num_labels}")
+            f"C={train_set.num_labels} backend={raw.backend}")
     if cfg.test_path:
         line += f" test_rows_dropped={summary['test_rows_dropped']}"
     print(line)

@@ -12,14 +12,17 @@ with a magic string (see ``save_dataset`` / ``save_pca``).
 
 from __future__ import annotations
 
+import math
 import warnings
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import kernel
 from .errors import DataError, NumericError, ParseError
 
 DATASET_MAGIC = "advsamp-dataset-v1"
@@ -28,19 +31,34 @@ PCA_MAGIC = "advsamp-pca-v1"
 PCA_ZERO_TOL = 1e-12  # zero level, relative to the mean squared norm E|x|^2
 
 
-@dataclass(frozen=True)
-class RawExample:
-    labels: tuple[int, ...]
-    indices: np.ndarray
-    values: np.ndarray
-
-
 @dataclass
 class RawDataset:
-    """Multi-label dataset as read from disk, before label reduction."""
+    """Multi-label dataset as read from disk, before label reduction.
 
-    examples: list[RawExample]
-    num_features: int
+    Row i has the labels ``labels[label_ptr[i]:label_ptr[i + 1]]``, in file
+    order, and the features ``features[i]``, whose column indices strictly
+    increase. ``backend`` names the reader that parsed the file: "c" for
+    the compiled one, "python" for the line-by-line one.
+    """
+
+    features: sp.csr_matrix
+    labels: np.ndarray  # int64
+    label_ptr: np.ndarray  # int64, (rows + 1,)
+    backend: str
+
+    @property
+    def num_examples(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def num_features(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def examples(self) -> range:
+        """The row numbers. ``len(raw.examples)`` is the row count, which the
+        benchmark's span tracer (``perfbench/spans.py``) reads."""
+        return range(self.num_examples)
 
 
 def label_array(ys, num_labels: int) -> np.ndarray:
@@ -92,12 +110,51 @@ def load_svmlight(path, one_based: bool = False) -> RawDataset:
 
     ``one_based`` shifts feature indices down by one. K is taken from a
     three-integer ``N K C`` header if present, otherwise inferred as
-    max index + 1.
+    max index + 1. A malformed line, a non-finite value or an index outside
+    int64 is a ParseError naming the line.
+
+    The compiled reader in ``advsamp.kernel`` parses the file when it can be
+    built and the file keeps to its strict ASCII grammar; every other file,
+    including every malformed one, is read by ``_load_svmlight_python``, so
+    both give the same result and the same errors.
     """
-    examples: list[RawExample] = []
+    offset = 1 if one_based else 0
+    lib = kernel.load()
+    raw = None if lib is None else _load_svmlight_c(lib, path, offset)
+    return raw if raw is not None else _load_svmlight_python(path, offset)
+
+
+def _load_svmlight_c(lib, path, offset: int) -> RawDataset | None:
+    """The file read by the compiled reader, or None when it declines it."""
+    text = Path(path).read_bytes()
+    # upper bounds: a row per line, a label per comma or row, a feature per colon
+    max_rows = text.count(b"\n") + 1
+    max_labels = text.count(b",") + max_rows
+    max_nnz = text.count(b":")
+    label_ptr = np.empty(max_rows + 1, dtype=np.int64)
+    indptr = np.empty(max_rows + 1, dtype=np.int64)
+    labels = np.empty(max_labels, dtype=np.int64)
+    indices = np.empty(max_nnz, dtype=np.int64)
+    data = np.empty(max_nnz)
+    sizes = np.empty(4, dtype=np.int64)
+    stopped = lib.advsamp_parse_svmlight(
+        text, len(text), offset, max_rows, max_labels, max_nnz,
+        *(a.ctypes.data for a in (label_ptr, labels, indptr, indices, data, sizes)))
+    if stopped >= 0:
+        return None
+    rows, nlab, nnz, num_features = sizes.tolist()
+    features = sp.csr_matrix((data[:nnz], indices[:nnz], indptr[:rows + 1]),
+                             shape=(rows, num_features))
+    return RawDataset(features, labels[:nlab], label_ptr[:rows + 1], "c")
+
+
+def _load_svmlight_python(path, offset: int) -> RawDataset:
+    """The line-by-line reader: the reference for the compiled one, and the
+    reader of every file that one declines."""
+    labels, label_ptr = [np.empty(0, dtype=np.int64)], [0]
+    indices, values, indptr = [np.empty(0, dtype=np.int64)], [np.empty(0)], [0]
     num_features = 0
     header_k = None
-    offset = 1 if one_based else 0
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -117,8 +174,8 @@ def load_svmlight(path, one_based: bool = False) -> RawDataset:
             else:
                 label_toks, feat_toks = toks[0].split(","), toks[1:]
             try:
-                labels = tuple(int(t) for t in label_toks if t != "")
-            except ValueError:
+                labs = np.array([int(t) for t in label_toks if t != ""], dtype=np.int64)
+            except (ValueError, OverflowError):
                 raise ParseError(f"bad label field {toks[0]!r}", lineno)
             idx = np.empty(len(feat_toks), dtype=np.int64)
             val = np.empty(len(feat_toks))
@@ -131,19 +188,31 @@ def load_svmlight(path, one_based: bool = False) -> RawDataset:
                     val[j] = float(tail)
                 except ValueError:
                     raise ParseError(f"bad feature token {tok!r}", lineno)
+                except OverflowError:
+                    raise ParseError(f"feature index out of int64 range in {tok!r}", lineno)
+                if not math.isfinite(val[j]):
+                    raise ParseError(f"non-finite feature value in {tok!r}", lineno)
             if idx.size:
                 if np.any(np.diff(idx) <= 0):
                     raise ParseError("feature indices not strictly increasing", lineno)
                 if idx[0] < 0:
                     raise ParseError("negative feature index", lineno)
                 num_features = max(num_features, int(idx[-1]) + 1)
-            examples.append(RawExample(labels, idx, val))
+            labels.append(labs)
+            label_ptr.append(label_ptr[-1] + labs.size)
+            indices.append(idx)
+            values.append(val)
+            indptr.append(indptr[-1] + idx.size)
 
     if header_k is not None:
         if num_features > header_k:
             raise ParseError(f"feature index exceeds header K={header_k}")
         num_features = header_k
-    return RawDataset(examples, num_features)
+    features = sp.csr_matrix(
+        (np.concatenate(values), np.concatenate(indices), np.array(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, num_features))
+    return RawDataset(features, np.concatenate(labels), np.array(label_ptr, dtype=np.int64),
+                      "python")
 
 
 def reduce_multilabel(raw: RawDataset, policy: str = "smallest_id",
@@ -159,31 +228,24 @@ def reduce_multilabel(raw: RawDataset, policy: str = "smallest_id",
     """
     if policy not in ("smallest_id", "first_listed"):
         raise DataError(f"unknown multi-label policy {policy!r}")
-    kept = [ex for ex in raw.examples if ex.labels]
-    if policy == "smallest_id":
-        chosen = [min(ex.labels) for ex in kept]
-    else:
-        chosen = [ex.labels[0] for ex in kept]
+    starts = raw.label_ptr[:-1]
+    rows = np.flatnonzero(raw.label_ptr[1:] > starts)
+    # a row's labels run from its start to the next labelled row's start
+    chosen = (np.minimum.reduceat(raw.labels, starts[rows]) if policy == "smallest_id"
+              else raw.labels[starts[rows]])
     if label_map is None:
-        remap = {lab: i for i, lab in enumerate(sorted(set(chosen)))}
-    else:
-        remap = label_map
-        filtered = [(ex, lab) for ex, lab in zip(kept, chosen) if lab in remap]
-        kept = [ex for ex, _ in filtered]
-        chosen = [lab for _, lab in filtered]
-    if not kept:
+        label_map = {lab: i for i, lab in enumerate(np.unique(chosen).tolist())}
+    dense = np.array([label_map.get(lab, -1) for lab in chosen.tolist()], dtype=np.int64)
+    rows, labels = rows[dense >= 0], dense[dense >= 0]
+    if not rows.size:
         raise DataError("no examples with labels remain after reduction")
-    labels = np.array([remap[lab] for lab in chosen], dtype=np.int64)
-    num_labels = max(remap.values()) + 1
+    num_labels = max(label_map.values()) + 1
 
     K = max(raw.num_features, num_features or 0)
-    indptr = np.zeros(len(kept) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([ex.indices.size for ex in kept])
-    indices = np.concatenate([ex.indices for ex in kept] or [np.empty(0, dtype=np.int64)])
-    data = np.concatenate([ex.values for ex in kept] or [np.empty(0)])
-    mat = sp.csr_matrix((data, indices, indptr), shape=(len(kept), K))
+    kept = raw.features[rows]
+    mat = sp.csr_matrix((kept.data, kept.indices, kept.indptr), shape=(rows.size, K))
     dataset = SparseDataset(mat, labels, num_labels)
-    return (dataset, remap) if return_map else dataset
+    return (dataset, label_map) if return_map else dataset
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-"""Build and load the compiled training-step kernel, ``_kernel.c``.
+"""Build and load the compiled kernel library, ``_kernel.c``.
+
+It has two users: ``advsamp.training`` runs its training steps through it,
+and ``advsamp.data_io.load_svmlight`` parses svmlight files with it.
 
 The source is compiled on first use with the system C compiler (``cc``,
 else ``gcc``) and loaded through ctypes. The library goes into the
@@ -9,7 +12,8 @@ writable the build goes into a private temporary directory, removed again
 once the library is loaded. Nothing is compiled at import.
 
 ``load()`` returns None, with one warning per process, when no compiler is
-found or the build fails; training then runs its Python step loop.
+found or the build fails; training then runs its Python step loop, and
+svmlight files are read by the Python line-by-line reader.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
 LIBS = ("-lm",)
 
-_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_P, _I, _D, _S = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_char_p
 SIGNATURES = {
     # CSR arrays, order, step labels, step log p_n; n, m+1, t0, t1;
     # W, B, AW, AB; K; rho, lam, eps; scratch xi, g, first; loss out
@@ -37,6 +41,9 @@ SIGNATURES = {
     # CSR arrays, order, labels; t0, t1; W, B, AW, AB; C, K;
     # rho, lam, eps; scratch p; loss out
     "advsamp_softmax_steps": [_P] * 5 + [_I] * 2 + [_P] * 4 + [_I] * 2 + [_D] * 3 + [_P] * 2,
+    # file bytes, length, index offset; row, label and nonzero capacities;
+    # label_ptr, labels, indptr, indices, data; sizes out
+    "advsamp_parse_svmlight": [_S] + [_I] * 5 + [_P] * 6,
 }
 
 
@@ -107,6 +114,7 @@ def load():
 
 
 def _unavailable(reason: str):
-    warnings.warn(f"compiled training kernel unavailable ({reason}); "
-                  "training runs the Python step loop", RuntimeWarning, stacklevel=3)
+    warnings.warn(f"compiled kernel unavailable ({reason}); training runs the Python "
+                  "step loop and svmlight files are parsed in Python",
+                  RuntimeWarning, stacklevel=3)
     return None

@@ -9,6 +9,7 @@ only read ``perfbench/``.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,8 @@ def test_install_patches_and_uninstall_restores(tracer):
 def test_traced_pipeline_records_each_layer(tracer, tmp_path):
     write_svmlight(tmp_path / "train.txt", 80, 5, 8, seed=0)
     write_svmlight(tmp_path / "test.txt", 30, 5, 8, seed=1)
+    with open(tmp_path / "test.txt", "a") as fh:
+        fh.write("99 0:1.0 3:2.0\n 1:0.5\n")  # an unseen label and none: two dropped rows
     sets = ["seed=1", f"train_path={tmp_path / 'train.txt'}",
             f"test_path={tmp_path / 'test.txt'}", "pca_k=3", "epochs=1",
             "learning_rate=0.1", "log_every=0", "noise=adversarial"]
@@ -83,6 +86,11 @@ def test_traced_pipeline_records_each_layer(tracer, tmp_path):
     parents = {tracer.spans[s["parent"]]["name"] for s in tracer.spans
                if s["name"] == "inference.evaluate" and s["parent"] is not None}
     assert "training.train" in parents
+    # the benchmark counts dropped test rows from the parser's RawDataset
+    dropped = [s["attrs"]["test_rows_dropped"] for s in tracer.spans
+               if s["name"] == "data_io.reduce_multilabel" and "test_rows_dropped" in s["attrs"]]
+    manifest = json.loads((tmp_path / "out" / "manifest-preprocess.json").read_text())
+    assert dropped == [manifest["test_rows_dropped"]] == [2]
 
 
 def test_benchmark_tree_oracle_matches_package():

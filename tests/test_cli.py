@@ -57,6 +57,7 @@ class TestPipeline:
         out, base = workdir
         sets = base + ["noise=adversarial", "epochs=15"]
         assert run("preprocess", out, sets) == 0
+        preprocess_line = capsys.readouterr().out.strip().splitlines()[-1]
         assert run("fit-aux", out, sets) == 0
         assert run("train", out, sets) == 0
         train_line = capsys.readouterr().out.strip().splitlines()[-1]
@@ -80,6 +81,10 @@ class TestPipeline:
         assert trained["train_backend"] == want
         assert f"backend={want} " in train_line
         assert trained["train_steps_per_s"] > 0
+        preprocessed = json.loads((out / "manifest-preprocess.json").read_text())
+        assert preprocessed["parse_backend"] == want
+        assert f"backend={want} " in preprocess_line
+        assert preprocessed["parse_s"] > 0
 
     def test_retrain_keeps_aux_fit_time(self, workdir):
         # a second train still finds the fit-aux record and shifts its curve
@@ -299,6 +304,21 @@ class TestExitCodes:
         code = main(["preprocess", "--out", str(tmp_path / "o"),
                      "--set", "seed=1", "--set", f"train_path={bad}"])
         assert code == 2
+
+    @pytest.mark.parametrize("token,why", [
+        ("1:nan", "non-finite feature value"), ("1:-inf", "non-finite feature value"),
+        ("1:1e999", "non-finite feature value"),
+        ("99999999999999999999:1.0", "feature index out of int64 range"),
+    ])
+    def test_bad_value_or_index_exits_2(self, tmp_path, token, why, capsys):
+        # a non-finite value used to reach PCA and end in an ARPACK traceback,
+        # an index past int64 in an OverflowError traceback (both exit 1)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"0 0:1.0 1:0.5\n1 0:2.0\n2 {token}\n3 0:1.0 1:1.5\n")
+        code = main(["preprocess", "--out", str(tmp_path / "o"), "--set", "seed=1",
+                     "--set", "pca_k=1", "--set", f"train_path={bad}"])
+        assert code == 2
+        assert f"line 3: {why}" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         code = main(["diagnose", "--out", str(tmp_path / "o"),

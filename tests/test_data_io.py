@@ -1,14 +1,17 @@
+import shutil
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from advsamp import kernel
 from advsamp.data_io import (
     PcaProjection,
     RawDataset,
-    RawExample,
     apply_pca_matrix,
     fit_pca,
     load_dataset,
@@ -26,41 +29,57 @@ from conftest import csr_row, dataset_from_dense
 
 def write(tmp_path, text, name="data.txt"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8"))
     return path
+
+
+def row(raw, i):
+    """Row i of a RawDataset as (labels, indices, values)."""
+    f, lo, hi = raw.features, raw.features.indptr[i], raw.features.indptr[i + 1]
+    return (tuple(raw.labels[raw.label_ptr[i]:raw.label_ptr[i + 1]].tolist()),
+            f.indices[lo:hi].tolist(), f.data[lo:hi].tolist())
+
+
+def raw_from_labels(label_lists, num_features=4):
+    """A RawDataset whose every row is the single feature 0:1.0."""
+    n = len(label_lists)
+    features = sp.csr_matrix((np.ones(n), np.zeros(n, dtype=np.int64), np.arange(n + 1)),
+                             shape=(n, num_features))
+    label_ptr = np.cumsum([0] + [len(labs) for labs in label_lists])
+    labels = np.array([lab for labs in label_lists for lab in labs], dtype=np.int64)
+    return RawDataset(features, labels, label_ptr, "python")
 
 
 class TestLoadSvmlight:
     def test_single_label_line(self, tmp_path):
         raw = load_svmlight(write(tmp_path, "3 0:0.5 7:1.2\n"))
-        ex = raw.examples[0]
-        assert ex.labels == (3,)
-        assert list(ex.indices) == [0, 7]
-        assert list(ex.values) == [0.5, 1.2]
+        assert row(raw, 0) == ((3,), [0, 7], [0.5, 1.2])
         assert raw.num_features == 8
 
     def test_multi_label_line(self, tmp_path):
         raw = load_svmlight(write(tmp_path, "1,4 2:1.0\n"))
-        assert raw.examples[0].labels == (1, 4)
-        assert list(raw.examples[0].indices) == [2]
+        labels, indices, _ = row(raw, 0)
+        assert labels == (1, 4)
+        assert indices == [2]
 
     def test_empty_feature_list(self, tmp_path):
         raw = load_svmlight(write(tmp_path, "5 \n"))
-        assert raw.examples[0].labels == (5,)
-        assert raw.examples[0].indices.size == 0
+        labels, indices, _ = row(raw, 0)
+        assert labels == (5,)
+        assert indices == []
 
     def test_no_label_line(self, tmp_path):
         raw = load_svmlight(write(tmp_path, " 0:1.0 3:2.0\n"))
-        assert raw.examples[0].labels == ()
+        assert row(raw, 0)[0] == ()
 
     def test_header(self, tmp_path):
         raw = load_svmlight(write(tmp_path, "2 100 7\n0 1:1.0\n1 2:1.0\n"))
         assert raw.num_features == 100
-        assert len(raw.examples) == 2
+        assert raw.num_examples == len(raw.examples) == 2
 
     def test_one_based(self, tmp_path):
         raw = load_svmlight(write(tmp_path, "0 1:2.0 3:1.0\n"), one_based=True)
-        assert list(raw.examples[0].indices) == [0, 2]
+        assert row(raw, 0)[1] == [0, 2]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = write(tmp_path, "0 0:1.0\n1 junk\n")
@@ -71,14 +90,26 @@ class TestLoadSvmlight:
         with pytest.raises(ParseError, match="increasing"):
             load_svmlight(write(tmp_path, "0 3:1.0 1:1.0\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = write(tmp_path, f"0 0:1.0\n1 0:2.0 1:{value}\n")
+        with pytest.raises(ParseError, match="line 2: non-finite feature value") as exc:
+            load_svmlight(path)
+        assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("head", ["99999999999999999999", "-99999999999999999999"])
+    def test_index_overflow_rejected(self, tmp_path, head):
+        path = write(tmp_path, f"0 0:1.0\n\n1 {head}:1.0\n")
+        with pytest.raises(ParseError, match="line 3: feature index out of int64 range"):
+            load_svmlight(path)
+
+    def test_label_overflow_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="line 1: bad label field"):
+            load_svmlight(write(tmp_path, "99999999999999999999 0:1.0\n"))
+
 
 class TestReduceMultilabel:
-    def raw(self, label_lists):
-        examples = [
-            RawExample(tuple(labs), np.array([0], dtype=np.int64), np.array([1.0]))
-            for labs in label_lists
-        ]
-        return RawDataset(examples, 4)
+    raw = staticmethod(raw_from_labels)
 
     def test_smallest_id(self):
         ds = reduce_multilabel(self.raw([[4, 1, 7]]), "smallest_id")
@@ -119,6 +150,176 @@ class TestReduceMultilabel:
         assert ds.label_counts.sum() == ds.num_examples
         # feature data preserved bit-exactly for kept examples
         assert np.all(ds.features.data == 1.0)
+
+    @given(st.lists(st.lists(st.integers(-3, 20), max_size=4), min_size=1, max_size=30),
+           st.sampled_from(["smallest_id", "first_listed"]))
+    def test_matches_per_row_reference(self, label_lists, policy):
+        # each labelled row keeps its smallest or first label, in row order
+        kept = [(i, min(labs) if policy == "smallest_id" else labs[0])
+                for i, labs in enumerate(label_lists) if labs]
+        raw = self.raw(label_lists, 3)
+        raw.features.data[:] = np.arange(1, len(label_lists) + 1)  # row i holds i + 1
+        try:
+            ds, mapping = reduce_multilabel(raw, policy, return_map=True)
+        except DataError:
+            assert not kept
+            return
+        assert mapping == {lab: i for i, lab in enumerate(sorted({lab for _, lab in kept}))}
+        assert ds.labels.tolist() == [mapping[lab] for _, lab in kept]
+        assert ds.features.data.tolist() == [i + 1 for i, _ in kept]
+        assert ds.features.shape == (len(kept), 3)
+
+
+# value spellings: repr, %.6g and exponent forms, plain integers, a bare point
+VALUE_FORMATS = (repr, "{:.6g}".format, "{:e}".format, "{:.3E}".format, "{:.0f}".format,
+                 lambda v: f"{v:.2f}".replace("0.", ".", 1))
+# rows a strict file may hold in place of one of its rows: malformed ones,
+# and valid ones outside the fast reader's grammar
+MALFORMED_ROWS = ["0 7", "0 1:2:3", "0 :1.0", "0 1:", "0 2:1 2:1", "0 3:1 1:1", "0 0:nan",
+                  "0 1:inf", "0 1:-inf", "0 1:1e999", "0 99999999999999999999:1.0", "0 1:1e",
+                  "0 1:.", "0 1:--1", "0 1:0x10", "0 0:1 :", "a 1:1", "1;2 0:1",
+                  "99999999999999999999 0:1", "0 0:1.5"]  # the last: negative when one-based
+FALLBACK_ROWS = ["0 +3:1 40:2.5", "0 1_0:2 40:2.5", "0 ٣:1.0 40:2.5", "0 4:١.5 40:2.5",
+                 "0 39:1.5\t40:2", "0 39:1.5\f40:2", "0 39:1.5\r40:2", "-1 40:2"]
+
+
+def assert_same_outcome(got, want):
+    """Two load_svmlight outcomes: equal datasets, or the same ParseError."""
+    if isinstance(want, ParseError):
+        assert isinstance(got, ParseError), got
+        assert (str(got), got.line_number) == (str(want), want.line_number)
+        return
+    assert not isinstance(got, ParseError), got
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.label_ptr.tolist() == want.label_ptr.tolist()
+    assert got.num_features == want.num_features
+    assert got.features.indptr.tolist() == want.features.indptr.tolist()
+    assert got.features.indices.tolist() == want.features.indices.tolist()
+    assert got.features.data.tobytes() == want.features.data.tobytes()
+
+
+def outcomes(path, one_based):
+    """load_svmlight's outcome with the compiled reader, then with Python's."""
+    result = []
+    for lib in (kernel.load(), None):
+        with mock.patch.object(kernel, "load", lambda: lib):
+            try:
+                result.append(load_svmlight(path, one_based=one_based))
+            except ParseError as exc:
+                result.append(exc)
+    return result
+
+
+@st.composite
+def svmlight_files(draw):
+    """(text, one_based, twist): a file of valid rows with at most one twist,
+    "" (none), "malformed" or "fallback" (valid, outside the strict grammar)."""
+    one_based = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "unlabelled", "label_only"]))
+        if kind == "blank":
+            lines.append(" " * draw(st.integers(0, 2)))
+            continue
+        labels = draw(st.lists(st.integers(0, 60), max_size=3))
+        field = ",".join(map(str, labels)) + "," * draw(st.integers(0, 1))
+        if kind == "label_only":
+            lines.append(field or "0")
+            continue
+        cols = sorted(draw(st.sets(st.integers(one_based, 40), max_size=6)))
+        feats = [f"{j}:{draw(st.sampled_from(VALUE_FORMATS))(draw(st.floats(-1e30, 1e30)))}"
+                 for j in cols]
+        sep = " " * draw(st.integers(1, 2))
+        head = " " if kind == "unlabelled" else field + sep
+        lines.append(head + sep.join(feats) + " " * draw(st.integers(0, 1)))
+    twist = draw(st.sampled_from(["", "", "malformed", "fallback"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if twist:
+        lines[at] = draw(st.sampled_from(MALFORMED_ROWS if twist == "malformed"
+                                         else FALLBACK_ROWS))
+        one_based = one_based or lines[at] == "0 0:1.5"
+    if draw(st.booleans()):
+        # K=30 may lie below an index, which makes the file malformed
+        k = draw(st.sampled_from([60, 41] if twist == "fallback" else [60, 41, 30]))
+        lines.insert(0, f"{draw(st.integers(0, 9))} {k} {draw(st.integers(0, 9))}")
+    newline = "\n" if draw(st.booleans()) else ""
+    return "\n".join(lines) + newline, one_based, twist
+
+
+@pytest.mark.skipif(shutil.which("cc") is None and shutil.which("gcc") is None,
+                    reason="no C compiler (cc or gcc) on PATH")
+class TestFastReaderMatchesReference:
+    """The compiled reader against ``_load_svmlight_python``: the same
+    dataset bit for bit, or the same ParseError and line number."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(svmlight_files())
+    def test_generated_files(self, tmp_path, case):
+        text, one_based, twist = case
+        fast, reference = outcomes(write(tmp_path, text), one_based)
+        assert_same_outcome(fast, reference)
+        # a strict file never leaves the fast reader; the others always do
+        if twist == "malformed":
+            assert isinstance(fast, ParseError)
+        elif twist == "fallback":
+            assert fast.backend == "python"
+        elif not isinstance(fast, ParseError):
+            assert fast.backend == "c"
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.text("0123456789::,,.  \n\n-+eE_\tnaif", max_size=40), st.booleans())
+    def test_random_text(self, tmp_path, text, one_based):
+        fast, reference = outcomes(write(tmp_path, text), one_based)
+        assert_same_outcome(fast, reference)
+
+    @pytest.mark.parametrize("bad", MALFORMED_ROWS)
+    def test_malformed_row(self, tmp_path, bad):
+        # one-based, so that index 0 is negative too
+        fast, reference = outcomes(write(tmp_path, f"3 1:1\n{bad}\n5 2:2\n"), True)
+        assert isinstance(reference, ParseError) and reference.line_number == 2
+        assert_same_outcome(fast, reference)
+
+    def test_index_past_header_k(self, tmp_path):
+        fast, reference = outcomes(write(tmp_path, "3 4 9\n0 1:1\n1 4:1\n"), False)
+        assert str(reference) == "feature index exceeds header K=4"
+        assert_same_outcome(fast, reference)
+
+    @pytest.mark.parametrize("text", [*FALLBACK_ROWS, "1 2:+.5e-3 3:7. 4:-0"])
+    def test_reader_choice(self, tmp_path, text):
+        fast, reference = outcomes(write(tmp_path, f"3 1:1\n{text}\n5 2:2\n"), False)
+        assert_same_outcome(fast, reference)
+        assert fast.backend == ("python" if text in FALLBACK_ROWS else "c")
+
+    def test_decimal_values_round_as_python(self, tmp_path):
+        # 1 to 19 digits, a point anywhere or none, exponents near 0 (the
+        # exact short path) and far from it (strtod), subnormals included
+        rng = np.random.default_rng(0)
+        rows = []
+        for _ in range(200):
+            values = []
+            for _ in range(100):
+                digits = "".join(rng.choice(list("0123456789"), size=rng.integers(1, 20)))
+                point = int(rng.integers(0, len(digits) + 1))
+                if rng.random() < 0.7:
+                    digits = f"{digits[:point]}.{digits[point:]}"
+                kind = rng.random()
+                exp = (f"e{rng.integers(-25, 26)}" if kind < 0.3 else
+                       f"E{rng.integers(-340, 280):+d}" if kind < 0.5 else "")
+                values.append(rng.choice(["", "-", "+"]) + digits + exp)
+            rows.append("0 " + " ".join(f"{j}:{v}" for j, v in enumerate(values)))
+        fast, reference = outcomes(write(tmp_path, "\n".join(rows)), False)
+        assert fast.backend == "c"
+        assert_same_outcome(fast, reference)
+
+    def test_without_kernel_same_output(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "3 50 9\n4,2 0:1.5 7:-2e-05\n\n 3:0.25\n1,\n")
+        fast = load_svmlight(path)
+        monkeypatch.setattr(kernel, "load", lambda: None)
+        slow = load_svmlight(path)
+        assert (fast.backend, slow.backend) == ("c", "python")
+        assert_same_outcome(fast, slow)
 
 
 class TestPca:
