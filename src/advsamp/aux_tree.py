@@ -53,28 +53,27 @@ def log_sigmoid(z, out=None):
 
 @dataclass
 class NodeFitProblem:
-    """Per-node fitting data: reduced features grouped by label.
+    """Per-node fitting data: the node's reduced rows and each row's label slot.
 
+    ``slots[i]`` is the position in ``label_ids`` of row i's label.
     ``label_ids`` may include padding ids (>= num_real_labels), which carry
-    no data and are forced to the left half during splitting.
+    no rows and are forced to the left half during splitting.
     """
 
     label_ids: np.ndarray  # (L,)
-    features_by_label: list  # L arrays of shape (m_y, k); empty for padding
+    rows: np.ndarray  # (m, k)
+    slots: np.ndarray  # (m,) in [0, L)
     num_real_labels: int
 
     def __post_init__(self):
         self.label_ids = np.asarray(self.label_ids, dtype=np.int64)
         if self.label_ids.size < 2:
             raise DataError("node fit needs at least 2 labels")
-        self.features_by_label = [
-            np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in self.features_by_label
-        ]
-        self.aggregates = np.stack([f.sum(axis=0) for f in self.features_by_label])
-        self.counts = np.array([f.shape[0] for f in self.features_by_label])
-        # all rows stacked once, with the label slot of each row
-        self.rows = np.concatenate(self.features_by_label)
-        self.slots = np.repeat(np.arange(self.label_ids.size), self.counts)
+        self.rows = np.asarray(self.rows, dtype=np.float64)
+        self.slots = np.asarray(self.slots, dtype=np.intp)
+        self.counts = np.bincount(self.slots, minlength=self.label_ids.size)
+        self.aggregates = np.zeros((self.label_ids.size, self.rows.shape[1]))
+        np.add.at(self.aggregates, self.slots, self.rows)
 
     def is_padding(self) -> np.ndarray:
         return self.label_ids >= self.num_real_labels
@@ -300,48 +299,45 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
     underflows to zero.
     """
     Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
     C = int(num_labels)
     if C < 2:
         raise DataError("need at least 2 labels to build a tree")
+    labels = label_array(labels, C)
     k = Xr.shape[1]
     if k > MAX_REDUCED_DIM:
         raise DataError(f"reduced dimension {k} exceeds the supported maximum {MAX_REDUCED_DIM}")
     depth = int(np.ceil(np.log2(C)))
     Cp = 1 << depth
 
-    rows_by_label = [np.flatnonzero(labels == y) for y in range(C)]
+    # rows sorted by label once: filtering keeps every node's rows grouped
+    # by label, in the order of its ascending label ids
+    order = np.argsort(labels, kind="stable")
+    Xs, ys = Xr[order], labels[order]
 
     node_w = np.zeros((Cp - 1, k))
     node_b = np.zeros(Cp - 1)
     label_leaf = np.zeros(C, dtype=np.int64)
 
-    def features_for(ids):
-        return [Xr[rows_by_label[y]] if y < C else np.zeros((0, k)) for y in ids]
-
-    def recurse(node, ids, leaf_base):
-        if len(ids) == 1:
-            y = ids[0]
-            if y < C:
-                label_leaf[y] = leaf_base
+    def recurse(node, ids, rows, leaf_base):
+        if ids.size == 1:
+            if ids[0] < C:
+                label_leaf[ids[0]] = leaf_base
             return
-        half = len(ids) // 2
-        pad = [y for y in ids if y >= C]
-        if len(pad) >= half:
-            # route all real labels right; left child is pure padding
-            left = sorted(pad, reverse=True)[:half]
-            taken = set(left)
-            right = [y for y in ids if y not in taken]
+        half = ids.size // 2
+        if ids[-half] >= C:
+            # ids ascend, so padding ids are their tail: the largest half go
+            # left with no rows, and all real labels go right
             node_b[node] = B_PAD
-        else:
-            problem = NodeFitProblem(np.array(ids), features_for(ids), C)
-            w, b, zeta = fit_node(problem, lam)
-            node_w[node] = w
-            node_b[node] = b
-            right = [y for y, s in zip(ids, zeta) if s > 0]
-            left = [y for y, s in zip(ids, zeta) if s < 0]
-        recurse(2 * node + 1, left, leaf_base)
-        recurse(2 * node + 2, right, leaf_base + half)
+            recurse(2 * node + 1, ids[-half:], rows[:0], leaf_base)
+            recurse(2 * node + 2, ids[:-half], rows, leaf_base + half)
+            return
+        slots = np.searchsorted(ids, ys[rows])
+        w, b, zeta = fit_node(NodeFitProblem(ids, Xs[rows], slots, C), lam)
+        node_w[node] = w
+        node_b[node] = b
+        side = zeta[slots]
+        recurse(2 * node + 1, ids[zeta < 0], rows[side < 0], leaf_base)
+        recurse(2 * node + 2, ids[zeta > 0], rows[side > 0], leaf_base + half)
 
-    recurse(0, list(range(Cp)), 0)
+    recurse(0, np.arange(Cp), np.arange(labels.size), 0)
     return AuxiliaryTree(node_w, node_b, label_leaf, C, depth)

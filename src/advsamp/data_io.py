@@ -29,6 +29,8 @@ DATASET_MAGIC = "advsamp-dataset-v1"
 PCA_MAGIC = "advsamp-pca-v1"
 
 PCA_ZERO_TOL = 1e-12  # zero level, relative to the mean squared norm E|x|^2
+# no float64 vector of more entries can be allocated
+MAX_FEATURES = np.iinfo(np.intp).max // 8
 
 
 @dataclass
@@ -110,8 +112,8 @@ def load_svmlight(path, one_based: bool = False) -> RawDataset:
 
     ``one_based`` shifts feature indices down by one. K is taken from a
     three-integer ``N K C`` header if present, otherwise inferred as
-    max index + 1. A malformed line, a non-finite value or an index outside
-    int64 is a ParseError naming the line.
+    max index + 1. A malformed line, a non-finite value, an index outside
+    int64 or a K above ``MAX_FEATURES`` is a ParseError naming the line.
 
     The compiled reader in ``advsamp.kernel`` parses the file when it can be
     built and the file keeps to its strict ASCII grammar; every other file,
@@ -143,9 +145,16 @@ def _load_svmlight_c(lib, path, offset: int) -> RawDataset | None:
     if stopped >= 0:
         return None
     rows, nlab, nnz, num_features = sizes.tolist()
+    if num_features > MAX_FEATURES:
+        return None
     features = sp.csr_matrix((data[:nnz], indices[:nnz], indptr[:rows + 1]),
                              shape=(rows, num_features))
     return RawDataset(features, labels[:nlab], label_ptr[:rows + 1], "c")
+
+
+def _check_feature_count(num_features: int, lineno: int) -> None:
+    if num_features > MAX_FEATURES:
+        raise ParseError(f"{num_features} features exceed the maximum {MAX_FEATURES}", lineno)
 
 
 def _load_svmlight_python(path, offset: int) -> RawDataset:
@@ -165,6 +174,7 @@ def _load_svmlight_python(path, offset: int) -> RawDataset:
                 header = _parse_header(stripped)
                 if header is not None:
                     header_k = header[1]
+                    _check_feature_count(header_k, lineno)
                     continue
             # A leading feature token means the label field is empty.
             leading_ws = line[0] in " \t"
@@ -198,6 +208,7 @@ def _load_svmlight_python(path, offset: int) -> RawDataset:
                 if idx[0] < 0:
                     raise ParseError("negative feature index", lineno)
                 num_features = max(num_features, int(idx[-1]) + 1)
+                _check_feature_count(num_features, lineno)
             labels.append(labs)
             label_ptr.append(label_ptr[-1] + labs.size)
             indices.append(idx)

@@ -26,17 +26,10 @@ class LinearClassifier:
         self.accum_w = np.zeros((num_labels, num_features))
         self.accum_b = np.zeros(num_labels)
 
-    def save(self, path, include_accumulators: bool = False) -> None:
-        payload = {
-            "magic": MODEL_MAGIC,
-            "shape": np.array([self.num_labels, self.num_features]),
-            "weights": self.weights,
-            "biases": self.biases,
-        }
-        if include_accumulators:
-            payload["accum_w"] = self.accum_w
-            payload["accum_b"] = self.accum_b
-        np.savez(path, **payload)
+    def save(self, path) -> None:
+        """Weights and biases; the Adagrad accumulators are not stored."""
+        np.savez(path, magic=MODEL_MAGIC, shape=np.array([self.num_labels, self.num_features]),
+                 weights=self.weights, biases=self.biases)
 
     @classmethod
     def load(cls, path) -> "LinearClassifier":
@@ -45,12 +38,7 @@ class LinearClassifier:
             if shape.shape != (2,) or shape.min() < 0:
                 raise DataError(f"bad model shape record {shape}")
             model = cls(*(int(v) for v in shape))
-            names = ["weights", "biases"]
-            if "accum_w" in z or "accum_b" in z:
-                names += ["accum_w", "accum_b"]
-            for name in names:
-                if name not in z:
-                    raise DataError(f"model file lacks {name}")
+            for name in ("weights", "biases"):
                 # a mismatched array would otherwise broadcast into place
                 arr, dest = z[name], getattr(model, name)
                 if arr.shape != dest.shape:

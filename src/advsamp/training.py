@@ -30,6 +30,7 @@ from .inference import PredictionConfig, check_compatible, evaluate, noise_log_p
 from .linear_model import LinearClassifier
 
 SOFTMAX_LABEL_GUARD = 100_000
+ADAGRAD_EPSILON = 1e-8  # keeps rho * g / (sqrt(accum) + eps) finite where accum is 0
 
 METRIC_COLUMNS = ("epoch", "steps", "wall_clock_s", "train_loss", "val_log_lik", "val_acc")
 
@@ -43,7 +44,6 @@ class TrainConfig:
     seed: int = 0
     negatives_per_positive: int = 1
     bias_removal_at_eval: bool = True
-    adagrad_epsilon: float = 1e-8
     log_every: int = 10_000
     eval_at_log: bool = False  # validation metrics on every fine-grained row
 
@@ -56,9 +56,8 @@ class TrainConfig:
             raise DataError("negatives_per_positive must be positive")
         if self.log_every < 0:
             raise DataError("log_every must be nonnegative")
-        if self.learning_rate <= 0 or self.adagrad_epsilon <= 0 or self.regularizer < 0:
-            raise DataError("learning_rate and adagrad_epsilon must be positive, "
-                            "regularizer nonnegative")
+        if self.learning_rate <= 0 or self.regularizer < 0:
+            raise DataError("learning_rate must be positive, regularizer nonnegative")
 
 
 def softmax_loss_and_grad(scores, y: int):
@@ -213,8 +212,7 @@ class _Run:
                 raise DataError(f"model parameters and accumulators must be writeable "
                                 f"C-contiguous float64 arrays of shape {shape}")
         self.softmax = config.method == "softmax_full"
-        self.rho, self.lam, self.eps = (config.learning_rate, config.regularizer,
-                                        config.adagrad_epsilon)
+        self.rho, self.lam = config.learning_rate, config.regularizer
         self.order = self.step_labels = self.step_lp = None
 
 
@@ -252,8 +250,8 @@ def _steps_python(run: _Run, t0: int, t1: int):
             loss += lam * float((w**2).sum() + (b**2).sum())
         if not math.isfinite(loss):
             return loss_sum, t
-        adagrad_step(W, AW, cells, w, gw, run.rho, run.eps)
-        adagrad_step(B, AB, labs, b, gb, run.rho, run.eps)
+        adagrad_step(W, AW, cells, w, gw, run.rho, ADAGRAD_EPSILON)
+        adagrad_step(B, AB, labs, b, gb, run.rho, ADAGRAD_EPSILON)
         loss_sum += loss
     return loss_sum, -1
 
@@ -270,7 +268,7 @@ def _steps_c(lib, run: _Run, t0: int, t1: int):
         C, K = run.W.shape
         scratch = np.empty(C)
         bad = lib.advsamp_softmax_steps(*common, ptr(run.labels), t0, t1, *params, C, K,
-                                        run.rho, run.lam, run.eps, ptr(scratch),
+                                        run.rho, run.lam, ADAGRAD_EPSILON, ptr(scratch),
                                         ctypes.addressof(loss))
     else:
         m1, n = run.step_labels.shape
@@ -278,7 +276,7 @@ def _steps_c(lib, run: _Run, t0: int, t1: int):
         first = np.empty(m1, dtype=np.int64)
         bad = lib.advsamp_neg_steps(*common, ptr(run.step_labels), ptr(run.step_lp),
                                     n, m1, t0, t1, *params, run.W.shape[1],
-                                    run.rho, run.lam, run.eps, ptr(scratch[0]),
+                                    run.rho, run.lam, ADAGRAD_EPSILON, ptr(scratch[0]),
                                     ptr(scratch[1]), ptr(first), ctypes.addressof(loss))
     return loss.value, bad
 

@@ -31,6 +31,30 @@ def dataset_from_dense(X, labels, num_labels=None):
                          labels, num_labels)
 
 
+def one_hot_contexts(num_contexts: int, num_labels: int, n: int, seed: int,
+                     concentration: float = 1.0, min_prob: float = 0.02):
+    """Dataset of one-hot feature vectors with labels drawn from a fixed
+    random conditional table; returns (dataset, p_data).
+
+    Examples are spread evenly over contexts so every conditional is well
+    sampled. ``min_prob`` floors the conditionals to keep all scores finite.
+    """
+    rng = np.random.default_rng(seed)
+    p_data = rng.dirichlet(np.full(num_labels, concentration), size=num_contexts)
+    p_data = np.clip(p_data, min_prob, None)
+    p_data /= p_data.sum(axis=1, keepdims=True)
+
+    contexts = np.arange(n) % num_contexts
+    labels = np.empty(n, dtype=np.int64)
+    for c in range(num_contexts):
+        rows = np.flatnonzero(contexts == c)
+        labels[rows] = rng.choice(num_labels, size=rows.size, p=p_data[c])
+    features = sp.csr_matrix(
+        (np.ones(n), (np.arange(n), contexts)), shape=(n, num_contexts)
+    )
+    return SparseDataset(features, labels, num_labels), p_data
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

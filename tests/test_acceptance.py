@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from advsamp.aux_tree import (
-    NodeFitProblem,
     all_deltas,
     fit_tree,
     log_sigmoid,
@@ -28,7 +27,6 @@ from advsamp.diagnostics import (
 from advsamp.inference import PredictionConfig, evaluate
 from advsamp.linear_model import LinearClassifier
 from advsamp.noise import AdversarialNoise, FrequencyNoise
-from advsamp.synthetic import one_hot_contexts
 from advsamp.training import (
     TrainConfig,
     pair_loss_and_grad,
@@ -36,8 +34,8 @@ from advsamp.training import (
     train,
 )
 
-from conftest import CountingRng, load_script
-from test_aux_tree import fit_node_traced
+from conftest import CountingRng, load_script, one_hot_contexts
+from test_aux_tree import fit_node_traced, make_problem
 from snr_oracles import (
     FORM_AGREEMENT_TOL,
     eta_trace,
@@ -282,13 +280,13 @@ class TestCriterion5:
         for _ in range(50):
             L = int(rng.choice([2, 4, 6, 8]))
             feats = [rng.standard_normal((rng.integers(1, 6), 3)) for _ in range(L)]
-            problem = NodeFitProblem(np.arange(L), feats, L)
+            problem = make_problem(feats)
             _, _, _, trace = fit_node_traced(problem, lam=0.1)
             ok = ok and bool(np.all(np.diff(trace) >= -1e-12))
 
         # delta identity: w.s_y + n_y b equals the log-sigmoid difference sum
         feats = [rng.standard_normal((rng.integers(1, 5), 3)) for _ in range(6)]
-        problem = NodeFitProblem(np.arange(6), feats, 6)
+        problem = make_problem(feats)
         w, b = rng.standard_normal(3), float(rng.standard_normal())
         deltas = all_deltas(problem, w, b)
         for j in range(6):

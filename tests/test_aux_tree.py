@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 
 from advsamp.aux_tree import (
     ALTERNATION_GUARD,
+    B_PAD,
     AuxiliaryTree,
     NodeFitProblem,
     all_deltas,
@@ -56,13 +57,54 @@ def _leaf_range(node, depth):
 
 
 def make_problem(features_by_label, label_ids=None, num_real=None):
-    L = len(features_by_label)
-    if label_ids is None:
-        label_ids = np.arange(L)
-    if num_real is None:
-        num_real = L
-    feats = [np.asarray(f, dtype=np.float64).reshape(-1, len(features_by_label[0][0]) if len(features_by_label[0]) else 1) for f in features_by_label]
-    return NodeFitProblem(np.asarray(label_ids), feats, num_real)
+    """A ``NodeFitProblem`` from per-label (m_y, k) arrays: their rows stacked
+    in label order, each with its label's slot."""
+    feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in features_by_label]
+    L = len(feats)
+    slots = np.repeat(np.arange(L), [f.shape[0] for f in feats])
+    return NodeFitProblem(np.arange(L) if label_ids is None else label_ids,
+                          np.concatenate(feats), slots, L if num_real is None else num_real)
+
+
+def fit_tree_oracle(Xr, labels, C, lam):
+    """``fit_tree``'s recursion as it was with per-label lists: a scan over
+    all labels for their rows, each node's problem built from one feature
+    array per label, the children's label lists rebuilt by comprehension.
+    Returns (node_w, node_b, label_leaf)."""
+    k = Xr.shape[1]
+    depth = int(np.ceil(np.log2(C)))
+    Cp = 1 << depth
+    rows_by_label = [np.flatnonzero(labels == y) for y in range(C)]
+    node_w = np.zeros((Cp - 1, k))
+    node_b = np.zeros(Cp - 1)
+    label_leaf = np.zeros(C, dtype=np.int64)
+
+    def features_for(ids):
+        return [Xr[rows_by_label[y]] if y < C else np.zeros((0, k)) for y in ids]
+
+    def recurse(node, ids, leaf_base):
+        if len(ids) == 1:
+            if ids[0] < C:
+                label_leaf[ids[0]] = leaf_base
+            return
+        half = len(ids) // 2
+        pad = [y for y in ids if y >= C]
+        if len(pad) >= half:
+            left = sorted(pad, reverse=True)[:half]
+            taken = set(left)
+            right = [y for y in ids if y not in taken]
+            node_b[node] = B_PAD
+        else:
+            w, b, zeta = fit_node(make_problem(features_for(ids), ids, C), lam)
+            node_w[node] = w
+            node_b[node] = b
+            right = [y for y, s in zip(ids, zeta) if s > 0]
+            left = [y for y, s in zip(ids, zeta) if s < 0]
+        recurse(2 * node + 1, left, leaf_base)
+        recurse(2 * node + 2, right, leaf_base + half)
+
+    recurse(0, list(range(Cp)), 0)
+    return node_w, node_b, label_leaf
 
 
 def node_objective(problem, w, b, zeta, lam):
@@ -218,6 +260,14 @@ class TestDeltas:
         w, b = np.array([1.0, 0.0]), 0.0
         assert all_deltas(p, w, b)[0] == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
+    def test_aggregates_equal_per_label_sums(self, k, rng):
+        # for k >= 2 numpy's axis-0 sum adds a label's rows one at a time, in
+        # order, as the per-slot sum does (for k = 1 it sums pairwise)
+        feats = [rng.standard_normal((int(rng.integers(0, 40)), k)) for _ in range(6)]
+        sums = np.stack([f.sum(axis=0) for f in feats])
+        assert make_problem(feats).aggregates.tobytes() == sums.tobytes()
+
     def test_sigmoid_identity(self, rng):
         # delta equals the log-sigmoid difference sum, by sigma(z)/sigma(-z)=e^z
         feats = [rng.standard_normal((rng.integers(1, 5), 3)) for _ in range(4)]
@@ -361,7 +411,7 @@ class TestInitNode:
     def test_labels_without_rows_fall_back_silently(self, num_real):
         # labels whose rows all went to the validation split (here with or
         # without padding labels beside them) leave all-zero aggregates
-        p = NodeFitProblem(np.arange(4), [np.zeros((0, 3))] * 4, num_real)
+        p = make_problem([np.zeros((0, 3))] * 4, num_real=num_real)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, b = init_node(p)
@@ -449,6 +499,25 @@ class TestTreeValidation:
 
 
 class TestFitTree:
+    @settings(max_examples=40, deadline=None)
+    @given(C=st.sampled_from([2, 4, 8, 16, 3, 5, 9, 17]), k=st.integers(1, 8),
+           n=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_label_oracle(self, C, k, n, seed):
+        # C = 2, powers of two, and 2^d + 1 (the most padding); some labels
+        # without rows, and rows repeated within and across labels
+        rng = np.random.default_rng(seed)
+        distinct = rng.standard_normal((int(rng.integers(1, n + 2)), k))
+        X = distinct[rng.integers(0, distinct.shape[0], n)]
+        present = rng.choice(C, size=int(rng.integers(1, C + 1)), replace=False)
+        labels = rng.choice(present, size=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = fit_tree(X, labels, C, 0.1)
+            node_w, node_b, label_leaf = fit_tree_oracle(X, labels, C, 0.1)
+        assert tree.node_w.tobytes() == node_w.tobytes()
+        assert tree.node_b.tobytes() == node_b.tobytes()
+        assert np.array_equal(tree.label_leaf, label_leaf)
+
     def test_separable_likelihood_approaches_zero(self, rng):
         # one private feature per label: perfectly separable
         n_per = 30

@@ -320,6 +320,17 @@ class TestExitCodes:
         assert code == 2
         assert f"line 3: {why}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["2 99999999999999999999 3", "2 9000000000000000000 3"])
+    def test_feature_count_beyond_memory_exits_2(self, tmp_path, header, capsys):
+        # these used to end in tracebacks from scipy's CSR constructor and
+        # from fit_pca's column mean (both exit 1)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(header + "\n" + "".join(f"{i % 2} 0:1.0 1:{i}\n" for i in range(10)))
+        code = main(["preprocess", "--out", str(tmp_path / "o"), "--set", "seed=1",
+                     "--set", "pca_k=1", "--set", f"train_path={bad}"])
+        assert code == 2
+        assert "line 1: " in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         code = main(["diagnose", "--out", str(tmp_path / "o"),
                      "--set", "seed=1", "--set", "bogus=3"])

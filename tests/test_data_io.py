@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from advsamp import kernel
 from advsamp.data_io import (
+    MAX_FEATURES,
     PcaProjection,
     RawDataset,
     apply_pca_matrix,
@@ -285,6 +286,23 @@ class TestFastReaderMatchesReference:
         fast, reference = outcomes(write(tmp_path, "3 4 9\n0 1:1\n1 4:1\n"), False)
         assert str(reference) == "feature index exceeds header K=4"
         assert_same_outcome(fast, reference)
+
+    @pytest.mark.parametrize("text,line", [
+        ("2 99999999999999999999 3\n0 1:1\n", 1),  # K outside int64
+        ("2 9000000000000000000 3\n0 1:1\n", 1),
+        (f"0 1:1\n1 {MAX_FEATURES}:1\n", 2),  # K from the largest index + 1
+    ])
+    def test_feature_count_beyond_memory(self, tmp_path, text, line):
+        fast, reference = outcomes(write(tmp_path, text), False)
+        assert isinstance(reference, ParseError) and reference.line_number == line
+        assert_same_outcome(fast, reference)
+
+    def test_largest_feature_count_accepted(self, tmp_path):
+        text = f"2 {MAX_FEATURES} 3\n0 {MAX_FEATURES - 1}:1\n"
+        fast, reference = outcomes(write(tmp_path, text), False)
+        assert reference.num_features == MAX_FEATURES
+        assert_same_outcome(fast, reference)
+        assert fast.backend == "c"
 
     @pytest.mark.parametrize("text", [*FALLBACK_ROWS, "1 2:+.5e-3 3:7. 4:-0"])
     def test_reader_choice(self, tmp_path, text):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from advsamp.errors import DataError
-from advsamp.synthetic import hierarchical_clusters, one_hot_contexts
+from advsamp.synthetic import hierarchical_clusters
+
+from conftest import one_hot_contexts
 
 
 class TestHierarchicalClusters:
