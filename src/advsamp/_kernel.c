@@ -1,6 +1,7 @@
 /*
- * Compiled kernels for advsamp: the training steps of advsamp.training and
- * the svmlight reader of advsamp.data_io (at the end of this file).
+ * Compiled kernels for advsamp: the training steps of advsamp.training,
+ * the auxiliary-tree node fit of advsamp.aux_tree and the svmlight reader
+ * of advsamp.data_io (at the end of this file).
  *
  * Training steps.
  * One call runs steps t0 .. t1-1 of an epoch: step t trains on example
@@ -16,6 +17,7 @@
  * sum of the steps before it.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -166,6 +168,295 @@ int64_t advsamp_softmax_steps(const int64_t *indptr, const int64_t *indices, con
 }
 
 /*
+ * Auxiliary-tree node fit. advsamp_fit_node runs the alternation of
+ * ``aux_tree.fit_node`` from its initial (w, b): Newton ascent on
+ * theta = (w, b) for the current split, then the balanced re-split, until
+ * the split is a fixed point or `guard` rounds have run. Its arithmetic is
+ * that of ``newton_fit`` and ``split_labels``; the order of summation
+ * differs, and the Newton system is solved by Cholesky (numpy uses LU),
+ * which is safe because the negated Hessian plus 2 lam I is positive
+ * definite for lam > 0.
+ *
+ * The node has m rows, rows (m, k), and L labels: row i belongs to the
+ * label in slot slots[i] (in [0, L)), and label l has counts[l] rows that
+ * sum to aggregates[l] (L, k). Labels with ids >= num_real are padding and
+ * rank below every real label. theta (k + 1) holds (w, b) on entry and the
+ * fitted (w, b) on return; zeta (L) gets the split, +1 for the right half.
+ * counters gets Newton steps, alternation rounds, Newton runs stopped at
+ * max_iter, and 1 when the guard stopped the alternation; cap_grad (guard
+ * doubles) the gradient norm at which each stopped run ended. Returns 0;
+ * 1 when k + 1 exceeds MAX_THETA, 2 when scratch cannot be allocated, and
+ * 3 when a Newton system is not positive definite (a non-finite fit).
+ */
+
+#define MAX_THETA 65 /* aux_tree.MAX_REDUCED_DIM + 1 */
+
+typedef struct {
+    double key; /* the label's delta; -inf for padding */
+    int64_t id, slot;
+} ranked;
+
+/* descending key (NaN last, as numpy sorts it), then ascending id */
+static int by_delta_then_id(const void *pa, const void *pb)
+{
+    const ranked *a = pa, *b = pb;
+    int na = isnan(a->key) != 0, nb = isnan(b->key) != 0;
+    if (na != nb)
+        return na - nb;
+    if (a->key != b->key && !na)
+        return a->key > b->key ? -1 : 1;
+    if (a->id != b->id)
+        return a->id < b->id ? -1 : 1;
+    return (a->slot > b->slot) - (a->slot < b->slot);
+}
+
+/* split_labels: +1 for the half of the labels with the largest
+   delta = aggregates[l] . w + counts[l] b */
+static void split_labels(const double *aggregates, const int64_t *counts,
+                         const int64_t *label_ids, int64_t L, int64_t k, int64_t num_real,
+                         const double *theta, ranked *order, int64_t *zeta)
+{
+    for (int64_t l = 0; l < L; l++) {
+        double delta = -INFINITY;
+        if (label_ids[l] < num_real) {
+            delta = 0.0;
+            for (int64_t j = 0; j < k; j++)
+                delta += aggregates[l * k + j] * theta[j];
+            delta += (double)counts[l] * theta[k];
+        }
+        order[l].key = delta;
+        order[l].id = label_ids[l];
+        order[l].slot = l;
+        zeta[l] = -1;
+    }
+    qsort(order, (size_t)L, sizeof *order, by_delta_then_id);
+    for (int64_t l = 0; l < L / 2; l++)
+        zeta[order[l].slot] = 1;
+}
+
+/* The loops below go two columns at a time: that is what lets the
+   compiler pair them in vector registers at -O2. */
+
+/* a . b with two partial sums */
+static double dot2(const double *a, const double *b, int64_t n)
+{
+    double s0 = 0.0, s1 = 0.0;
+    int64_t j = 0;
+    for (; j + 2 <= n; j += 2) {
+        s0 += a[j] * b[j];
+        s1 += a[j + 1] * b[j + 1];
+    }
+    if (j < n)
+        s0 += a[j] * b[j];
+    return s0 + s1;
+}
+
+/* y += a x */
+static void axpy2(double *y, double a, const double *x, int64_t n)
+{
+    int64_t j = 0;
+    for (; j + 2 <= n; j += 2) {
+        y[j] += a * x[j];
+        y[j + 1] += a * x[j + 1];
+    }
+    if (j < n)
+        y[j] += a * x[j];
+}
+
+/* the regularized node objective at theta for split zeta, the sum of
+   log sigma(z_i) over the rows' margins z_i = s_i (x_i . w + b) less
+   lam |theta|^2; its gradient into grad and each row's curvature
+   sigma(z_i) sigma(-z_i) into curv */
+static double node_objective(const double *rows, const int64_t *slots, int64_t m, int64_t k,
+                             const int64_t *zeta, double lam, const double *theta,
+                             double *curv, double *grad)
+{
+    double obj = 0.0;
+    for (int64_t j = 0; j <= k; j++)
+        grad[j] = 0.0;
+    for (int64_t i = 0; i < m; i++) {
+        const double *x = rows + i * k;
+        double s = (double)zeta[slots[i]];
+        double z = s * (dot2(x, theta, k) + theta[k]);
+        /* one exp serves log sigma(z), sigma(-z) and the curvature */
+        double e = exp(-fabs(z)), tail = 1.0 / (1.0 + e);
+        obj -= (z < 0.0 ? -z : 0.0) + log1p(e);
+        double r = s * (z < 0.0 ? tail : e * tail); /* s sigma(-z) */
+        curv[i] = e * tail * tail;
+        axpy2(grad, r, x, k);
+        grad[k] += r;
+    }
+    axpy2(grad, -2.0 * lam, theta, k + 1);
+    return obj - lam * dot2(theta, theta, k + 1);
+}
+
+/* adds sum_i curv[i] xt_i xt_i^T, with xt_i = (rows[i], 1), to the lower
+   triangle of H (k + 1, k + 1). It takes four rows at a time (a short last
+   block gets zero weights), so that each cell is loaded and stored once
+   per four rows. */
+static void add_gram(double *H, int64_t k, const double *rows, const double *curv, int64_t m)
+{
+    int64_t d = k + 1;
+    for (int64_t i = 0; i < m; i += 4) {
+        const double *x0 = rows + i * k;
+        const double *x1 = i + 1 < m ? x0 + k : x0, *x2 = i + 2 < m ? x0 + 2 * k : x0;
+        const double *x3 = i + 3 < m ? x0 + 3 * k : x0;
+        double w0 = curv[i], w1 = i + 1 < m ? curv[i + 1] : 0.0;
+        double w2 = i + 2 < m ? curv[i + 2] : 0.0, w3 = i + 3 < m ? curv[i + 3] : 0.0;
+        for (int64_t a = 0; a < d; a++) {
+            /* row a of the triangle: columns 0 .. min(a, k - 1) of x, and
+               for the bias row a == k the constant 1 */
+            double c0 = a < k ? w0 * x0[a] : w0, c1 = a < k ? w1 * x1[a] : w1;
+            double c2 = a < k ? w2 * x2[a] : w2, c3 = a < k ? w3 * x3[a] : w3;
+            double *h = H + a * d;
+            int64_t top = a < k ? a + 1 : k, c = 0;
+            for (; c + 2 <= top; c += 2) {
+                h[c] += c0 * x0[c] + c1 * x1[c] + c2 * x2[c] + c3 * x3[c];
+                h[c + 1] += c0 * x0[c + 1] + c1 * x1[c + 1] + c2 * x2[c + 1] + c3 * x3[c + 1];
+            }
+            if (c < top)
+                h[c] += c0 * x0[c] + c1 * x1[c] + c2 * x2[c] + c3 * x3[c];
+            if (a == k)
+                h[k] += c0 + c1 + c2 + c3;
+        }
+    }
+}
+
+/* solves H x = g for the symmetric positive definite H (d, d), of which
+   the lower triangle is read and overwritten by its Cholesky factor; 0
+   when H is not positive definite */
+static int cholesky_solve(double *H, int64_t d, const double *g, double *x)
+{
+    for (int64_t j = 0; j < d; j++) {
+        double s = H[j * d + j];
+        for (int64_t p = 0; p < j; p++)
+            s -= H[j * d + p] * H[j * d + p];
+        if (!(s > 0.0))
+            return 0;
+        H[j * d + j] = sqrt(s);
+        for (int64_t i = j + 1; i < d; i++) {
+            double t = H[i * d + j];
+            for (int64_t p = 0; p < j; p++)
+                t -= H[i * d + p] * H[j * d + p];
+            H[i * d + j] = t / H[j * d + j];
+        }
+    }
+    for (int64_t i = 0; i < d; i++) {
+        double t = g[i];
+        for (int64_t p = 0; p < i; p++)
+            t -= H[i * d + p] * x[p];
+        x[i] = t / H[i * d + i];
+    }
+    for (int64_t i = d - 1; i >= 0; i--) {
+        double t = x[i];
+        for (int64_t p = i + 1; p < d; p++)
+            t -= H[p * d + i] * x[p];
+        x[i] = t / H[i * d + i];
+    }
+    return 1;
+}
+
+/*
+ * newton_fit's ascent from theta for split zeta, with curv and curv_new of
+ * m doubles as scratch. Returns the Newton steps taken, or -1 when a system
+ * is not positive definite; a run stopped at max_iter adds one to *capped
+ * and its gradient norm to cap_grad.
+ */
+static int64_t newton(const double *rows, const int64_t *slots, int64_t m, int64_t k,
+                      const int64_t *zeta, double lam, double grad_tol, double gain_ulps,
+                      int64_t max_iter, int64_t halvings, double *theta, double *curv,
+                      double *curv_new, int64_t *capped, double *cap_grad)
+{
+    int64_t d = k + 1;
+    double grad[MAX_THETA], grad_new[MAX_THETA], cand[MAX_THETA], step[MAX_THETA];
+    double H[MAX_THETA * MAX_THETA], gnorm = 0.0;
+    if (m == 0) {
+        for (int64_t j = 0; j < d; j++)
+            theta[j] = 0.0;
+        return 0;
+    }
+    double obj = node_objective(rows, slots, m, k, zeta, lam, theta, curv, grad);
+    for (int64_t it = 0; it < max_iter; it++) {
+        gnorm = sqrt(dot2(grad, grad, d));
+        if (gnorm < grad_tol)
+            return it;
+        for (int64_t a = 0; a < d; a++)
+            for (int64_t c = 0; c <= a; c++)
+                H[a * d + c] = a == c ? 2.0 * lam : 0.0;
+        add_gram(H, k, rows, curv, m);
+        if (!cholesky_solve(H, d, grad, step))
+            return -1;
+        if (dot2(grad, step, d) <= gain_ulps * DBL_EPSILON * fabs(obj)) {
+            /* below the objective's roundoff no line search sees an ascent */
+            for (int64_t j = 0; j < d; j++)
+                theta[j] += step[j];
+            return it + 1;
+        }
+        /* backtracking line search: halve until ascent */
+        double t = 1.0, obj_new = obj;
+        int64_t h;
+        for (h = 0; h < halvings; h++) {
+            for (int64_t j = 0; j < d; j++)
+                cand[j] = theta[j] + t * step[j];
+            obj_new = node_objective(rows, slots, m, k, zeta, lam, cand, curv_new, grad_new);
+            if (obj_new > obj)
+                break;
+            t *= 0.5;
+        }
+        if (h == halvings)
+            return it + 1;
+        double *swap = curv;
+        curv = curv_new;
+        curv_new = swap;
+        memcpy(theta, cand, (size_t)d * sizeof *theta);
+        memcpy(grad, grad_new, (size_t)d * sizeof *grad);
+        obj = obj_new;
+    }
+    cap_grad[(*capped)++] = gnorm;
+    return max_iter;
+}
+
+int64_t advsamp_fit_node(const double *rows, const int64_t *slots, int64_t m, int64_t k,
+                         const int64_t *label_ids, const int64_t *counts,
+                         const double *aggregates, int64_t L, int64_t num_real,
+                         double lam, double grad_tol, double gain_ulps, int64_t max_iter,
+                         int64_t halvings, int64_t guard, double *theta, int64_t *zeta,
+                         int64_t *counters, double *cap_grad)
+{
+    if (k + 1 > MAX_THETA)
+        return 1;
+    /* two curvature arrays, then the ranking and the next split */
+    char *scratch = malloc((size_t)(2 * m) * sizeof(double)
+                           + (size_t)L * (sizeof(ranked) + sizeof(int64_t)));
+    if (scratch == NULL)
+        return 2;
+    double *curv = (double *)scratch, *curv_new = curv + m;
+    ranked *order = (ranked *)(curv_new + m);
+    int64_t *next = (int64_t *)(order + L);
+    int64_t status = 0, round;
+    counters[0] = counters[1] = counters[2] = counters[3] = 0;
+    split_labels(aggregates, counts, label_ids, L, k, num_real, theta, order, zeta);
+    for (round = 0; round < guard; round++) {
+        int64_t steps = newton(rows, slots, m, k, zeta, lam, grad_tol, gain_ulps, max_iter,
+                               halvings, theta, curv, curv_new, &counters[2], cap_grad);
+        if (steps < 0) {
+            status = 3;
+            break;
+        }
+        counters[0] += steps;
+        counters[1]++;
+        split_labels(aggregates, counts, label_ids, L, k, num_real, theta, order, next);
+        int same = memcmp(next, zeta, (size_t)L * sizeof *zeta) == 0;
+        memcpy(zeta, next, (size_t)L * sizeof *zeta);
+        if (same)
+            break;
+    }
+    counters[3] = round == guard;
+    free(scratch);
+    return status;
+}
+
+/*
  * svmlight parsing. advsamp_parse_svmlight reads a whole file,
  * buf[0 .. len-1] with buf[len] == 0 (as in a Python bytes object), in one
  * pass. It accepts a strict ASCII subset of the format that
@@ -184,6 +475,9 @@ int64_t advsamp_softmax_steps(const int64_t *indptr, const int64_t *indices, con
  * (indices, data). The arrays hold max_rows + 1, max_labels and max_nnz
  * entries; a file that needs more is declined. On success it stores rows,
  * label count, nnz and K in sizes[0 .. 3] and returns -1.
+ *
+ * advsamp_count_svmlight sizes those arrays: one pass stores the counts of
+ * '\n', ',' and ':' in buf[0 .. len-1] into counts[0 .. 2] and returns 0.
  */
 
 #define MAX_INDEX (INT64_MAX - 1) /* so that index + 1 is an int64 too */
@@ -289,6 +583,39 @@ static int parse_header(const char *p, const char *end, int64_t *k)
         return 0;
     *k = field[1];
     return 1;
+}
+
+#define ONES UINT64_C(0x0101010101010101)
+
+/* the number of bytes of the word w equal to the byte c */
+static int64_t count_byte(uint64_t w, unsigned char c)
+{
+    const uint64_t low7 = 0x7F * ONES;
+    uint64_t x = w ^ (c * ONES);
+    /* 0x80 in each zero byte of x, 0 in the others; no carry crosses bytes */
+    uint64_t zero = ~(((x & low7) + low7) | x | low7);
+    return (int64_t)(((zero >> 7) * ONES) >> 56);
+}
+
+int64_t advsamp_count_svmlight(const char *buf, int64_t len, int64_t *counts)
+{
+    int64_t lines = 0, commas = 0, colons = 0, i = 0;
+    for (; i + 8 <= len; i += 8) {
+        uint64_t w;
+        memcpy(&w, buf + i, sizeof w);
+        lines += count_byte(w, '\n');
+        commas += count_byte(w, ',');
+        colons += count_byte(w, ':');
+    }
+    for (; i < len; i++) {
+        lines += buf[i] == '\n';
+        commas += buf[i] == ',';
+        colons += buf[i] == ':';
+    }
+    counts[0] = lines;
+    counts[1] = commas;
+    counts[2] = colons;
+    return 0;
 }
 
 int64_t advsamp_parse_svmlight(const char *buf, int64_t len, int64_t offset,

@@ -9,7 +9,10 @@ a large bias sentinel.
 
 Fitting is greedy and top-down: at each node, alternate Newton ascent on
 (w, b) with a balanced re-partition of the node's labels until the
-partition is a fixed point, then recurse into both halves.
+partition is a fixed point, then recurse into both halves. The alternation
+runs in the compiled kernel when ``kernel.load()`` has one; the numpy
+``newton_fit``/``split_labels`` alternation is its fallback and its
+reference.
 
 Tree layout: heap order, node i has children 2i+1 (left) and 2i+2 (right);
 level l holds the contiguous nodes 2^l - 1 ... 2^(l+1) - 2, and leaf
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .data_io import _open_npz, label_array
 from .errors import DataError, NumericError
 
@@ -38,8 +42,14 @@ NEWTON_GRAD_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 # a predicted gain below this many ulps of |objective| is roundoff
 NEWTON_GAIN_ULPS = 4.0
+LINE_SEARCH_HALVINGS = 60
 ALTERNATION_GUARD = 50
 MAX_REDUCED_DIM = 64
+
+# what fit_node counts for one node, in this order: Newton steps, alternation
+# rounds, Newton runs stopped at NEWTON_MAX_ITER, and 1 when
+# ALTERNATION_GUARD stopped the alternation
+NODE_COUNTERS = ("newton_steps", "alternation_rounds", "newton_capped", "guard_hit")
 
 
 def sigmoid(z):
@@ -57,26 +67,44 @@ class NodeFitProblem:
 
     ``slots[i]`` is the position in ``label_ids`` of row i's label.
     ``label_ids`` may include padding ids (>= num_real_labels), which carry
-    no rows and are forced to the left half during splitting.
+    no rows and are forced to the left half during splitting. ``counts`` and
+    ``aggregates`` are each label's row count and row sum; they are computed
+    from the rows unless given. The arrays are C-contiguous int64 and
+    float64, as the compiled fit reads them.
     """
 
     label_ids: np.ndarray  # (L,)
     rows: np.ndarray  # (m, k)
     slots: np.ndarray  # (m,) in [0, L)
     num_real_labels: int
+    counts: np.ndarray | None = None  # (L,)
+    aggregates: np.ndarray | None = None  # (L, k)
 
     def __post_init__(self):
-        self.label_ids = np.asarray(self.label_ids, dtype=np.int64)
+        self.label_ids = np.ascontiguousarray(self.label_ids, dtype=np.int64)
         if self.label_ids.size < 2:
             raise DataError("node fit needs at least 2 labels")
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        self.slots = np.asarray(self.slots, dtype=np.intp)
-        self.counts = np.bincount(self.slots, minlength=self.label_ids.size)
-        self.aggregates = np.zeros((self.label_ids.size, self.rows.shape[1]))
-        np.add.at(self.aggregates, self.slots, self.rows)
+        self.rows = np.ascontiguousarray(self.rows, dtype=np.float64)
+        self.slots = np.ascontiguousarray(self.slots, dtype=np.int64)
+        if self.counts is None:
+            self.counts = np.bincount(self.slots, minlength=self.label_ids.size)
+        self.counts = np.ascontiguousarray(self.counts, dtype=np.int64)
+        if self.aggregates is None:
+            self.aggregates = label_sums(self.rows, self.slots, self.label_ids.size)
+        self.aggregates = np.ascontiguousarray(self.aggregates, dtype=np.float64)
 
     def is_padding(self) -> np.ndarray:
         return self.label_ids >= self.num_real_labels
+
+
+def label_sums(rows, slots, num_slots: int) -> np.ndarray:
+    """The sum of the rows in each slot; (num_slots, k). A sum with an
+    infinite or NaN term is not finite, so the check sees every such row."""
+    sums = np.zeros((num_slots, rows.shape[1]))
+    np.add.at(sums, slots, rows)
+    if not np.isfinite(sums).all():
+        raise NumericError("reduced rows for the tree fit are not finite")
+    return sums
 
 
 def all_deltas(problem: NodeFitProblem, w, b) -> np.ndarray:
@@ -99,13 +127,14 @@ def split_labels(problem: NodeFitProblem, w, b) -> np.ndarray:
     return zeta
 
 
-def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0):
+def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0, counters=None):
     """Maximize the regularized node objective over (w, b) by Newton ascent.
 
     Backtracking halves the step until the objective increases. Once the
     predicted gain grad . step is below the objective's roundoff, no line
     search can see an ascent, so the full Newton step is taken and the
-    ascent stops. Requires lam > 0 for strict concavity.
+    ascent stops. Requires lam > 0 for strict concavity. Adds its steps, and
+    a run stopped at NEWTON_MAX_ITER, to ``counters`` (see NODE_COUNTERS).
     """
     if lam <= 0:
         raise DataError("node regularizer must be positive")
@@ -135,12 +164,14 @@ def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0):
         curv = sig * (1.0 - sig)  # sigma(z) sigma(-z)
         H = Xt.T @ (Xt * curv[:, None]) + 2.0 * lam * np.eye(k + 1)
         step = np.linalg.solve(H, grad)
+        if counters is not None:
+            counters[0] += 1
         if grad @ step <= NEWTON_GAIN_ULPS * np.finfo(np.float64).eps * abs(obj):
             theta = theta + step
             return theta[:k].copy(), float(theta[k])
         # backtracking line search: halve until ascent
         t = 1.0
-        for _ in range(60):
+        for _ in range(LINE_SEARCH_HALVINGS):
             cand = theta + t * step
             new_obj, new_grad, new_z = obj_and_grad(cand)
             if new_obj > obj:
@@ -149,23 +180,32 @@ def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0):
         else:
             return theta[:k].copy(), float(theta[k])
         theta, obj, grad, z = cand, new_obj, new_grad, new_z
-    warnings.warn(f"Newton ascent hit {NEWTON_MAX_ITER} iterations (|grad|={gnorm:.2e})")
+    if counters is not None:
+        counters[2] += 1
+    _warn_newton_capped(gnorm)
     return theta[:k].copy(), float(theta[k])
+
+
+def _warn_newton_capped(gnorm):
+    warnings.warn(f"Newton ascent hit {NEWTON_MAX_ITER} iterations (|grad|={gnorm:.2e})")
 
 
 def init_node(problem: NodeFitProblem):
     """Initial (w, b): dominant eigenvector of the covariance of the
     per-label aggregate vectors; bias zero."""
     real = ~problem.is_padding()
-    aggs = problem.aggregates[real]
+    aggs, counts = problem.aggregates, problem.counts
+    if not real.all():
+        aggs, counts = aggs[real], counts[real]
     k = aggs.shape[1]
     # labels without training rows (e.g. all of them in the validation
     # split) give all-zero aggregates and nothing to fit
-    if aggs.shape[0] < 2 or not problem.counts[real].any():
+    if aggs.shape[0] < 2 or not counts.any():
         return np.eye(k)[0], 0.0
-    centered = aggs - aggs.mean(axis=0)
+    # the sum and division of aggs.mean(axis=0), without its Python layers
+    centered = aggs - np.add.reduce(aggs, axis=0) / aggs.shape[0]
     cov = centered.T @ centered / aggs.shape[0]
-    if not np.any(cov):
+    if not cov.any():
         warnings.warn("zero covariance of label aggregates; using first basis vector")
         return np.eye(k)[0], 0.0
     lam, vecs = np.linalg.eigh(cov)
@@ -175,26 +215,98 @@ def init_node(problem: NodeFitProblem):
     return vecs[:, -1], 0.0
 
 
-def fit_node(problem: NodeFitProblem, lam: float):
+def fit_node(problem: NodeFitProblem, lam: float, lib=None, counters=None):
     """Alternate Newton ascent and balanced re-splitting to a fixed point.
 
     Returns (w, b, zeta). Neither half-step lowers the regularized node
-    objective (``tests/test_aux_tree.py`` traces it).
+    objective (``tests/test_aux_tree.py`` traces it). The alternation runs
+    in the kernel library ``lib`` when one is given, else in numpy; either
+    fills ``counters`` (int64, see NODE_COUNTERS) when it is given.
     """
+    if lam <= 0:
+        raise DataError("node regularizer must be positive")
+    if counters is None:
+        counters = np.zeros(len(NODE_COUNTERS), dtype=np.int64)
+    if lib is not None:
+        _check_kernel_arrays(problem, counters)
     w, b = init_node(problem)
+    if lib is None:
+        w, b, zeta = _alternate(problem, lam, w, b, counters)
+    else:
+        w, b, zeta = _alternate_c(lib, problem, lam, w, b, counters)
+    if counters[3]:
+        warnings.warn(f"node fit did not reach a split fixed point in {ALTERNATION_GUARD} rounds")
+    if not (np.isfinite(w).all() and np.isfinite(b)):
+        raise NumericError("tree node fit gave non-finite parameters")
+    return w, b, zeta
+
+
+def _alternate(problem, lam, w, b, counters):
+    """fit_node's alternation in numpy, from (w, b)."""
+    counters[:] = 0
     zeta = split_labels(problem, w, b)
     for _ in range(ALTERNATION_GUARD):
-        w, b = newton_fit(problem, zeta, lam, w0=w, b0=b)
+        w, b = newton_fit(problem, zeta, lam, w0=w, b0=b, counters=counters)
+        counters[1] += 1
         new_zeta = split_labels(problem, w, b)
         if np.array_equal(new_zeta, zeta):
             return w, b, zeta
         zeta = new_zeta
-    warnings.warn(f"node fit did not reach a split fixed point in {ALTERNATION_GUARD} rounds")
+    counters[3] = 1
     return w, b, zeta
 
 
+def _check_kernel_arrays(problem, counters):
+    """The compiled fit indexes every array by the shapes and ``slots``
+    unchecked."""
+    (L, k), m = problem.aggregates.shape, problem.slots.size
+    if k > MAX_REDUCED_DIM:
+        raise DataError(f"reduced dimension {k} exceeds the supported maximum {MAX_REDUCED_DIM}")
+    for arr, dtype, shape in ((problem.rows, np.float64, (m, k)), (problem.slots, np.int64, (m,)),
+                              (problem.label_ids, np.int64, (L,)),
+                              (problem.counts, np.int64, (L,)),
+                              (problem.aggregates, np.float64, (L, k)),
+                              (counters, np.int64, (len(NODE_COUNTERS),))):
+        if not (arr.dtype == dtype and arr.shape == shape and arr.flags.c_contiguous):
+            raise DataError(f"node fit needs C-contiguous {np.dtype(dtype).name} arrays "
+                            f"of shape {shape}")
+    if m and (problem.slots.min() < 0 or problem.slots.max() >= L):
+        raise DataError(f"node fit slots must lie in [0, {L})")
+
+
+def _alternate_c(lib, problem, lam, w, b, counters):
+    """fit_node's alternation in the compiled kernel, from (w, b)."""
+    (L, k), m = problem.aggregates.shape, problem.slots.size
+    theta = np.empty(k + 1)
+    theta[:k], theta[k] = w, b
+    zeta = np.empty(L, dtype=np.int64)
+    cap_grad = np.empty(ALTERNATION_GUARD)
+    status = lib.advsamp_fit_node(
+        problem.rows.ctypes.data, problem.slots.ctypes.data, m, k,
+        problem.label_ids.ctypes.data, problem.counts.ctypes.data,
+        problem.aggregates.ctypes.data, L, problem.num_real_labels,
+        lam, NEWTON_GRAD_TOL, NEWTON_GAIN_ULPS, NEWTON_MAX_ITER, LINE_SEARCH_HALVINGS,
+        ALTERNATION_GUARD, theta.ctypes.data, zeta.ctypes.data, counters.ctypes.data,
+        cap_grad.ctypes.data)
+    if status == 2:
+        raise MemoryError("no memory for the node fit's scratch arrays")
+    if status:
+        raise NumericError("tree node fit gave non-finite parameters")
+    for gnorm in cap_grad[:counters[2]]:
+        _warn_newton_capped(gnorm)
+    return theta[:k], float(theta[k]), zeta
+
+
 class AuxiliaryTree:
-    """Fitted conditional label distribution p(y | x_reduced)."""
+    """Fitted conditional label distribution p(y | x_reduced).
+
+    ``fit_report`` is None, or for a tree ``fit_tree`` made, what the fit
+    did: its backend ("c" or "python"), the totals of NODE_COUNTERS' first
+    two counters, and the heap indices of the nodes whose Newton ascent hit
+    NEWTON_MAX_ITER and whose alternation hit ALTERNATION_GUARD.
+    """
+
+    fit_report: dict | None = None
 
     def __init__(self, node_w, node_b, label_leaf, num_labels, depth):
         self.node_w = np.asarray(node_w, dtype=np.float64)  # (Cp-1, k)
@@ -296,7 +408,8 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
     Pads the label set to a power of two (padding ids appended after the
     real ones), recursively fits every internal node, and pins any node
     with an all-padding child to the sentinel bias so padding mass
-    underflows to zero.
+    underflows to zero. The nodes are fitted in the compiled kernel when
+    ``kernel.load()`` returns it, else in numpy.
     """
     Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
     C = int(num_labels)
@@ -310,13 +423,20 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
     Cp = 1 << depth
 
     # rows sorted by label once: filtering keeps every node's rows grouped
-    # by label, in the order of its ascending label ids
+    # by label, in the order of its ascending label ids; a label's rows are
+    # the same at every node, so are its count and row sum
     order = np.argsort(labels, kind="stable")
     Xs, ys = Xr[order], labels[order]
+    label_counts = np.bincount(ys, minlength=Cp)
+    label_aggs = label_sums(Xs, ys, Cp)
 
     node_w = np.zeros((Cp - 1, k))
     node_b = np.zeros(Cp - 1)
     label_leaf = np.zeros(C, dtype=np.int64)
+    lib = kernel.load()
+    counters = np.zeros(len(NODE_COUNTERS), dtype=np.int64)
+    report = {"backend": "python" if lib is None else "c", "newton_steps": 0,
+              "alternation_rounds": 0, "newton_capped_nodes": [], "guard_nodes": []}
 
     def recurse(node, ids, rows, leaf_base):
         if ids.size == 1:
@@ -332,7 +452,14 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
             recurse(2 * node + 2, ids[:-half], rows, leaf_base + half)
             return
         slots = np.searchsorted(ids, ys[rows])
-        w, b, zeta = fit_node(NodeFitProblem(ids, Xs[rows], slots, C), lam)
+        problem = NodeFitProblem(ids, Xs[rows], slots, C, label_counts[ids], label_aggs[ids])
+        w, b, zeta = fit_node(problem, lam, lib, counters)
+        report["newton_steps"] += int(counters[0])
+        report["alternation_rounds"] += int(counters[1])
+        if counters[2]:
+            report["newton_capped_nodes"].append(node)
+        if counters[3]:
+            report["guard_nodes"].append(node)
         node_w[node] = w
         node_b[node] = b
         side = zeta[slots]
@@ -340,4 +467,6 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
         recurse(2 * node + 2, ids[zeta > 0], rows[side > 0], leaf_base + half)
 
     recurse(0, np.arange(Cp), np.arange(labels.size), 0)
-    return AuxiliaryTree(node_w, node_b, label_leaf, C, depth)
+    tree = AuxiliaryTree(node_w, node_b, label_leaf, C, depth)
+    tree.fit_report = report
+    return tree

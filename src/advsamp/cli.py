@@ -160,9 +160,11 @@ def cmd_fit_aux(args) -> int:
     fit_seconds = time.perf_counter() - t0
     tree.save(out / "tree.npz")
     manifest.add_output(out / "tree.npz")
-    manifest.write({"aux_fit_wall_clock_s": fit_seconds})
+    # the backend, Newton steps, alternation rounds and the nodes stopped
+    # by a guard, for a run directory to show how the fit went
+    manifest.write({"aux_fit_wall_clock_s": fit_seconds, **tree.fit_report})
     print(f"fit-aux: depth={tree.depth} padded={tree.padded_size} "
-          f"wall_clock_s={fit_seconds:.3f}")
+          f"backend={tree.fit_report['backend']} wall_clock_s={fit_seconds:.3f}")
     return 0
 
 

@@ -129,10 +129,14 @@ def load_svmlight(path, one_based: bool = False) -> RawDataset:
 def _load_svmlight_c(lib, path, offset: int) -> RawDataset | None:
     """The file read by the compiled reader, or None when it declines it."""
     text = Path(path).read_bytes()
-    # upper bounds: a row per line, a label per comma or row, a feature per colon
-    max_rows = text.count(b"\n") + 1
-    max_labels = text.count(b",") + max_rows
-    max_nnz = text.count(b":")
+    # upper bounds, which the parser checks: a row per line, a label per
+    # comma or row, a feature per colon
+    counts = np.empty(3, dtype=np.int64)
+    lib.advsamp_count_svmlight(text, len(text), counts.ctypes.data)
+    newlines, commas, colons = counts.tolist()
+    max_rows = newlines + 1
+    max_labels = commas + max_rows
+    max_nnz = colons
     label_ptr = np.empty(max_rows + 1, dtype=np.int64)
     indptr = np.empty(max_rows + 1, dtype=np.int64)
     labels = np.empty(max_labels, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Build and load the compiled kernel library, ``_kernel.c``.
 
-It has two users: ``advsamp.training`` runs its training steps through it,
+It has three users: ``advsamp.training`` runs its training steps through
+it, ``advsamp.aux_tree.fit_tree`` fits each tree node's alternation with it,
 and ``advsamp.data_io.load_svmlight`` parses svmlight files with it.
 
 The source is compiled on first use with the system C compiler (``cc``,
@@ -12,8 +13,9 @@ writable the build goes into a private temporary directory, removed again
 once the library is loaded. Nothing is compiled at import.
 
 ``load()`` returns None, with one warning per process, when no compiler is
-found or the build fails; training then runs its Python step loop, and
-svmlight files are read by the Python line-by-line reader.
+found or the build fails; training then runs its Python step loop, the
+tree nodes are fitted by the numpy alternation, and svmlight files are read
+by the Python line-by-line reader.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ SIGNATURES = {
     # CSR arrays, order, labels; t0, t1; W, B, AW, AB; C, K;
     # rho, lam, eps; scratch p; loss out
     "advsamp_softmax_steps": [_P] * 5 + [_I] * 2 + [_P] * 4 + [_I] * 2 + [_D] * 3 + [_P] * 2,
+    # rows, slots; m, k; label ids, counts, aggregates; L, num_real;
+    # lam, grad tol, gain ulps; max iter, halvings, guard;
+    # theta in/out, zeta, counters and cap_grad out
+    "advsamp_fit_node": [_P] * 2 + [_I] * 2 + [_P] * 3 + [_I] * 2 + [_D] * 3 + [_I] * 3 + [_P] * 4,
+    # file bytes, length; counts of newlines, commas and colons out
+    "advsamp_count_svmlight": [_S, _I, _P],
     # file bytes, length, index offset; row, label and nonzero capacities;
     # label_ptr, labels, indptr, indices, data; sizes out
     "advsamp_parse_svmlight": [_S] + [_I] * 5 + [_P] * 6,
@@ -115,6 +123,6 @@ def load():
 
 def _unavailable(reason: str):
     warnings.warn(f"compiled kernel unavailable ({reason}); training runs the Python "
-                  "step loop and svmlight files are parsed in Python",
-                  RuntimeWarning, stacklevel=3)
+                  "step loop, tree nodes are fitted in numpy and svmlight files are "
+                  "parsed in Python", RuntimeWarning, stacklevel=3)
     return None

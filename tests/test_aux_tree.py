@@ -1,15 +1,20 @@
 import itertools
+import re
+import shutil
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from advsamp import aux_tree, kernel
 from advsamp.aux_tree import (
     ALTERNATION_GUARD,
     B_PAD,
+    NODE_COUNTERS,
     AuxiliaryTree,
     NodeFitProblem,
     all_deltas,
@@ -24,6 +29,17 @@ from advsamp.aux_tree import (
 from advsamp.errors import DataError, NumericError
 
 from conftest import CountingRng
+
+needs_kernel = pytest.mark.skipif(shutil.which("cc") is None and shutil.which("gcc") is None,
+                                  reason="no C compiler (cc or gcc) on PATH")
+
+# The compiled node fit sums in another order and solves by Cholesky where
+# numpy uses LU, so its parameters theta = (w, b) agree with numpy's within
+# |theta_c - theta_numpy| <= THETA_RTOL * max(|theta_numpy|, 1), not bit for
+# bit. Both stop where |grad| < 1e-10 or a Newton gain is below roundoff;
+# the largest difference seen on random problems was 6e-8, on the
+# benchmark's datasets 1e-14.
+THETA_RTOL = 1e-6
 
 
 def random_tree(C, k, rng, scale=1.0):
@@ -105,6 +121,70 @@ def fit_tree_oracle(Xr, labels, C, lam):
 
     recurse(0, list(range(Cp)), 0)
     return node_w, node_b, label_leaf
+
+
+def oracle_case(C, k, n, seed):
+    """Rows and labels for C labels in k dimensions: some labels without
+    rows, and rows repeated within and across labels."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.standard_normal((int(rng.integers(1, n + 2)), k))
+    X = distinct[rng.integers(0, distinct.shape[0], n)]
+    present = rng.choice(C, size=int(rng.integers(1, C + 1)), replace=False)
+    return X, rng.choice(present, size=n)
+
+
+def root_problem(X, labels, C):
+    """The root's ``NodeFitProblem`` as ``fit_tree`` builds it: every label
+    id of the padded tree, the rows grouped by label."""
+    order = np.argsort(labels, kind="stable")
+    Cp = 1 << int(np.ceil(np.log2(C)))
+    return NodeFitProblem(np.arange(Cp), X[order], labels[order], C)
+
+
+def fitted_nodes(tree, X, labels):
+    """Each fitted node of ``tree`` as (heap index, its NodeFitProblem, its
+    split), rebuilt from the leaf map: the node's real labels ascending,
+    then padding ids for its other leaves, which its split puts left."""
+    C = tree.num_labels
+    for node in range(tree.padded_size - 1):
+        if tree.node_b[node] == B_PAD:
+            continue
+        level = int(np.log2(node + 1))
+        size = tree.padded_size >> level
+        first = (node + 1 - (1 << level)) * size
+        ids = np.flatnonzero((tree.label_leaf >= first) & (tree.label_leaf < first + size))
+        right = tree.label_leaf[ids] >= first + size // 2
+        ids = np.concatenate([ids, C + np.arange(size - ids.size)])
+        zeta = np.where(np.concatenate([right, np.zeros(size - right.size, bool)]), 1, -1)
+        rows = np.flatnonzero(np.isin(labels, ids))
+        rows = rows[np.argsort(labels[rows], kind="stable")]
+        problem = NodeFitProblem(ids, X[rows], np.searchsorted(ids, labels[rows]), C)
+        yield node, problem, zeta
+
+
+def assert_theta_close(got, want):
+    got, want = np.append(*got), np.append(*want)
+    assert np.linalg.norm(got - want) <= THETA_RTOL * max(np.linalg.norm(want), 1.0), (got, want)
+
+
+def assert_reference_fixed_point(problem, w, b, zeta, lam):
+    """(w, b, zeta) is where the numpy alternation stops: (w, b) is its
+    Newton optimum for zeta, with the same node objective, and zeta its
+    balanced split of (w, b), but for labels whose deltas tie the split's
+    boundary to roundoff (numpy sums each delta in another order)."""
+    w2, b2 = newton_fit(problem, zeta, lam, w0=w, b0=b)
+    assert_theta_close((w, b), (w2, b2))
+    obj, ref = node_objective(problem, w, b, zeta, lam), node_objective(problem, w2, b2, zeta, lam)
+    assert abs(obj - ref) <= THETA_RTOL * max(abs(ref), 1.0)
+    deltas = np.where(problem.is_padding(), -np.inf, all_deltas(problem, w, b))
+    moved = split_labels(problem, w, b) != zeta
+    if moved.any():
+        boundary = np.sort(deltas)[::-1][problem.label_ids.size // 2 - 1]
+        tol = 1e-9 * max(1.0, np.abs(deltas[np.isfinite(deltas)]).max())
+        assert np.abs(deltas[moved] - boundary).max() <= tol, (deltas, zeta)
+        # equal deltas are no near-tie: their order is the ids'
+        up, down = deltas[moved & (zeta > 0)], deltas[moved & (zeta < 0)]
+        assert not np.isin(up, down).any(), (deltas, zeta)
 
 
 def node_objective(problem, w, b, zeta, lam):
@@ -446,11 +526,13 @@ class TestFitNode:
         assert sorted(zeta) == [-1, 1]
 
     def test_identical_features_tie_break(self):
+        # equal deltas: ids break the tie, on either backend
         same = np.array([[0.5, -0.5], [0.5, -0.5]])
-        with pytest.warns(UserWarning):
-            w, b, zeta = fit_node(make_problem([same.copy() for _ in range(4)]), lam=1.0)
-        assert np.linalg.norm(w) < 1e-4
-        assert list(zeta) == [1, 1, -1, -1]
+        for lib in {kernel.load(), None}:
+            with pytest.warns(UserWarning):
+                w, b, zeta = fit_node(make_problem([same.copy() for _ in range(4)]), 1.0, lib)
+            assert np.linalg.norm(w) < 1e-4
+            assert list(zeta) == [1, 1, -1, -1]
 
     def test_objective_nondecreasing_random_problems(self, rng):
         for trial in range(50):
@@ -464,6 +546,111 @@ class TestFitNode:
             # the traced copy is the alternation fit_node runs
             fw, fb, fzeta = fit_node(problem, lam=0.1)
             assert np.array_equal(fw, w) and fb == b and np.array_equal(fzeta, zeta)
+
+
+@needs_kernel
+class TestCompiledNodeFit:
+    """``fit_node`` in the compiled kernel against its numpy alternation."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(C=st.sampled_from([2, 4, 8, 16, 3, 5, 9, 17]), k=st.integers(1, 8),
+           n=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_fit(self, C, k, n, seed):
+        # test_matches_per_label_oracle's cases, at the root: padding ids,
+        # labels without rows, repeated rows, k = 1
+        problem = root_problem(*oracle_case(C, k, n, seed), C)
+        counters = np.zeros((2, len(NODE_COUNTERS)), dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            wc, bc, zc = fit_node(problem, 0.1, kernel.load(), counters[0])
+            wp, bp, zp = fit_node(problem, 0.1, None, counters[1])
+        if np.array_equal(zc, zp):
+            assert_theta_close((wc, bc), (wp, bp))
+            assert counters[0, 1] == counters[1, 1]  # alternation rounds
+        else:
+            event("a near-tie in delta flipped the split")
+        if not counters[0, 2:].any():
+            assert_reference_fixed_point(problem, wc, bc, zc, 0.1)
+
+    def test_same_warnings_and_counters(self, rng, monkeypatch):
+        # one Newton step and one round are too few for this problem, so
+        # both stops fire on either backend; the kernel reads the limits
+        # from the module, as the numpy fit does
+        monkeypatch.setattr(aux_tree, "NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(aux_tree, "ALTERNATION_GUARD", 1)
+        rng = np.random.default_rng(28)  # its alternation takes 2 rounds
+        problem = make_problem([rng.standard_normal((int(rng.integers(1, 6)), 3))
+                                for _ in range(4)])
+        found = []
+        for lib in (kernel.load(), None):
+            counters = np.zeros(len(NODE_COUNTERS), dtype=np.int64)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit_node(problem, 0.1, lib, counters)
+            found.append(([re.sub(r"\|grad\|=[^)]*", "", str(w.message)) for w in caught],
+                          counters.tolist()))
+        assert found[0] == found[1]
+        assert found[0][0] == ["Newton ascent hit 1 iterations ()",
+                               "node fit did not reach a split fixed point in 1 rounds"]
+        assert found[0][1] == [1, 1, 1, 1]
+
+    def test_tree_reports_the_stopped_nodes(self, monkeypatch):
+        monkeypatch.setattr(aux_tree, "ALTERNATION_GUARD", 1)
+        rng = np.random.default_rng(39)  # a node takes 2 rounds
+        X = rng.standard_normal((12, 3))
+        labels = rng.integers(0, 4, 12)
+        reports = []
+        for lib in (kernel.load(), None):
+            with mock.patch.object(kernel, "load", lambda: lib), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                reports.append(fit_tree(X, labels, 4, 0.1).fit_report)
+        assert [r["backend"] for r in reports] == ["c", "python"]
+        for r in reports:
+            assert r["alternation_rounds"] == 3 and r["newton_steps"] > 0
+            assert r["newton_capped_nodes"] == []
+        assert reports[0]["guard_nodes"] == reports[1]["guard_nodes"] != []
+
+    @pytest.mark.parametrize("change,why", [
+        (lambda p: setattr(p, "rows", np.asfortranarray(p.rows)), "C-contiguous"),
+        (lambda p: setattr(p, "rows", p.rows[:, :2]), "C-contiguous"),
+        (lambda p: setattr(p, "slots", p.slots.astype(np.int32)), "C-contiguous"),
+        (lambda p: setattr(p, "slots", p.slots[:-1]), "C-contiguous"),
+        (lambda p: setattr(p, "label_ids", p.label_ids.astype(np.float64)), "C-contiguous"),
+        (lambda p: setattr(p, "counts", p.counts[:-1]), "C-contiguous"),
+        (lambda p: setattr(p, "aggregates", np.asfortranarray(p.aggregates)), "C-contiguous"),
+        (lambda p: p.slots.__setitem__(0, 4), "slots"),
+        (lambda p: p.slots.__setitem__(-1, -1), "slots"),
+    ])
+    def test_bad_arrays_rejected(self, rng, change, why):
+        # the kernel would read or write outside the arrays
+        problem = make_problem([rng.standard_normal((3, 3)) for _ in range(4)])
+        change(problem)
+        with pytest.raises(DataError, match=why):
+            fit_node(problem, 0.1, kernel.load())
+
+    def test_widest_reduced_dimension(self, rng):
+        feats = [rng.standard_normal((20, aux_tree.MAX_REDUCED_DIM)) + j for j in range(2)]
+        problem = make_problem(feats)
+        fits = [fit_node(problem, 0.1, lib) for lib in (kernel.load(), None)]
+        assert np.array_equal(fits[0][2], fits[1][2])
+        assert_theta_close(fits[0][:2], fits[1][:2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_same_error(rng, bad):
+    # never a silent NaN tree, on either backend
+    X = rng.standard_normal((30, 3))
+    X[7, 1] = bad
+    labels = rng.integers(0, 5, 30)
+    messages = []
+    for lib in (kernel.load(), None):
+        with mock.patch.object(kernel, "load", lambda: lib), \
+                pytest.raises(NumericError) as exc:
+            fit_tree(X, labels, 5, 0.1)
+        messages.append(str(exc.value))
+        with pytest.raises(NumericError):
+            fit_node(make_problem([X[:15], X[15:]]), 0.1, lib)
+    assert messages[0] == messages[1]
 
 
 class TestTreeValidation:
@@ -504,19 +691,35 @@ class TestFitTree:
            n=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
     def test_matches_per_label_oracle(self, C, k, n, seed):
         # C = 2, powers of two, and 2^d + 1 (the most padding); some labels
-        # without rows, and rows repeated within and across labels
-        rng = np.random.default_rng(seed)
-        distinct = rng.standard_normal((int(rng.integers(1, n + 2)), k))
-        X = distinct[rng.integers(0, distinct.shape[0], n)]
-        present = rng.choice(C, size=int(rng.integers(1, C + 1)), replace=False)
-        labels = rng.choice(present, size=n)
+        # without rows, and rows repeated within and across labels. The
+        # numpy fit is the oracle's arithmetic bit for bit; the compiled
+        # one agrees within THETA_RTOL, and each of its nodes is a fixed
+        # point of the numpy alternation
+        X, labels = oracle_case(C, k, n, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            tree = fit_tree(X, labels, C, 0.1)
             node_w, node_b, label_leaf = fit_tree_oracle(X, labels, C, 0.1)
-        assert tree.node_w.tobytes() == node_w.tobytes()
-        assert tree.node_b.tobytes() == node_b.tobytes()
-        assert np.array_equal(tree.label_leaf, label_leaf)
+            with mock.patch.object(kernel, "load", lambda: None):
+                tree = fit_tree(X, labels, C, 0.1)
+            assert tree.fit_report["backend"] == "python"
+            assert tree.node_w.tobytes() == node_w.tobytes()
+            assert tree.node_b.tobytes() == node_b.tobytes()
+            assert np.array_equal(tree.label_leaf, label_leaf)
+            if kernel.load() is None:
+                return
+            tree = fit_tree(X, labels, C, 0.1)
+            assert tree.fit_report["backend"] == "c"
+            if np.array_equal(tree.label_leaf, label_leaf):
+                for node in range(node_b.size):
+                    assert_theta_close((tree.node_w[node], tree.node_b[node]),
+                                       (node_w[node], node_b[node]))
+            else:
+                event("a near-tie in delta flipped a split")
+            stopped = tree.fit_report["newton_capped_nodes"] + tree.fit_report["guard_nodes"]
+            for node, problem, zeta in fitted_nodes(tree, X, labels):
+                if node not in stopped:
+                    assert_reference_fixed_point(problem, tree.node_w[node], tree.node_b[node],
+                                                 zeta, 0.1)
 
     def test_separable_likelihood_approaches_zero(self, rng):
         # one private feature per label: perfectly separable

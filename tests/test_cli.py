@@ -86,6 +86,24 @@ class TestPipeline:
         assert f"backend={want} " in preprocess_line
         assert preprocessed["parse_s"] > 0
 
+    def test_fit_aux_records_the_fit(self, workdir, capsys, monkeypatch):
+        out, base = workdir
+        sets = base + ["noise=adversarial"]
+        assert run("preprocess", out, sets) == 0
+        want = "c" if shutil.which("cc") or shutil.which("gcc") else "python"
+        for backend in (want, "python"):
+            if backend == "python":
+                monkeypatch.setattr(advsamp.kernel, "load", lambda: None)
+            assert run("fit-aux", out, sets) == 0
+            line = capsys.readouterr().out.strip().splitlines()[-1]
+            assert f" backend={backend} " in line
+            fit = json.loads((out / "manifest-fit-aux.json").read_text())
+            assert fit["backend"] == backend
+            # 5 labels pad to 8: 4 fitted nodes, each at least one round
+            assert fit["alternation_rounds"] >= 4
+            assert fit["newton_steps"] >= fit["alternation_rounds"]
+            assert fit["newton_capped_nodes"] == [] and fit["guard_nodes"] == []
+
     def test_retrain_keeps_aux_fit_time(self, workdir):
         # a second train still finds the fit-aux record and shifts its curve
         out, base = workdir

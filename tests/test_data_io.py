@@ -340,6 +340,19 @@ class TestFastReaderMatchesReference:
         assert_same_outcome(fast, slow)
 
 
+@pytest.mark.skipif(shutil.which("cc") is None and shutil.which("gcc") is None,
+                    reason="no C compiler (cc or gcc) on PATH")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([b"\n", b",", b":", b"7", b" ", b"\x00", b"\x8a", b"\xac",
+                                 b"\xba", b"\xff"]), max_size=70).map(b"".join))
+def test_sizing_counts_match_bytes_count(data):
+    # the compiled reader's capacities; bytes that differ from a counted one
+    # only in the high bit, and lengths that are not a multiple of 8
+    counts = np.empty(3, dtype=np.int64)
+    kernel.load().advsamp_count_svmlight(data, len(data), counts.ctypes.data)
+    assert counts.tolist() == [data.count(b"\n"), data.count(b","), data.count(b":")]
+
+
 class TestPca:
     def test_diagonal_direction(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0], [0.0, 0.0]])
