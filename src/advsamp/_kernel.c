@@ -1,7 +1,7 @@
 /*
  * Compiled kernels for advsamp: the training steps of advsamp.training,
- * the auxiliary-tree node fit of advsamp.aux_tree and the svmlight reader
- * of advsamp.data_io (at the end of this file).
+ * the auxiliary-tree node fit and log-probability walk of advsamp.aux_tree
+ * and the svmlight reader of advsamp.data_io (at the end of this file).
  *
  * Training steps.
  * One call runs steps t0 .. t1-1 of an epoch: step t trains on example
@@ -454,6 +454,40 @@ int64_t advsamp_fit_node(const double *rows, const int64_t *slots, int64_t m, in
     counters[3] = round == guard;
     free(scratch);
     return status;
+}
+
+/*
+ * Tree log-probabilities: adds log p(c | x_i) of every label c into out
+ * (n, C), for a tree in heap order. z and tail are (n, Cp - 1),
+ * Cp = 2^depth: each node's logit at row i and log1p(exp(-|z|)), so that
+ * log sigma(z) = min(z, 0) - tail and log sigma(-z) = -max(z, 0) - tail.
+ * acc (Cp doubles) is scratch: after level l its position j holds the
+ * log-probability of reaching node 2^l - 1 + j, whose right child 2j + 1
+ * adds log sigma(z) and left child 2j adds log sigma(-z). Positions are
+ * rewritten from the last down, so one array holds every level. label_leaf
+ * (C) holds values in [0, Cp). Returns 0.
+ */
+int64_t advsamp_tree_add_log_probs(const double *z, const double *tail, int64_t n,
+                                   int64_t depth, const int64_t *label_leaf, int64_t C,
+                                   double *acc, double *out)
+{
+    int64_t nodes = ((int64_t)1 << depth) - 1;
+    for (int64_t i = 0; i < n; i++) {
+        const double *zi = z + i * nodes, *ti = tail + i * nodes;
+        acc[0] = 0.0;
+        for (int64_t width = 1; width <= nodes; width *= 2) {
+            const double *zl = zi + width - 1, *tl = ti + width - 1;
+            for (int64_t j = width - 1; j >= 0; j--) {
+                double p = acc[j], zj = zl[j];
+                acc[2 * j + 1] = p + ((zj < 0.0 ? zj : 0.0) - tl[j]);
+                acc[2 * j] = p + (-(zj > 0.0 ? zj : 0.0) - tl[j]);
+            }
+        }
+        double *oi = out + i * C;
+        for (int64_t c = 0; c < C; c++)
+            oi[c] += acc[label_leaf[c]];
+    }
+    return 0;
 }
 
 /*

@@ -56,9 +56,23 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
 
 
+def log_sigmoid_tail(z, out=None):
+    """log1p(exp(-|z|)), so that log sigma(z) = min(z, 0) - tail and
+    log sigma(-z) = -max(z, 0) - tail; written into ``out`` (not ``z``) when
+    given. Four in-place passes of numpy's vectorised loops, no temporary."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.abs(z, out=np.empty_like(z) if out is None else out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    return np.log1p(out, out=out)
+
+
 def log_sigmoid(z, out=None):
-    """log sigma(z), stable for large |z|; written into ``out`` when given."""
-    return np.negative(np.logaddexp(0.0, -np.asarray(z, dtype=np.float64), out=out), out=out)
+    """log sigma(z) = min(z, 0) - log1p(exp(-|z|)), stable for any z;
+    written into ``out`` (not ``z``) when given."""
+    z = np.asarray(z, dtype=np.float64)
+    tail = log_sigmoid_tail(z, out)
+    return np.subtract(np.minimum(z, 0.0), tail, out=tail)
 
 
 @dataclass
@@ -133,8 +147,10 @@ def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0, count
     Backtracking halves the step until the objective increases. Once the
     predicted gain grad . step is below the objective's roundoff, no line
     search can see an ascent, so the full Newton step is taken and the
-    ascent stops. Requires lam > 0 for strict concavity. Adds its steps, and
-    a run stopped at NEWTON_MAX_ITER, to ``counters`` (see NODE_COUNTERS).
+    ascent stops. Requires lam > 0 for strict concavity; a non-finite step
+    (rows so large that the Hessian overflows) is a NumericError. Adds its
+    steps, and a run stopped at NEWTON_MAX_ITER, to ``counters`` (see
+    NODE_COUNTERS).
     """
     if lam <= 0:
         raise DataError("node regularizer must be positive")
@@ -164,6 +180,9 @@ def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0, count
         curv = sig * (1.0 - sig)  # sigma(z) sigma(-z)
         H = Xt.T @ (Xt * curv[:, None]) + 2.0 * lam * np.eye(k + 1)
         step = np.linalg.solve(H, grad)
+        if not np.isfinite(step).all():
+            # an overflowed Hessian; the compiled fit's Cholesky meets the same
+            raise NumericError("tree node fit gave non-finite parameters")
         if counters is not None:
             counters[0] += 1
         if grad @ step <= NEWTON_GAIN_ULPS * np.finfo(np.float64).eps * abs(obj):
@@ -335,25 +354,55 @@ class AuxiliaryTree:
     def reduced_dim(self) -> int:
         return self.node_w.shape[1]
 
-    def log_prob_all(self, Xr) -> np.ndarray:
+    def log_prob_all(self, Xr, out=None) -> np.ndarray:
         """log p(y | x) for every row of Xr and every real label; (n, C).
 
-        One top-down pass: after level l, column j of the running sums is
-        the log-probability of reaching node 2^(l+1) - 1 + j.
+        With ``out`` (a C-contiguous float64 (n, C) array) given, the
+        log-probabilities are added into it in place and it is returned.
+        One GEMM gives the logits of all Cp - 1 nodes and one in-place pass
+        their ``log_sigmoid_tail``; then a top-down walk per row adds up the
+        log sigma of the branches, in the compiled kernel when
+        ``kernel.load()`` has one, else in a numpy level loop that does the
+        same arithmetic.
         """
         Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
-        n = Xr.shape[0]
+        n, C = Xr.shape[0], self.num_labels
+        if out is None:
+            out = np.zeros((n, C))
+        elif not (out.shape == (n, C) and out.dtype == np.float64 and out.flags.c_contiguous
+                  and out.flags.writeable):
+            raise DataError(f"log_prob_all adds into a writeable C-contiguous float64 "
+                            f"array of shape {(n, C)}")
+        z = Xr @ self.node_w.T
+        z += self.node_b
+        tail = log_sigmoid_tail(z)
+        lib = kernel.load()
+        if lib is None:
+            return self._add_log_probs_numpy(z, tail, out)
+        leaf = self.label_leaf
+        # the kernel indexes its scratch by label_leaf unchecked
+        if not (leaf.dtype == np.int64 and leaf.shape == (C,) and leaf.flags.c_contiguous
+                and leaf.min() >= 0 and leaf.max() < self.padded_size):
+            raise DataError(f"label_leaf must be C-contiguous int64 in [0, {self.padded_size})")
+        acc = np.empty(self.padded_size)
+        lib.advsamp_tree_add_log_probs(z.ctypes.data, tail.ctypes.data, n, self.depth,
+                                       leaf.ctypes.data, C, acc.ctypes.data, out.ctypes.data)
+        return out
+
+    def _add_log_probs_numpy(self, z, tail, out):
+        """The kernel's walk as a level loop: after level l, column j of the
+        running sums is the log-probability of reaching node 2^(l+1) - 1 + j."""
+        n = z.shape[0]
         acc = np.zeros((n, 1))
         for level in range(self.depth):
             nodes = slice((1 << level) - 1, (2 << level) - 1)
-            z = Xr @ self.node_w[nodes].T + self.node_b[nodes]
+            zl, tl = z[:, nodes], tail[:, nodes]
             children = np.empty((n, 1 << level, 2))
-            log_right = log_sigmoid(z, out=children[:, :, 1])
-            # log sigma(-z) = log sigma(z) - z: one log_sigmoid per level
-            np.subtract(log_right, z, out=children[:, :, 0])
-            children += acc[:, :, None]
+            np.add(acc, np.minimum(zl, 0.0) - tl, out=children[:, :, 1])
+            np.add(acc, -np.maximum(zl, 0.0) - tl, out=children[:, :, 0])
             acc = children.reshape(n, -1)
-        return acc[:, self.label_leaf]
+        out += acc[:, self.label_leaf]
+        return out
 
     def log_prob_pairs(self, Xr, ys) -> np.ndarray:
         """log p(ys[i] | Xr[i]) for each row; (n,)."""

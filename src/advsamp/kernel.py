@@ -1,8 +1,10 @@
 """Build and load the compiled kernel library, ``_kernel.c``.
 
-It has three users: ``advsamp.training`` runs its training steps through
+It has four users: ``advsamp.training`` runs its training steps through
 it, ``advsamp.aux_tree.fit_tree`` fits each tree node's alternation with it,
-and ``advsamp.data_io.load_svmlight`` parses svmlight files with it.
+``advsamp.aux_tree.AuxiliaryTree.log_prob_all`` walks the tree's
+log-probabilities with it, and ``advsamp.data_io.load_svmlight`` parses
+svmlight files with it.
 
 The source is compiled on first use with the system C compiler (``cc``,
 else ``gcc``) and loaded through ctypes. The library goes into the
@@ -14,8 +16,9 @@ once the library is loaded. Nothing is compiled at import.
 
 ``load()`` returns None, with one warning per process, when no compiler is
 found or the build fails; training then runs its Python step loop, the
-tree nodes are fitted by the numpy alternation, and svmlight files are read
-by the Python line-by-line reader.
+tree nodes are fitted by the numpy alternation, the tree's log-probabilities
+are summed by a numpy level loop, and svmlight files are read by the Python
+line-by-line reader.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 LIBS = ("-lm",)
 
 _P, _I, _D, _S = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_char_p
+# the four users' functions: training's two step loops, aux_tree's node fit
+# and log-probability walk, and data_io's two svmlight passes
 SIGNATURES = {
     # CSR arrays, order, step labels, step log p_n; n, m+1, t0, t1;
     # W, B, AW, AB; K; rho, lam, eps; scratch xi, g, first; loss out
@@ -47,6 +52,8 @@ SIGNATURES = {
     # lam, grad tol, gain ulps; max iter, halvings, guard;
     # theta in/out, zeta, counters and cap_grad out
     "advsamp_fit_node": [_P] * 2 + [_I] * 2 + [_P] * 3 + [_I] * 2 + [_D] * 3 + [_I] * 3 + [_P] * 4,
+    # logits, log sigma tails; n, depth; label_leaf; C; scratch acc, out in/out
+    "advsamp_tree_add_log_probs": [_P] * 2 + [_I] * 2 + [_P] + [_I] + [_P] * 2,
     # file bytes, length; counts of newlines, commas and colons out
     "advsamp_count_svmlight": [_S, _I, _P],
     # file bytes, length, index offset; row, label and nonzero capacities;
@@ -123,6 +130,7 @@ def load():
 
 def _unavailable(reason: str):
     warnings.warn(f"compiled kernel unavailable ({reason}); training runs the Python "
-                  "step loop, tree nodes are fitted in numpy and svmlight files are "
-                  "parsed in Python", RuntimeWarning, stacklevel=3)
+                  "step loop, tree nodes are fitted and tree log-probabilities summed "
+                  "in numpy, and svmlight files are parsed in Python", RuntimeWarning,
+                  stacklevel=3)
     return None

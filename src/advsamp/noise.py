@@ -5,7 +5,9 @@ Three variants behind one batch contract:
 - ``prepare(features)`` maps a CSR feature matrix once to the dense (n, k)
   context the noise conditions on;
 - ``sample_batch(Z, rng)`` draws one label per row of a prepared context;
-- ``log_prob_matrix(Z)`` gives the (n, C) log probabilities of every label;
+- ``log_prob_matrix(Z, out=None)`` gives the (n, C) log probabilities of
+  every label, or adds them in place into a C-contiguous float64 ``out``
+  and returns it;
 - ``log_prob_pairs(Z, ys)`` gives the (n,) log probabilities of label
   ``ys[i]`` at row i.
 
@@ -29,6 +31,12 @@ from .errors import DataError
 LOG_PROB_FLOOR = -745.0
 
 
+def _check_out(out, Z, num_labels):
+    if out.shape != (Z.shape[0], num_labels):
+        raise DataError(f"log_prob_matrix adds into an array of shape {out.shape}, "
+                        f"want {(Z.shape[0], num_labels)}")
+
+
 class UniformNoise:
     def __init__(self, num_labels: int):
         if num_labels < 1:
@@ -41,8 +49,12 @@ class UniformNoise:
     def sample_batch(self, Z, rng) -> np.ndarray:
         return rng.integers(self.num_labels, size=Z.shape[0])
 
-    def log_prob_matrix(self, Z) -> np.ndarray:
-        return np.full((Z.shape[0], self.num_labels), -np.log(self.num_labels))
+    def log_prob_matrix(self, Z, out=None) -> np.ndarray:
+        if out is None:
+            return np.full((Z.shape[0], self.num_labels), -np.log(self.num_labels))
+        _check_out(out, Z, self.num_labels)
+        out += -np.log(self.num_labels)
+        return out
 
     def log_prob_pairs(self, Z, ys) -> np.ndarray:
         return np.full(len(label_array(ys, self.num_labels)), -np.log(self.num_labels))
@@ -71,8 +83,12 @@ class FrequencyNoise:
     def sample_batch(self, Z, rng) -> np.ndarray:
         return rng.choice(self.num_labels, size=Z.shape[0], p=self.probs)
 
-    def log_prob_matrix(self, Z) -> np.ndarray:
-        return np.broadcast_to(self.log_probs, (Z.shape[0], self.num_labels)).copy()
+    def log_prob_matrix(self, Z, out=None) -> np.ndarray:
+        if out is None:
+            return np.broadcast_to(self.log_probs, (Z.shape[0], self.num_labels)).copy()
+        _check_out(out, Z, self.num_labels)
+        out += self.log_probs
+        return out
 
     def log_prob_pairs(self, Z, ys) -> np.ndarray:
         return self.log_probs[label_array(ys, self.num_labels)]
@@ -94,8 +110,8 @@ class AdversarialNoise:
     def sample_batch(self, Z, rng) -> np.ndarray:
         return self.tree.sample_batch(Z, rng)
 
-    def log_prob_matrix(self, Z) -> np.ndarray:
-        return self.tree.log_prob_all(Z)
+    def log_prob_matrix(self, Z, out=None) -> np.ndarray:
+        return self.tree.log_prob_all(Z, out=out)
 
     def log_prob_pairs(self, Z, ys) -> np.ndarray:
         return self.tree.log_prob_pairs(Z, ys)

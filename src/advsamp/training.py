@@ -162,15 +162,19 @@ class _LearningCurve:
 
 def _val_metrics(model, noise, val_dataset, config):
     """() -> (val_log_lik, val_acc) of the model as it stands. The validation
-    rows' noise log-probabilities are the same at every call, so they are
-    computed once here when their (n, C) table fits the evaluation budget;
-    above it, every call streams them block by block."""
+    rows' noise log-probabilities and, when they are dense enough for the
+    dense product, their dense features are the same at every call, so each
+    is computed once here when its (n, C) or (n, K) table fits the
+    evaluation budget; above it, every call streams them block by block."""
     if val_dataset is None:
         return lambda: ("", "")
     cfg = PredictionConfig(bias_removal=config.bias_removal_at_eval and noise is not None)
-    n, C = val_dataset.num_examples, val_dataset.num_labels
+    X = val_dataset.features
+    (n, K), C = X.shape, val_dataset.num_labels
     if cfg.bias_removal and n * C * 8 <= inference.EVAL_BLOCK_BYTES:
-        cfg.noise_log_probs = noise_log_probs(noise, val_dataset.features)
+        cfg.noise_log_probs = noise_log_probs(noise, X)
+    if inference.is_dense(X) and n * K * 8 <= inference.EVAL_BLOCK_BYTES:
+        cfg.dense_features = X.toarray()
 
     def metrics():
         report = evaluate(model, noise, val_dataset, cfg)

@@ -228,6 +228,26 @@ def per_edge_oracle(tree, x, y):
     return total
 
 
+def log_prob_all_oracle(tree, Xr):
+    """``AuxiliaryTree.log_prob_all`` as it was before the compiled walk: a
+    GEMM per level, log sigma through ``np.logaddexp``, the left child as
+    log sigma(z) - z, and one gather by ``label_leaf``. After level l,
+    column j of the running sums is the log-probability of reaching node
+    2^(l+1) - 1 + j."""
+    Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
+    n = Xr.shape[0]
+    acc = np.zeros((n, 1))
+    for level in range(tree.depth):
+        nodes = slice((1 << level) - 1, (2 << level) - 1)
+        z = Xr @ tree.node_w[nodes].T + tree.node_b[nodes]
+        children = np.empty((n, 1 << level, 2))
+        log_right = np.negative(np.logaddexp(0.0, -z), out=children[:, :, 1])
+        np.subtract(log_right, z, out=children[:, :, 0])
+        children += acc[:, :, None]
+        acc = children.reshape(n, -1)
+    return acc[:, tree.label_leaf]
+
+
 class TestLogProb:
     def test_uniform_tree(self):
         tree = AuxiliaryTree(np.zeros((3, 2)), np.zeros(3), np.arange(4), 4, 2)
@@ -289,6 +309,102 @@ class TestTreeProperties:
         draws = tree.sample_batch(rng.standard_normal((n, 3)), counting)
         assert counting.uniforms == n * int(np.ceil(np.log2(C)))
         assert draws.shape == (n,) and 0 <= draws.min() and draws.max() < C
+
+
+def scaled_tree(C, k, rng, max_logit, X):
+    """``random_tree`` with its unpinned nodes scaled so that the largest
+    |logit| over the rows X is ``max_logit``."""
+    tree = random_tree(C, k, rng)
+    free = tree.node_b != -B_PAD
+    z = X @ tree.node_w[free].T + tree.node_b[free]
+    factor = max_logit / np.abs(z).max()
+    tree.node_w[free] *= factor
+    tree.node_b[free] *= factor
+    return tree
+
+
+def assert_oracle_close(got, want):
+    """The walk sums log sigma(z) = min(z, 0) - log1p(exp(-|z|)) from one
+    GEMM, the oracle -logaddexp(0, -z) from a GEMM per level, so they may
+    part in the last bits: within 1e-13 absolute, relative beyond |log p| = 1."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@needs_kernel
+class TestLogProbAll:
+    """``log_prob_all``'s compiled walk and its numpy fallback against the
+    level-loop oracle: the two backends read the same logit and tail tables
+    and add in the same order, so they agree bit for bit."""
+
+    def both(self, tree, X, out=None):
+        got = []
+        for lib in (kernel.load(), None):
+            with mock.patch.object(kernel, "load", lambda: lib):
+                got.append(tree.log_prob_all(X, None if out is None else out.copy()))
+        assert np.array_equal(got[0], got[1])
+        return got[0]
+
+    @pytest.mark.parametrize("C", [2, 3, 8, 9, 100, 1000, 2049, 4096])
+    @pytest.mark.parametrize("k", [1, 16, aux_tree.MAX_REDUCED_DIM])
+    def test_matches_oracle(self, C, k, rng):
+        # depth 1 to 12; C = 2^d + 1 pins the most subtrees at -B_PAD
+        X = rng.standard_normal((5, k))
+        tree = random_tree(C, k, rng)
+        lp = self.both(tree, X)
+        assert_oracle_close(lp, log_prob_all_oracle(tree, X))
+        assert np.abs(logsumexp(lp, axis=1)).max() < 1e-12
+
+    @pytest.mark.parametrize("C,k", [(2, 1), (9, 16), (1000, 16), (4096, 3)])
+    def test_logits_up_to_800(self, C, k, rng):
+        X = rng.standard_normal((7, k))
+        tree = scaled_tree(C, k, rng, 800.0, X)
+        lp = self.both(tree, X)
+        assert_oracle_close(lp, log_prob_all_oracle(tree, X))
+        assert np.abs(logsumexp(lp, axis=1)).max() < 1e-12
+
+    @pytest.mark.parametrize("C", [3, 5, 9, 17, 100])
+    def test_fitted_tree_pinned_at_b_pad(self, C, rng):
+        X = rng.standard_normal((20 * C, 4))
+        tree = fit_tree(X, rng.integers(0, C, 20 * C), C, 0.1)
+        assert (tree.node_b == B_PAD).any()
+        lp = self.both(tree, X[:50])
+        assert_oracle_close(lp, log_prob_all_oracle(tree, X[:50]))
+        assert np.abs(logsumexp(lp, axis=1)).max() < 1e-12
+
+    def test_single_rows_and_strided_input(self, rng):
+        tree = random_tree(100, 6, rng)
+        tree.label_leaf = rng.permutation(128)[:100]
+        X = rng.standard_normal((12, 12))[::2, ::2]  # neither axis contiguous
+        whole = self.both(tree, X)
+        assert_oracle_close(whole, log_prob_all_oracle(tree, X))
+        for i in range(X.shape[0]):
+            assert_oracle_close(self.both(tree, X[i]), whole[i:i + 1])
+
+    def test_adds_into_out(self, rng):
+        tree = random_tree(9, 3, rng)
+        X = rng.standard_normal((4, 3))
+        base = rng.standard_normal((4, 9))
+        added = self.both(tree, X, out=base)
+        assert np.array_equal(added, base + self.both(tree, X))
+        out = base.copy()
+        assert tree.log_prob_all(X, out=out) is out
+
+    @pytest.mark.parametrize("out", [
+        np.zeros((4, 8)), np.zeros((3, 9)), np.zeros((9, 4)).T, np.zeros((4, 9), np.float32),
+    ])
+    def test_bad_out_rejected(self, out, rng):
+        tree = random_tree(9, 3, rng)
+        with pytest.raises(DataError, match="C-contiguous float64"):
+            tree.log_prob_all(rng.standard_normal((4, 3)), out=out)
+
+    def test_bad_label_leaf_rejected(self, rng):
+        # the kernel would read outside its scratch
+        tree = random_tree(9, 3, rng)
+        tree.label_leaf = tree.label_leaf.copy()
+        tree.label_leaf[0] = tree.padded_size
+        with pytest.raises(DataError, match="label_leaf"):
+            tree.log_prob_all(rng.standard_normal((2, 3)))
 
 
 class TestSample:
@@ -651,6 +767,21 @@ def test_non_finite_row_same_error(rng, bad):
         with pytest.raises(NumericError):
             fit_node(make_problem([X[:15], X[15:]]), 0.1, lib)
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("big", [1e160, 1e200, 1e300])
+def test_overflowing_hessian_same_error(rng, big):
+    # finite rows so large that the Newton Hessian overflows: the compiled
+    # fit's Cholesky and numpy's step check both refuse, where the numpy
+    # fit used to keep the eigh start silently
+    X = rng.standard_normal((40, 3))
+    X[5, 1] = big
+    labels = rng.integers(0, 5, 40)
+    for lib in (kernel.load(), None):
+        with mock.patch.object(kernel, "load", lambda: lib), warnings.catch_warnings(), \
+                pytest.raises(NumericError, match="non-finite parameters"):
+            warnings.simplefilter("ignore")
+            fit_tree(X, labels, 5, 0.1)
 
 
 class TestTreeValidation:

@@ -201,17 +201,19 @@ class TestPipeline:
 
 
 class TestValidationNoise:
-    """``train`` computes the validation rows' noise log-probabilities once
-    when their table fits the evaluation budget, and streams them at every
-    validation otherwise; the learning curve is the same either way."""
+    """``train`` computes the validation rows' noise log-probabilities (and,
+    the rows being dense, their dense features) once when their table fits
+    the evaluation budget, and streams them at every validation otherwise
+    (one-row CSR blocks at budget 0); the learning curve is the same either
+    way."""
 
     def run_train(self, out, sets, monkeypatch, budget):
         sizes = []
         log_prob_matrix = AdversarialNoise.log_prob_matrix
 
-        def counted(noise, Z):
+        def counted(noise, Z, out=None):
             sizes.append(len(Z))
-            return log_prob_matrix(noise, Z)
+            return log_prob_matrix(noise, Z, out=out)
 
         with monkeypatch.context() as m:
             m.setattr(advsamp.inference, "EVAL_BLOCK_BYTES", budget)
@@ -238,8 +240,9 @@ class TestValidationNoise:
             assert np.array_equal(model[key], model0[key]), key
         for row, row0 in zip(cached, streamed, strict=True):
             ll, ll0 = float(row.pop("val_log_lik")), float(row0.pop("val_log_lik"))
-            # one-row blocks take BLAS's matrix-vector product, which may
-            # round differently in the last bit
+            # one-row blocks take BLAS's matrix-vector product, and scipy's
+            # CSR product sums in another order than the dense one, so the
+            # last bits may differ
             assert abs(ll - ll0) <= 1e-12 * abs(ll)
             del row["wall_clock_s"], row0["wall_clock_s"]
             assert row == row0

@@ -46,9 +46,10 @@ def make_noise(kind, C, K, rng):
     return None
 
 
-def budget_for(rows, C):
-    """An EVAL_BLOCK_BYTES that makes blocks of exactly ``rows`` rows."""
-    return rows * inference.BLOCK_TABLES * 8 * C
+def budget_for(rows, C, K=0):
+    """An EVAL_BLOCK_BYTES that makes ``evaluate``'s blocks exactly ``rows``
+    rows long, beside its (K, C) copy of the weights."""
+    return rows * inference.BLOCK_TABLES * 8 * C + K * C * 8
 
 
 def accuracy(model, noise, X, labels, bias_removal):
@@ -163,17 +164,25 @@ class TestStreaming:
     @given(n=st.integers(1, 30), C=st.integers(2, 12), K=st.integers(1, 5),
            block=st.sampled_from(["one", "odd", "all"]),
            kind=st.sampled_from([None, "uniform", "frequency", "adversarial"]),
+           density=st.sampled_from([0.03, 0.7]), given_dense=st.booleans(),
            bias_removal=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_streamed_matches_dense_oracle(self, n, C, K, block, kind, bias_removal, seed):
+    def test_streamed_matches_dense_oracle(self, n, C, K, block, kind, density, given_dense,
+                                           bias_removal, seed):
+        # blocks below DENSE_MIN_DENSITY take the CSR product, the others
+        # (and all, with the dense features given) the dense one; BLAS sums
+        # in another order than scipy, so the mean log likelihood agrees
+        # within 1e-12
         rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, K)) * (rng.random((n, K)) < 0.7)
+        X = rng.standard_normal((n, K)) * (rng.random((n, K)) < density)
         ds = dataset_from_dense(X, rng.integers(0, C, n), C)
         m = model_with(rng.standard_normal((C, K)), rng.standard_normal(C))
         noise = make_noise(kind, C, K, rng)
         rows = {"one": 1, "odd": 3, "all": n + int(rng.integers(0, 3))}[block]
-        with mock.patch.object(inference, "EVAL_BLOCK_BYTES", budget_for(rows, C)):
-            assert inference.block_rows(C) == rows
-            rep = evaluate(m, noise, ds, PredictionConfig(bias_removal=bias_removal))
+        cfg = PredictionConfig(bias_removal=bias_removal,
+                               dense_features=X if given_dense else None)
+        with mock.patch.object(inference, "EVAL_BLOCK_BYTES", budget_for(rows, C, K)):
+            assert inference.block_rows(C, K * C * 8) == rows
+            rep = evaluate(m, noise, ds, cfg)
         acc, log_lik = dense_evaluate(m, noise, ds, bias_removal)
         assert rep.accuracy == acc
         assert abs(rep.log_likelihood - log_lik) <= 1e-12
@@ -184,7 +193,7 @@ class TestStreaming:
         m = model_with(rng.standard_normal((9, 4)), rng.standard_normal(9))
         noise = adversarial_noise(9, 4, 2, rng)
         whole = noise.log_prob_matrix(noise.prepare(ds.features))
-        with mock.patch.object(inference, "EVAL_BLOCK_BYTES", budget_for(rows, 9)):
+        with mock.patch.object(inference, "EVAL_BLOCK_BYTES", budget_for(rows, 9, 4)):
             table = inference.noise_log_probs(noise, ds.features)
             computed = evaluate(m, noise, ds, PredictionConfig())
             given_table = evaluate(m, noise, ds, PredictionConfig(noise_log_probs=table))
@@ -195,6 +204,48 @@ class TestStreaming:
             assert np.array_equal(table, whole)
         assert (given_table.accuracy, given_table.log_likelihood) == \
             (computed.accuracy, computed.log_likelihood)
+
+    @pytest.mark.parametrize("weights_mb", [0, 3, 20])
+    def test_block_rows_leave_room_for_the_weights(self, weights_mb):
+        # as many rows as fit beside the weights copy, and one when none do
+        C, reserved = 1000, weights_mb * 2**20
+        rows = inference.block_rows(C, reserved)
+        row_bytes = inference.BLOCK_TABLES * 8 * C
+        if reserved + row_bytes > inference.EVAL_BLOCK_BYTES:
+            assert rows == 1
+        else:
+            assert reserved + rows * row_bytes <= inference.EVAL_BLOCK_BYTES \
+                < reserved + (rows + 1) * row_bytes
+
+    def test_dense_features_of_wrong_shape(self, rng):
+        ds = dataset_from_dense(rng.standard_normal((5, 2)), [0, 1, 2, 0, 1], 3)
+        cfg = PredictionConfig(dense_features=np.zeros((5, 3)))
+        with pytest.raises(DataError):
+            evaluate(LinearClassifier(3, 2), None, ds, cfg)
+
+    @pytest.mark.parametrize("density,K", [(0.03, 400), (1.0, 32)])
+    def test_bias_corrected_block_within_budget(self, density, K):
+        # blocks of the compiled walk's tables on a 1,000-label tree (1,024
+        # leaves), beside evaluate's copy of the weights: by the CSR product
+        # (3.1 MiB of weights, blocks of 24 rows) and by the dense one (98)
+        budget, C, n = 4 * 2**20, 1000, 200
+        rng = np.random.default_rng(0)
+        with mock.patch.object(inference, "EVAL_BLOCK_BYTES", budget):
+            X = sp.random(n, K, density=density, format="csr", random_state=rng)
+            assert inference.is_dense(X) == (density == 1.0)
+            ds = SparseDataset(X, rng.integers(0, C, n), C)
+            m = model_with(rng.standard_normal((C, K)), rng.standard_normal(C))
+            noise = adversarial_noise(C, K, 16, rng)
+            tracemalloc.start()
+            try:
+                rep = evaluate(m, noise, ds, PredictionConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        acc, log_lik = dense_evaluate(m, noise, ds, True)
+        assert (rep.accuracy, rep.n_points) == (acc, n)
+        assert abs(rep.log_likelihood - log_lik) <= 1e-12
+        assert peak <= budget, f"peak {peak / 2**20:.2f} MiB"
 
     def test_noise_table_of_wrong_shape(self, rng):
         ds = dataset_from_dense(rng.standard_normal((5, 2)), [0, 1, 2, 0, 1], 3)

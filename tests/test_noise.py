@@ -165,6 +165,27 @@ class TestLabelRange:
                 noise.tree.log_prob_pairs(Z, [bad, 0])
 
 
+class TestAddInto:
+    """``log_prob_matrix(Z, out=...)`` adds the table into ``out`` in place
+    and returns it, bit for bit ``out + log_prob_matrix(Z)``."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "frequency", "adversarial"])
+    def test_adds_in_place(self, rng, kind):
+        if kind == "adversarial":
+            noise, ds = TestAdversarial().fitted(rng)
+            Z = noise.prepare(ds.features[:5])
+        else:
+            noise = (UniformNoise(4) if kind == "uniform"
+                     else FrequencyNoise(np.array([3.0, 0.0, 2.0, 5.0]), smoothing=0.0))
+            Z = noise.prepare(sp.csr_matrix(np.ones((5, 1))))
+        base = rng.standard_normal((5, 4))
+        out = base.copy()
+        assert noise.log_prob_matrix(Z, out=out) is out
+        assert np.array_equal(out, base + noise.log_prob_matrix(Z))
+        with pytest.raises(DataError):
+            noise.log_prob_matrix(Z, out=np.zeros((4, 4)))
+
+
 class TestFactory:
     def test_kinds(self, rng):
         assert isinstance(make_noise("uniform", num_labels=3), UniformNoise)
