@@ -1,6 +1,6 @@
 /*
  * Compiled kernels for advsamp: the training steps of advsamp.training,
- * the auxiliary-tree node fit and log-probability walk of advsamp.aux_tree
+ * the auxiliary-tree level fit and log-probability walk of advsamp.aux_tree
  * and the svmlight reader of advsamp.data_io (at the end of this file).
  *
  * Training steps.
@@ -168,25 +168,29 @@ int64_t advsamp_softmax_steps(const int64_t *indptr, const int64_t *indices, con
 }
 
 /*
- * Auxiliary-tree node fit. advsamp_fit_node runs the alternation of
- * ``aux_tree.fit_node`` from its initial (w, b): Newton ascent on
- * theta = (w, b) for the current split, then the balanced re-split, until
- * the split is a fixed point or `guard` rounds have run. Its arithmetic is
- * that of ``newton_fit`` and ``split_labels``; the order of summation
- * differs, and the Newton system is solved by Cholesky (numpy uses LU),
- * which is safe because the negated Hessian plus 2 lam I is positive
- * definite for lam > 0.
+ * Auxiliary-tree fit, one tree level per call. advsamp_fit_level runs the
+ * alternation of ``aux_tree.fit_node`` for each of the level's nodes from
+ * its initial (w, b): Newton ascent on theta = (w, b) for the current split,
+ * then the balanced re-split, until the split is a fixed point or `guard`
+ * rounds have run. Its arithmetic is that of ``newton_fit`` and
+ * ``split_labels``; the order of summation differs, and the Newton system
+ * is solved by Cholesky (numpy uses LU), which is safe because the negated
+ * Hessian plus 2 lam I is positive definite for lam > 0.
  *
- * The node has m rows, rows (m, k), and L labels: row i belongs to the
- * label in slot slots[i] (in [0, L)), and label l has counts[l] rows that
- * sum to aggregates[l] (L, k). Labels with ids >= num_real are padding and
- * rank below every real label. theta (k + 1) holds (w, b) on entry and the
- * fitted (w, b) on return; zeta (L) gets the split, +1 for the right half.
- * counters gets Newton steps, alternation rounds, Newton runs stopped at
- * max_iter, and 1 when the guard stopped the alternation; cap_grad (guard
- * doubles) the gradient norm at which each stopped run ended. Returns 0;
- * 1 when k + 1 exceeds MAX_THETA, 2 when scratch cannot be allocated, and
- * 3 when a Newton system is not positive definite (a non-finite fit).
+ * The level has `nodes` nodes of L labels each. Node i has the rows
+ * rows[row_ptr[i] .. row_ptr[i+1]-1] (rows is (m, k)); row r belongs to the
+ * label in slot slots[r] (in [0, L)) of the node's label_ids (nodes, L),
+ * and that label has counts (nodes, L) rows that sum to aggregates
+ * (nodes, L, k). Labels with ids >= num_real are padding and rank below
+ * every real label. Node i's theta row (nodes, k + 1) holds its (w, b) on
+ * entry and the fitted (w, b) on return; its zeta row (nodes, L) gets the
+ * split, +1 for the right half. Its counters row (nodes, 4) gets Newton
+ * steps, alternation rounds, Newton runs stopped at max_iter, and 1 when
+ * the guard stopped the alternation; its cap_grad row (nodes, guard) the
+ * gradient norm at which each stopped run ended. Returns -1; -2 when
+ * scratch cannot be allocated, -3 when k + 1 exceeds MAX_THETA, and the
+ * index of the first node whose Newton system is not positive definite (a
+ * non-finite fit).
  */
 
 #define MAX_THETA 65 /* aux_tree.MAX_REDUCED_DIM + 1 */
@@ -416,33 +420,24 @@ static int64_t newton(const double *rows, const int64_t *slots, int64_t m, int64
     return max_iter;
 }
 
-int64_t advsamp_fit_node(const double *rows, const int64_t *slots, int64_t m, int64_t k,
-                         const int64_t *label_ids, const int64_t *counts,
-                         const double *aggregates, int64_t L, int64_t num_real,
-                         double lam, double grad_tol, double gain_ulps, int64_t max_iter,
-                         int64_t halvings, int64_t guard, double *theta, int64_t *zeta,
-                         int64_t *counters, double *cap_grad)
+/* one node's alternation; scratch curv and curv_new of m doubles, order and
+   next of L entries. Returns 0, or 1 when a Newton system is not positive
+   definite. */
+static int alternate(const double *rows, const int64_t *slots, int64_t m, int64_t k,
+                     const int64_t *label_ids, const int64_t *counts, const double *aggregates,
+                     int64_t L, int64_t num_real, double lam, double grad_tol, double gain_ulps,
+                     int64_t max_iter, int64_t halvings, int64_t guard, double *theta,
+                     int64_t *zeta, int64_t *counters, double *cap_grad, double *curv,
+                     double *curv_new, ranked *order, int64_t *next)
 {
-    if (k + 1 > MAX_THETA)
-        return 1;
-    /* two curvature arrays, then the ranking and the next split */
-    char *scratch = malloc((size_t)(2 * m) * sizeof(double)
-                           + (size_t)L * (sizeof(ranked) + sizeof(int64_t)));
-    if (scratch == NULL)
-        return 2;
-    double *curv = (double *)scratch, *curv_new = curv + m;
-    ranked *order = (ranked *)(curv_new + m);
-    int64_t *next = (int64_t *)(order + L);
-    int64_t status = 0, round;
+    int64_t round;
     counters[0] = counters[1] = counters[2] = counters[3] = 0;
     split_labels(aggregates, counts, label_ids, L, k, num_real, theta, order, zeta);
     for (round = 0; round < guard; round++) {
         int64_t steps = newton(rows, slots, m, k, zeta, lam, grad_tol, gain_ulps, max_iter,
                                halvings, theta, curv, curv_new, &counters[2], cap_grad);
-        if (steps < 0) {
-            status = 3;
-            break;
-        }
+        if (steps < 0)
+            return 1;
         counters[0] += steps;
         counters[1]++;
         split_labels(aggregates, counts, label_ids, L, k, num_real, theta, order, next);
@@ -452,6 +447,41 @@ int64_t advsamp_fit_node(const double *rows, const int64_t *slots, int64_t m, in
             break;
     }
     counters[3] = round == guard;
+    return 0;
+}
+
+int64_t advsamp_fit_level(const double *rows, const int64_t *slots, const int64_t *row_ptr,
+                          int64_t k, const int64_t *label_ids, const int64_t *counts,
+                          const double *aggregates, int64_t nodes, int64_t L, int64_t num_real,
+                          double lam, double grad_tol, double gain_ulps, int64_t max_iter,
+                          int64_t halvings, int64_t guard, double *theta, int64_t *zeta,
+                          int64_t *counters, double *cap_grad)
+{
+    if (k + 1 > MAX_THETA)
+        return -3;
+    int64_t max_m = 0;
+    for (int64_t i = 0; i < nodes; i++)
+        if (row_ptr[i + 1] - row_ptr[i] > max_m)
+            max_m = row_ptr[i + 1] - row_ptr[i];
+    /* two curvature arrays, then the ranking and the next split, shared by
+       the nodes in turn */
+    char *scratch = malloc((size_t)(2 * max_m) * sizeof(double)
+                           + (size_t)L * (sizeof(ranked) + sizeof(int64_t)));
+    if (scratch == NULL)
+        return -2;
+    double *curv = (double *)scratch, *curv_new = curv + max_m;
+    ranked *order = (ranked *)(curv_new + max_m);
+    int64_t *next = (int64_t *)(order + L), status = -1;
+    for (int64_t i = 0; i < nodes; i++) {
+        int64_t lo = row_ptr[i];
+        if (alternate(rows + lo * k, slots + lo, row_ptr[i + 1] - lo, k, label_ids + i * L,
+                      counts + i * L, aggregates + i * L * k, L, num_real, lam, grad_tol,
+                      gain_ulps, max_iter, halvings, guard, theta + i * (k + 1), zeta + i * L,
+                      counters + 4 * i, cap_grad + i * guard, curv, curv_new, order, next)) {
+            status = i;
+            break;
+        }
+    }
     free(scratch);
     return status;
 }
@@ -461,11 +491,11 @@ int64_t advsamp_fit_node(const double *rows, const int64_t *slots, int64_t m, in
  * (n, C), for a tree in heap order. z and tail are (n, Cp - 1),
  * Cp = 2^depth: each node's logit at row i and log1p(exp(-|z|)), so that
  * log sigma(z) = min(z, 0) - tail and log sigma(-z) = -max(z, 0) - tail.
- * acc (Cp doubles) is scratch: after level l its position j holds the
- * log-probability of reaching node 2^l - 1 + j, whose right child 2j + 1
- * adds log sigma(z) and left child 2j adds log sigma(-z). Positions are
- * rewritten from the last down, so one array holds every level. label_leaf
- * (C) holds values in [0, Cp). Returns 0.
+ * acc (2 Cp doubles) is scratch, two buffers of Cp that take turns: after
+ * level l, position j of the current one holds the log-probability of
+ * reaching node 2^l - 1 + j, whose right child 2j + 1 adds log sigma(z) and
+ * left child 2j adds log sigma(-z) in the other buffer. label_leaf (C)
+ * holds values in [0, Cp). Returns 0.
  */
 int64_t advsamp_tree_add_log_probs(const double *z, const double *tail, int64_t n,
                                    int64_t depth, const int64_t *label_leaf, int64_t C,
@@ -474,18 +504,26 @@ int64_t advsamp_tree_add_log_probs(const double *z, const double *tail, int64_t 
     int64_t nodes = ((int64_t)1 << depth) - 1;
     for (int64_t i = 0; i < n; i++) {
         const double *zi = z + i * nodes, *ti = tail + i * nodes;
-        acc[0] = 0.0;
+        double *cur = acc, *next = acc + nodes + 1;
+        cur[0] = 0.0;
         for (int64_t width = 1; width <= nodes; width *= 2) {
             const double *zl = zi + width - 1, *tl = ti + width - 1;
-            for (int64_t j = width - 1; j >= 0; j--) {
-                double p = acc[j], zj = zl[j];
-                acc[2 * j + 1] = p + ((zj < 0.0 ? zj : 0.0) - tl[j]);
-                acc[2 * j] = p + (-(zj > 0.0 ? zj : 0.0) - tl[j]);
+            for (int64_t j = 0; j < width; j++) {
+                /* in this order gcc 12 -O2 compiles both selects without a
+                   branch; a branch on the sign of z is mispredicted often */
+                double p = cur[j], zj = zl[j], t = tl[j];
+                double right = p + ((zj < 0.0 ? zj : 0.0) - t);
+                double left = p + (-(zj > 0.0 ? zj : 0.0) - t);
+                next[2 * j] = left;
+                next[2 * j + 1] = right;
             }
+            double *swap = cur;
+            cur = next;
+            next = swap;
         }
         double *oi = out + i * C;
         for (int64_t c = 0; c < C; c++)
-            oi[c] += acc[label_leaf[c]];
+            oi[c] += cur[label_leaf[c]];
     }
     return 0;
 }

@@ -7,12 +7,13 @@ ceil(log2 C); the label set is padded to the next power of two with
 uninhabited padding labels whose leaves receive essentially zero mass via
 a large bias sentinel.
 
-Fitting is greedy and top-down: at each node, alternate Newton ascent on
-(w, b) with a balanced re-partition of the node's labels until the
-partition is a fixed point, then recurse into both halves. The alternation
-runs in the compiled kernel when ``kernel.load()`` has one; the numpy
-``newton_fit``/``split_labels`` alternation is its fallback and its
-reference.
+Fitting is greedy and top-down, one level of the tree at a time: at each
+node, alternate Newton ascent on (w, b) with a balanced re-partition of the
+node's labels until the partition is a fixed point; the two halves are the
+labels of its children on the next level. A level's nodes start from one
+stacked ``eigh`` and are alternated in one call to the compiled kernel when
+``kernel.load()`` has one; the numpy ``newton_fit``/``split_labels``
+alternation, node by node, is its fallback and its reference.
 
 Tree layout: heap order, node i has children 2i+1 (left) and 2i+2 (right);
 level l holds the contiguous nodes 2^l - 1 ... 2^(l+1) - 2, and leaf
@@ -23,6 +24,7 @@ walk is index arithmetic and no per-leaf path table is stored.
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -111,6 +113,40 @@ class NodeFitProblem:
         return self.label_ids >= self.num_real_labels
 
 
+@dataclass
+class LevelFitProblem:
+    """The fitted nodes of one tree level, stacked as the compiled fit reads
+    them: node i has the L labels ``label_ids[i]``, with ``counts[i]`` rows
+    that sum to ``aggregates[i]``, and the rows ``rows[row_ptr[i]:row_ptr[i +
+    1]]``, each with its label's slot in ``label_ids[i]``."""
+
+    label_ids: np.ndarray  # (F, L)
+    rows: np.ndarray  # (m, k)
+    slots: np.ndarray  # (m,) in [0, L)
+    row_ptr: np.ndarray  # (F + 1,)
+    num_real_labels: int
+    counts: np.ndarray  # (F, L)
+    aggregates: np.ndarray  # (F, L, k)
+
+    @classmethod
+    def of_node(cls, problem: NodeFitProblem) -> "LevelFitProblem":
+        """One node as a level; its arrays are viewed, not copied or converted."""
+        return cls(problem.label_ids[None], problem.rows, problem.slots,
+                   np.array([0, problem.slots.size]), problem.num_real_labels,
+                   problem.counts[None], problem.aggregates[None])
+
+    def node(self, i) -> NodeFitProblem:
+        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
+        return NodeFitProblem(self.label_ids[i], self.rows[lo:hi], self.slots[lo:hi],
+                              self.num_real_labels, self.counts[i], self.aggregates[i])
+
+
+def check_regularizer(lam) -> None:
+    """The node objective is strictly concave only for a finite lam > 0."""
+    if not 0 < lam < np.inf:
+        raise DataError(f"tree regularizer must be finite and positive, not {lam}")
+
+
 def label_sums(rows, slots, num_slots: int) -> np.ndarray:
     """The sum of the rows in each slot; (num_slots, k). A sum with an
     infinite or NaN term is not finite, so the check sees every such row."""
@@ -147,13 +183,12 @@ def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0, count
     Backtracking halves the step until the objective increases. Once the
     predicted gain grad . step is below the objective's roundoff, no line
     search can see an ascent, so the full Newton step is taken and the
-    ascent stops. Requires lam > 0 for strict concavity; a non-finite step
+    ascent stops. Requires a finite lam > 0 for strict concavity; a non-finite step
     (rows so large that the Hessian overflows) is a NumericError. Adds its
     steps, and a run stopped at NEWTON_MAX_ITER, to ``counters`` (see
     NODE_COUNTERS).
     """
-    if lam <= 0:
-        raise DataError("node regularizer must be positive")
+    check_regularizer(lam)
     X, slots = problem.rows, problem.slots
     k = X.shape[1]
     theta = np.zeros(k + 1)
@@ -225,13 +260,49 @@ def init_node(problem: NodeFitProblem):
     centered = aggs - np.add.reduce(aggs, axis=0) / aggs.shape[0]
     cov = centered.T @ centered / aggs.shape[0]
     if not cov.any():
-        warnings.warn("zero covariance of label aggregates; using first basis vector")
+        _warn_zero_covariance()
         return np.eye(k)[0], 0.0
     lam, vecs = np.linalg.eigh(cov)
     if lam[-1] <= 0:
-        warnings.warn("degenerate covariance; using first basis vector")
+        _warn_degenerate()
         return np.eye(k)[0], 0.0
     return vecs[:, -1], 0.0
+
+
+def _warn_zero_covariance():
+    warnings.warn("zero covariance of label aggregates; using first basis vector")
+
+
+def _warn_degenerate():
+    warnings.warn("degenerate covariance; using first basis vector")
+
+
+def init_level(level: LevelFitProblem) -> np.ndarray:
+    """``init_node``'s (w, b) for every node of ``level``, as the rows of a
+    (F, k + 1) array. The nodes of real labels only take one stacked
+    covariance product and one stacked ``eigh``, which give the bits of the
+    per-node calls; a node with padding labels (a level has at most one)
+    goes through ``init_node``."""
+    F, L, k = level.aggregates.shape
+    theta = np.zeros((F, k + 1))
+    theta[:, 0] = 1.0  # the first basis vector, where there is nothing to fit
+    mixed = level.label_ids[:, -1] >= level.num_real_labels
+    for i in np.flatnonzero(mixed):
+        theta[i, :k] = init_node(level.node(i))[0]
+    real = np.flatnonzero(~mixed & level.counts.any(axis=1))
+    aggs = level.aggregates[real]
+    centered = aggs - np.add.reduce(aggs, axis=1, keepdims=True) / L
+    cov = np.matmul(centered.transpose(0, 2, 1), centered) / L
+    spread = cov.any(axis=(1, 2))
+    for _ in range(real.size - np.count_nonzero(spread)):
+        _warn_zero_covariance()
+    if spread.any():
+        lam, vecs = np.linalg.eigh(cov[spread])
+        top = lam[:, -1] > 0
+        for _ in range(top.size - np.count_nonzero(top)):
+            _warn_degenerate()
+        theta[real[spread][top], :k] = vecs[top, :, -1]
+    return theta
 
 
 def fit_node(problem: NodeFitProblem, lam: float, lib=None, counters=None):
@@ -240,24 +311,18 @@ def fit_node(problem: NodeFitProblem, lam: float, lib=None, counters=None):
     Returns (w, b, zeta). Neither half-step lowers the regularized node
     objective (``tests/test_aux_tree.py`` traces it). The alternation runs
     in the kernel library ``lib`` when one is given, else in numpy; either
-    fills ``counters`` (int64, see NODE_COUNTERS) when it is given.
+    fills ``counters`` (see NODE_COUNTERS) when it is given.
     """
-    if lam <= 0:
-        raise DataError("node regularizer must be positive")
-    if counters is None:
-        counters = np.zeros(len(NODE_COUNTERS), dtype=np.int64)
+    check_regularizer(lam)
+    level = LevelFitProblem.of_node(problem)
     if lib is not None:
-        _check_kernel_arrays(problem, counters)
+        _check_level(level)
     w, b = init_node(problem)
-    if lib is None:
-        w, b, zeta = _alternate(problem, lam, w, b, counters)
-    else:
-        w, b, zeta = _alternate_c(lib, problem, lam, w, b, counters)
-    if counters[3]:
-        warnings.warn(f"node fit did not reach a split fixed point in {ALTERNATION_GUARD} rounds")
-    if not (np.isfinite(w).all() and np.isfinite(b)):
-        raise NumericError("tree node fit gave non-finite parameters")
-    return w, b, zeta
+    theta = np.append(w, b)[None]
+    zeta, node_counters = _alternate_level(lib, level, lam, theta)
+    if counters is not None:
+        counters[:] = node_counters[0]
+    return theta[0, :-1], float(theta[0, -1]), zeta[0]
 
 
 def _alternate(problem, lam, w, b, counters):
@@ -275,45 +340,64 @@ def _alternate(problem, lam, w, b, counters):
     return w, b, zeta
 
 
-def _check_kernel_arrays(problem, counters):
-    """The compiled fit indexes every array by the shapes and ``slots``
-    unchecked."""
-    (L, k), m = problem.aggregates.shape, problem.slots.size
+def _alternate_level(lib, level: LevelFitProblem, lam, theta):
+    """The alternation of every node of ``level`` from its initial (w, b),
+    the rows of ``theta`` (F, k + 1), which get the fitted (w, b). In the
+    kernel library ``lib`` when one is given, in one call, else node by node
+    in numpy. Returns the splits (F, L) and the nodes' NODE_COUNTERS
+    (F, 4), and warns for each node stopped by NEWTON_MAX_ITER or
+    ALTERNATION_GUARD."""
+    F, L, k = level.aggregates.shape
+    zeta = np.empty((F, L), dtype=np.int64)
+    counters = np.zeros((F, len(NODE_COUNTERS)), dtype=np.int64)
+    if lib is not None:
+        cap_grad = np.empty((F, ALTERNATION_GUARD))
+        status = lib.advsamp_fit_level(
+            level.rows.ctypes.data, level.slots.ctypes.data, level.row_ptr.ctypes.data, k,
+            level.label_ids.ctypes.data, level.counts.ctypes.data,
+            level.aggregates.ctypes.data, F, L, level.num_real_labels,
+            lam, NEWTON_GRAD_TOL, NEWTON_GAIN_ULPS, NEWTON_MAX_ITER, LINE_SEARCH_HALVINGS,
+            ALTERNATION_GUARD, theta.ctypes.data, zeta.ctypes.data, counters.ctypes.data,
+            cap_grad.ctypes.data)
+        if status == -2:
+            raise MemoryError("no memory for the level fit's scratch arrays")
+        if status != -1:
+            raise NumericError("tree node fit gave non-finite parameters")
+    for i in range(F):
+        if lib is None:
+            w, b, zeta[i] = _alternate(level.node(i), lam, theta[i, :k], theta[i, k],
+                                       counters[i])
+            theta[i, :k], theta[i, k] = w, b
+        else:
+            for gnorm in cap_grad[i, :counters[i, 2]]:
+                _warn_newton_capped(gnorm)
+        if counters[i, 3]:
+            warnings.warn(f"node fit did not reach a split fixed point in {ALTERNATION_GUARD} "
+                          "rounds")
+        if not np.isfinite(theta[i]).all():
+            raise NumericError("tree node fit gave non-finite parameters")
+    return zeta, counters
+
+
+def _check_level(level: LevelFitProblem):
+    """The compiled fit indexes every array by the shapes, ``row_ptr`` and
+    ``slots`` unchecked."""
+    (F, L, k), m = level.aggregates.shape, level.slots.size
     if k > MAX_REDUCED_DIM:
         raise DataError(f"reduced dimension {k} exceeds the supported maximum {MAX_REDUCED_DIM}")
-    for arr, dtype, shape in ((problem.rows, np.float64, (m, k)), (problem.slots, np.int64, (m,)),
-                              (problem.label_ids, np.int64, (L,)),
-                              (problem.counts, np.int64, (L,)),
-                              (problem.aggregates, np.float64, (L, k)),
-                              (counters, np.int64, (len(NODE_COUNTERS),))):
+    for arr, dtype, shape in ((level.rows, np.float64, (m, k)), (level.slots, np.int64, (m,)),
+                              (level.row_ptr, np.int64, (F + 1,)),
+                              (level.label_ids, np.int64, (F, L)),
+                              (level.counts, np.int64, (F, L)),
+                              (level.aggregates, np.float64, (F, L, k))):
         if not (arr.dtype == dtype and arr.shape == shape and arr.flags.c_contiguous):
-            raise DataError(f"node fit needs C-contiguous {np.dtype(dtype).name} arrays "
+            raise DataError(f"level fit needs C-contiguous {np.dtype(dtype).name} arrays "
                             f"of shape {shape}")
-    if m and (problem.slots.min() < 0 or problem.slots.max() >= L):
-        raise DataError(f"node fit slots must lie in [0, {L})")
-
-
-def _alternate_c(lib, problem, lam, w, b, counters):
-    """fit_node's alternation in the compiled kernel, from (w, b)."""
-    (L, k), m = problem.aggregates.shape, problem.slots.size
-    theta = np.empty(k + 1)
-    theta[:k], theta[k] = w, b
-    zeta = np.empty(L, dtype=np.int64)
-    cap_grad = np.empty(ALTERNATION_GUARD)
-    status = lib.advsamp_fit_node(
-        problem.rows.ctypes.data, problem.slots.ctypes.data, m, k,
-        problem.label_ids.ctypes.data, problem.counts.ctypes.data,
-        problem.aggregates.ctypes.data, L, problem.num_real_labels,
-        lam, NEWTON_GRAD_TOL, NEWTON_GAIN_ULPS, NEWTON_MAX_ITER, LINE_SEARCH_HALVINGS,
-        ALTERNATION_GUARD, theta.ctypes.data, zeta.ctypes.data, counters.ctypes.data,
-        cap_grad.ctypes.data)
-    if status == 2:
-        raise MemoryError("no memory for the node fit's scratch arrays")
-    if status:
-        raise NumericError("tree node fit gave non-finite parameters")
-    for gnorm in cap_grad[:counters[2]]:
-        _warn_newton_capped(gnorm)
-    return theta[:k], float(theta[k]), zeta
+    ptr = level.row_ptr
+    if ptr[0] != 0 or ptr[-1] != m or (ptr[1:] < ptr[:-1]).any():
+        raise DataError(f"level fit row_ptr must rise from 0 to {m}")
+    if m and (level.slots.min() < 0 or level.slots.max() >= L):
+        raise DataError(f"level fit slots must lie in [0, {L})")
 
 
 class AuxiliaryTree:
@@ -321,8 +405,10 @@ class AuxiliaryTree:
 
     ``fit_report`` is None, or for a tree ``fit_tree`` made, what the fit
     did: its backend ("c" or "python"), the totals of NODE_COUNTERS' first
-    two counters, and the heap indices of the nodes whose Newton ascent hit
-    NEWTON_MAX_ITER and whose alternation hit ALTERNATION_GUARD.
+    two counters, the heap indices of the nodes whose Newton ascent hit
+    NEWTON_MAX_ITER and whose alternation hit ALTERNATION_GUARD (ascending),
+    and the seconds spent setting the nodes up (``init_s``: gathers,
+    covariances and ``eigh``) and alternating (``alternation_s``).
     """
 
     fit_report: dict | None = None
@@ -384,7 +470,7 @@ class AuxiliaryTree:
         if not (leaf.dtype == np.int64 and leaf.shape == (C,) and leaf.flags.c_contiguous
                 and leaf.min() >= 0 and leaf.max() < self.padded_size):
             raise DataError(f"label_leaf must be C-contiguous int64 in [0, {self.padded_size})")
-        acc = np.empty(self.padded_size)
+        acc = np.empty(2 * self.padded_size)
         lib.advsamp_tree_add_log_probs(z.ctypes.data, tail.ctypes.data, n, self.depth,
                                        leaf.ctypes.data, C, acc.ctypes.data, out.ctypes.data)
         return out
@@ -455,15 +541,17 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
     """Fit the full tree on reduced features Xr (n, k) with labels (n,).
 
     Pads the label set to a power of two (padding ids appended after the
-    real ones), recursively fits every internal node, and pins any node
-    with an all-padding child to the sentinel bias so padding mass
-    underflows to zero. The nodes are fitted in the compiled kernel when
-    ``kernel.load()`` returns it, else in numpy.
+    real ones) and fits the tree level by level, from the root down. It
+    pins any node with an all-padding child to the sentinel bias so padding
+    mass underflows to zero; every other node of a level is fitted, all of
+    them in one call to the compiled kernel when ``kernel.load()`` returns
+    it, else one by one in numpy.
     """
     Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
     C = int(num_labels)
     if C < 2:
         raise DataError("need at least 2 labels to build a tree")
+    check_regularizer(lam)
     labels = label_array(labels, C)
     k = Xr.shape[1]
     if k > MAX_REDUCED_DIM:
@@ -471,51 +559,74 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
     depth = int(np.ceil(np.log2(C)))
     Cp = 1 << depth
 
-    # rows sorted by label once: filtering keeps every node's rows grouped
-    # by label, in the order of its ascending label ids; a label's rows are
-    # the same at every node, so are its count and row sum
+    # rows sorted by label once: a label's rows are one run of Xs, the same
+    # at every node, and so are its count and row sum
     order = np.argsort(labels, kind="stable")
     Xs, ys = Xr[order], labels[order]
     label_counts = np.bincount(ys, minlength=Cp)
+    label_start = np.cumsum(label_counts) - label_counts
     label_aggs = label_sums(Xs, ys, Cp)
 
     node_w = np.zeros((Cp - 1, k))
     node_b = np.zeros(Cp - 1)
     label_leaf = np.zeros(C, dtype=np.int64)
     lib = kernel.load()
-    counters = np.zeros(len(NODE_COUNTERS), dtype=np.int64)
     report = {"backend": "python" if lib is None else "c", "newton_steps": 0,
-              "alternation_rounds": 0, "newton_capped_nodes": [], "guard_nodes": []}
-
-    def recurse(node, ids, rows, leaf_base):
-        if ids.size == 1:
-            if ids[0] < C:
-                label_leaf[ids[0]] = leaf_base
-            return
-        half = ids.size // 2
-        if ids[-half] >= C:
-            # ids ascend, so padding ids are their tail: the largest half go
-            # left with no rows, and all real labels go right
-            node_b[node] = B_PAD
-            recurse(2 * node + 1, ids[-half:], rows[:0], leaf_base)
-            recurse(2 * node + 2, ids[:-half], rows, leaf_base + half)
-            return
-        slots = np.searchsorted(ids, ys[rows])
-        problem = NodeFitProblem(ids, Xs[rows], slots, C, label_counts[ids], label_aggs[ids])
-        w, b, zeta = fit_node(problem, lam, lib, counters)
-        report["newton_steps"] += int(counters[0])
-        report["alternation_rounds"] += int(counters[1])
-        if counters[2]:
-            report["newton_capped_nodes"].append(node)
-        if counters[3]:
-            report["guard_nodes"].append(node)
-        node_w[node] = w
-        node_b[node] = b
-        side = zeta[slots]
-        recurse(2 * node + 1, ids[zeta < 0], rows[side < 0], leaf_base)
-        recurse(2 * node + 2, ids[zeta > 0], rows[side > 0], leaf_base + half)
-
-    recurse(0, np.arange(Cp), np.arange(labels.size), 0)
+              "alternation_rounds": 0, "newton_capped_nodes": [], "guard_nodes": [],
+              "init_s": 0.0, "alternation_s": 0.0}
+    # row j holds the label ids of the level's node j, ascending; splits are
+    # balanced, so every node of a level has as many
+    ids = np.arange(Cp)[None]
+    for _ in range(depth):
+        width, L = ids.shape
+        half = L // 2
+        first = width - 1  # the level's first heap index
+        # padding ids ascend last, so a node whose right half would hold one
+        # is pinned: its largest half (all padding) goes left with no rows,
+        # the rest right
+        zeta = np.tile(np.where(np.arange(L) < half, 1, -1), (width, 1))
+        pinned = ids[:, half] >= C
+        node_b[first + np.flatnonzero(pinned)] = B_PAD
+        fit = np.flatnonzero(~pinned)
+        if fit.size:
+            t0 = time.perf_counter()
+            problem = _gather_level(ids[fit], Xs, label_start, label_counts, label_aggs, C)
+            if lib is not None:
+                _check_level(problem)
+            theta = init_level(problem)
+            t1 = time.perf_counter()
+            zeta[fit], counters = _alternate_level(lib, problem, lam, theta)
+            report["init_s"] += t1 - t0
+            report["alternation_s"] += time.perf_counter() - t1
+            node_w[first + fit] = theta[:, :k]
+            node_b[first + fit] = theta[:, k]
+            report["newton_steps"] += int(counters[:, 0].sum())
+            report["alternation_rounds"] += int(counters[:, 1].sum())
+            report["newton_capped_nodes"] += (first + fit[counters[:, 2] > 0]).tolist()
+            report["guard_nodes"] += (first + fit[counters[:, 3] > 0]).tolist()
+        # each node's left child takes its ids with zeta -1, in order, and
+        # its right child the rest
+        ids = np.take_along_axis(ids, np.argsort(zeta, axis=1, kind="stable"), axis=1)
+        ids = ids.reshape(2 * width, half)
+    leaf_ids = ids[:, 0]
+    real = leaf_ids < C
+    label_leaf[leaf_ids[real]] = np.flatnonzero(real)
     tree = AuxiliaryTree(node_w, node_b, label_leaf, C, depth)
     tree.fit_report = report
     return tree
+
+
+def _gather_level(ids, Xs, label_start, label_counts, label_aggs, num_real) -> LevelFitProblem:
+    """The nodes with label ids ``ids`` (F, L) as a LevelFitProblem: each
+    node's rows are the runs of its labels in the label-sorted Xs, one after
+    the other."""
+    F, L = ids.shape
+    counts = label_counts[ids]
+    per_label = counts.ravel()
+    row_ptr = np.zeros(F + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=1), out=row_ptr[1:])
+    # a label's run starts at label_start in Xs and at `at` in the gather
+    at = np.cumsum(per_label) - per_label
+    index = np.repeat(label_start[ids].ravel() - at, per_label) + np.arange(row_ptr[-1])
+    slots = np.repeat(np.tile(np.arange(L), F), per_label)
+    return LevelFitProblem(ids, Xs[index], slots, row_ptr, num_real, counts, label_aggs[ids])

@@ -8,6 +8,7 @@ reproduced exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -61,6 +62,9 @@ class ExperimentConfig:
         for key, low in _MINIMUM.items():
             if getattr(self, key) < low:
                 raise DataError(f"{key} must be at least {low}, not {getattr(self, key)}")
+        for key, type_name in self.field_types().items():
+            if type_name == "float" and not math.isfinite(getattr(self, key)):
+                raise DataError(f"{key} must be finite, not {getattr(self, key)}")
 
     @classmethod
     def field_types(cls):

@@ -1,8 +1,8 @@
 """Build and load the compiled kernel library, ``_kernel.c``.
 
 It has four users: ``advsamp.training`` runs its training steps through
-it, ``advsamp.aux_tree.fit_tree`` fits each tree node's alternation with it,
-``advsamp.aux_tree.AuxiliaryTree.log_prob_all`` walks the tree's
+it, ``advsamp.aux_tree.fit_tree`` fits the tree's nodes with it one level
+per call, ``advsamp.aux_tree.AuxiliaryTree.log_prob_all`` walks the tree's
 log-probabilities with it, and ``advsamp.data_io.load_svmlight`` parses
 svmlight files with it.
 
@@ -39,8 +39,9 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 LIBS = ("-lm",)
 
 _P, _I, _D, _S = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_char_p
-# the four users' functions: training's two step loops, aux_tree's node fit
-# and log-probability walk, and data_io's two svmlight passes
+# every exported function of the source, by its users: training's two step
+# loops, aux_tree's level fit and log-probability walk, and data_io's two
+# svmlight passes; tests/test_kernel.py checks them against the source
 SIGNATURES = {
     # CSR arrays, order, step labels, step log p_n; n, m+1, t0, t1;
     # W, B, AW, AB; K; rho, lam, eps; scratch xi, g, first; loss out
@@ -48,11 +49,12 @@ SIGNATURES = {
     # CSR arrays, order, labels; t0, t1; W, B, AW, AB; C, K;
     # rho, lam, eps; scratch p; loss out
     "advsamp_softmax_steps": [_P] * 5 + [_I] * 2 + [_P] * 4 + [_I] * 2 + [_D] * 3 + [_P] * 2,
-    # rows, slots; m, k; label ids, counts, aggregates; L, num_real;
-    # lam, grad tol, gain ulps; max iter, halvings, guard;
+    # rows, slots, row_ptr; k; label ids, counts, aggregates; nodes, L,
+    # num_real; lam, grad tol, gain ulps; max iter, halvings, guard;
     # theta in/out, zeta, counters and cap_grad out
-    "advsamp_fit_node": [_P] * 2 + [_I] * 2 + [_P] * 3 + [_I] * 2 + [_D] * 3 + [_I] * 3 + [_P] * 4,
-    # logits, log sigma tails; n, depth; label_leaf; C; scratch acc, out in/out
+    "advsamp_fit_level": [_P] * 3 + [_I] + [_P] * 3 + [_I] * 3 + [_D] * 3 + [_I] * 3 + [_P] * 4,
+    # logits, log sigma tails; n, depth; label_leaf; C; scratch acc (2 Cp),
+    # out in/out
     "advsamp_tree_add_log_probs": [_P] * 2 + [_I] * 2 + [_P] + [_I] + [_P] * 2,
     # file bytes, length; counts of newlines, commas and colons out
     "advsamp_count_svmlight": [_S, _I, _P],

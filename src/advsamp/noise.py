@@ -67,8 +67,8 @@ class FrequencyNoise:
         counts = np.asarray(label_counts, dtype=np.float64)
         if counts.ndim != 1 or counts.size < 1 or np.any(counts < 0):
             raise DataError("label_counts must be a nonnegative 1-d array")
-        if smoothing < 0:
-            raise DataError("smoothing must be nonnegative")
+        if not 0 <= smoothing < np.inf:
+            raise DataError("smoothing must be finite and nonnegative")
         self.num_labels = counts.size
         total = counts.sum() + smoothing * counts.size
         if total <= 0:

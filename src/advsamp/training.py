@@ -56,8 +56,9 @@ class TrainConfig:
             raise DataError("negatives_per_positive must be positive")
         if self.log_every < 0:
             raise DataError("log_every must be nonnegative")
-        if self.learning_rate <= 0 or self.regularizer < 0:
-            raise DataError("learning_rate must be positive, regularizer nonnegative")
+        if not (0 < self.learning_rate < np.inf and 0 <= self.regularizer < np.inf):
+            raise DataError("learning_rate must be finite and positive, regularizer finite "
+                            "and nonnegative")
 
 
 def softmax_loss_and_grad(scores, y: int):

@@ -82,11 +82,13 @@ def make_problem(features_by_label, label_ids=None, num_real=None):
                           np.concatenate(feats), slots, L if num_real is None else num_real)
 
 
-def fit_tree_oracle(Xr, labels, C, lam):
-    """``fit_tree``'s recursion as it was with per-label lists: a scan over
-    all labels for their rows, each node's problem built from one feature
-    array per label, the children's label lists rebuilt by comprehension.
-    Returns (node_w, node_b, label_leaf)."""
+def fit_tree_oracle(Xr, labels, C, lam, lib=None):
+    """``fit_tree`` as it was before the level loop: a depth-first recursion
+    with per-label lists, a scan over all labels for their rows, each node's
+    problem built from one feature array per label and fitted by
+    ``fit_node`` in ``lib`` (numpy when None), the children's label lists
+    rebuilt by comprehension. Returns (node_w, node_b, label_leaf) and the
+    fit's counters as ``fit_report`` holds them."""
     k = Xr.shape[1]
     depth = int(np.ceil(np.log2(C)))
     Cp = 1 << depth
@@ -94,6 +96,8 @@ def fit_tree_oracle(Xr, labels, C, lam):
     node_w = np.zeros((Cp - 1, k))
     node_b = np.zeros(Cp - 1)
     label_leaf = np.zeros(C, dtype=np.int64)
+    report = {"newton_steps": 0, "alternation_rounds": 0, "newton_capped_nodes": [],
+              "guard_nodes": []}
 
     def features_for(ids):
         return [Xr[rows_by_label[y]] if y < C else np.zeros((0, k)) for y in ids]
@@ -111,16 +115,24 @@ def fit_tree_oracle(Xr, labels, C, lam):
             right = [y for y in ids if y not in taken]
             node_b[node] = B_PAD
         else:
-            w, b, zeta = fit_node(make_problem(features_for(ids), ids, C), lam)
+            counters = np.zeros(len(NODE_COUNTERS), dtype=np.int64)
+            w, b, zeta = fit_node(make_problem(features_for(ids), ids, C), lam, lib, counters)
             node_w[node] = w
             node_b[node] = b
+            report["newton_steps"] += int(counters[0])
+            report["alternation_rounds"] += int(counters[1])
+            for stopped, count in zip(("newton_capped_nodes", "guard_nodes"), counters[2:]):
+                if count:
+                    report[stopped].append(node)
             right = [y for y, s in zip(ids, zeta) if s > 0]
             left = [y for y, s in zip(ids, zeta) if s < 0]
         recurse(2 * node + 1, left, leaf_base)
         recurse(2 * node + 2, right, leaf_base + half)
 
     recurse(0, list(range(Cp)), 0)
-    return node_w, node_b, label_leaf
+    report["newton_capped_nodes"].sort()
+    report["guard_nodes"].sort()
+    return (node_w, node_b, label_leaf), report
 
 
 def oracle_case(C, k, n, seed):
@@ -744,6 +756,23 @@ class TestCompiledNodeFit:
         with pytest.raises(DataError, match=why):
             fit_node(problem, 0.1, kernel.load())
 
+    @pytest.mark.parametrize("row_ptr,why", [
+        ([0, 5, 3, 9], "row_ptr"), ([1, 5, 7, 9], "row_ptr"), ([0, 4, 6, 8], "row_ptr"),
+        ([0, 9], "C-contiguous"),
+    ])
+    def test_bad_level_rejected(self, rng, row_ptr, why):
+        # three nodes sharing nine rows: the kernel would read past a node's
+        # rows, or past the array
+        nodes = [make_problem([rng.standard_normal((1, 2)) for _ in range(3)]) for _ in range(3)]
+        level = aux_tree.LevelFitProblem(
+            np.stack([p.label_ids for p in nodes]), np.concatenate([p.rows for p in nodes]),
+            np.concatenate([p.slots for p in nodes]), np.array(row_ptr), 3,
+            np.stack([p.counts for p in nodes]), np.stack([p.aggregates for p in nodes]))
+        with pytest.raises(DataError, match=why):
+            aux_tree._check_level(level)
+        level.row_ptr = np.array([0, 3, 6, 9])
+        aux_tree._check_level(level)
+
     def test_widest_reduced_dimension(self, rng):
         feats = [rng.standard_normal((20, aux_tree.MAX_REDUCED_DIM)) + j for j in range(2)]
         problem = make_problem(feats)
@@ -818,39 +847,93 @@ class TestTreeValidation:
 
 class TestFitTree:
     @settings(max_examples=40, deadline=None)
-    @given(C=st.sampled_from([2, 4, 8, 16, 3, 5, 9, 17]), k=st.integers(1, 8),
+    @given(C=st.sampled_from([2, 3, 4, 5, 8, 9, 16, 17, 33]), k=st.integers(1, 8),
            n=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
     def test_matches_per_label_oracle(self, C, k, n, seed):
         # C = 2, powers of two, and 2^d + 1 (the most padding); some labels
-        # without rows, and rows repeated within and across labels. The
-        # numpy fit is the oracle's arithmetic bit for bit; the compiled
-        # one agrees within THETA_RTOL, and each of its nodes is a fixed
-        # point of the numpy alternation
+        # without rows, and rows repeated within and across labels. On each
+        # backend the level-order fit, with its stacked eigh and (compiled)
+        # one call per level, is the per-node recursion bit for bit, counters
+        # included. The compiled tree agrees with the numpy one within
+        # THETA_RTOL, and each of its nodes is a fixed point of the numpy
+        # alternation
         X, labels = oracle_case(C, k, n, seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            node_w, node_b, label_leaf = fit_tree_oracle(X, labels, C, 0.1)
-            with mock.patch.object(kernel, "load", lambda: None):
-                tree = fit_tree(X, labels, C, 0.1)
-            assert tree.fit_report["backend"] == "python"
-            assert tree.node_w.tobytes() == node_w.tobytes()
-            assert tree.node_b.tobytes() == node_b.tobytes()
-            assert np.array_equal(tree.label_leaf, label_leaf)
-            if kernel.load() is None:
-                return
-            tree = fit_tree(X, labels, C, 0.1)
-            assert tree.fit_report["backend"] == "c"
-            if np.array_equal(tree.label_leaf, label_leaf):
-                for node in range(node_b.size):
-                    assert_theta_close((tree.node_w[node], tree.node_b[node]),
-                                       (node_w[node], node_b[node]))
-            else:
-                event("a near-tie in delta flipped a split")
-            stopped = tree.fit_report["newton_capped_nodes"] + tree.fit_report["guard_nodes"]
-            for node, problem, zeta in fitted_nodes(tree, X, labels):
-                if node not in stopped:
-                    assert_reference_fixed_point(problem, tree.node_w[node], tree.node_b[node],
-                                                 zeta, 0.1)
+        for lib in (None, kernel.load()) if kernel.load() else (None,):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want, want_report = fit_tree_oracle(X, labels, C, 0.1, lib)
+                with mock.patch.object(kernel, "load", lambda: lib):
+                    tree = fit_tree(X, labels, C, 0.1)
+            report = tree.fit_report
+            assert report["backend"] == ("python" if lib is None else "c")
+            for got, expected in zip((tree.node_w, tree.node_b, tree.label_leaf), want):
+                assert got.tobytes() == expected.tobytes()
+            assert {key: report[key] for key in want_report} == want_report
+            if lib is None:
+                numpy_tree = tree
+        if kernel.load() is None:
+            return
+        if np.array_equal(tree.label_leaf, numpy_tree.label_leaf):
+            for node in range(tree.node_b.size):
+                assert_theta_close((tree.node_w[node], tree.node_b[node]),
+                                   (numpy_tree.node_w[node], numpy_tree.node_b[node]))
+        else:
+            event("a near-tie in delta flipped a split")
+        stopped = report["newton_capped_nodes"] + report["guard_nodes"]
+        for node, problem, zeta in fitted_nodes(tree, X, labels):
+            if node not in stopped:
+                assert_reference_fixed_point(problem, tree.node_w[node], tree.node_b[node],
+                                             zeta, 0.1)
+
+    def test_level_fit_reports_ascending_stopped_nodes(self, monkeypatch):
+        # the guard stops nodes 0, 2, 6, 13 and 23, which a depth-first fit
+        # meets as 0, 2, 23, 6, 13; the level loop lists them in heap order
+        monkeypatch.setattr(aux_tree, "ALTERNATION_GUARD", 1)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((400, 3))
+        labels = rng.integers(0, 33, 400)
+        for lib in (kernel.load(), None):
+            with mock.patch.object(kernel, "load", lambda: lib), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                report = fit_tree(X, labels, 33, 0.1).fit_report
+                _, want = fit_tree_oracle(X, labels, 33, 0.1, lib)
+            assert report["guard_nodes"] == want["guard_nodes"] == [0, 2, 6, 13, 23]
+
+    def test_level_fit_warns_as_the_oracle(self):
+        # identical rows, two per label: the aggregates of every fitted node
+        # coincide, so the stacked start warns of a zero covariance once per
+        # node, as the per-node starts do
+        X = np.ones((16, 2))
+        labels = np.arange(16) % 8
+        for lib in (kernel.load(), None):
+            found = []
+            for fit in (lambda: fit_tree(X, labels, 8, 0.1),
+                        lambda: fit_tree_oracle(X, labels, 8, 0.1, lib)):
+                with mock.patch.object(kernel, "load", lambda: lib), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    fit()
+                found.append(sorted(re.sub(r"\|grad\|=[^)]*", "", str(w.message))
+                                    for w in caught))
+            assert found[0] == found[1]
+            assert found[0].count("zero covariance of label aggregates; using first basis "
+                                  "vector") == 7
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_regularizer_must_be_finite_and_positive(self, rng, lam):
+        # nan used to fail mid-fit as a NumericError and inf to fit a
+        # degenerate tree
+        X = rng.standard_normal((20, 3))
+        labels = rng.integers(0, 4, 20)
+        problem = make_problem([X[:10], X[10:]])
+        for lib in (kernel.load(), None):
+            with mock.patch.object(kernel, "load", lambda: lib), \
+                    pytest.raises(DataError, match="finite and positive"):
+                fit_tree(X, labels, 4, lam)
+            with pytest.raises(DataError, match="finite and positive"):
+                fit_node(problem, lam, lib)
+        with pytest.raises(DataError, match="finite and positive"):
+            newton_fit(problem, np.array([1, -1]), lam)
 
     def test_separable_likelihood_approaches_zero(self, rng):
         # one private feature per label: perfectly separable

@@ -103,6 +103,9 @@ class TestPipeline:
             assert fit["alternation_rounds"] >= 4
             assert fit["newton_steps"] >= fit["alternation_rounds"]
             assert fit["newton_capped_nodes"] == [] and fit["guard_nodes"] == []
+            # the set-up and alternation seconds lie within the fit's wall clock
+            assert fit["init_s"] >= 0 and fit["alternation_s"] >= 0
+            assert fit["init_s"] + fit["alternation_s"] <= fit["aux_fit_wall_clock_s"]
 
     def test_retrain_keeps_aux_fit_time(self, workdir):
         # a second train still finds the fit-aux record and shifts its curve
@@ -372,6 +375,25 @@ class TestExitCodes:
         assert run("eval", out, base + [key]) == 2
         assert key.split("=")[0] in capsys.readouterr().err
         assert not (out / "eval.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [k for k, t in ExperimentConfig.field_types().items()
+                                     if t == "float"])
+    def test_non_finite_float_exits_2(self, tmp_path, key, value, capsys):
+        # regularizer=nan used to train as 0.0, learning_rate=nan or inf to
+        # exit 3 mid-epoch, frequency_smoothing=nan to exit 1 in numpy
+        code = main(["diagnose", "--out", str(tmp_path / "o"), "--set", "seed=1",
+                     "--set", f"{key}={value}"])
+        assert code == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    def test_non_positive_tree_regularizer_exits_2(self, workdir, capsys):
+        out, base = workdir
+        sets = base + ["noise=adversarial", "tree_regularizer=0"]
+        assert run("preprocess", out, sets) == 0
+        assert run("fit-aux", out, sets) == 2
+        assert "tree regularizer must be finite and positive" in capsys.readouterr().err
+        assert not (out / "tree.npz").exists()
 
     def test_threads_flag_removed(self, tmp_path, capsys):
         code = main(["diagnose", "--out", str(tmp_path / "o"),

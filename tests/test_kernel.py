@@ -1,6 +1,7 @@
 """The compiled step kernel against the Python reference loop, its build
 cache and its fallback."""
 
+import re
 import shutil
 import subprocess
 from unittest import mock
@@ -223,3 +224,16 @@ def test_kernel_compiles_without_warnings(tmp_path):
          "-o", str(tmp_path / "k.so"), str(kernel.SOURCE), "-lm"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_signatures_match_the_source():
+    # every exported function of _kernel.c has a ctypes signature with as
+    # many parameters, and every signature an exported function, so that a
+    # renamed or reshaped kernel cannot drift from its binding
+    source = re.sub(r"/\*.*?\*/", "", kernel.SOURCE.read_text(), flags=re.S)
+    defined = {}
+    for head, name, params in re.findall(r"^(\w[\w ]*?)\b(advsamp_\w+)\(([^)]*)\)\s*\{",
+                                         source, flags=re.M):
+        if "static" not in head.split():
+            defined[name] = len(params.split(","))
+    assert defined == {name: len(args) for name, args in kernel.SIGNATURES.items()}

@@ -54,6 +54,11 @@ class TestUniform:
 
 
 class TestFrequency:
+    @pytest.mark.parametrize("smoothing", [np.nan, np.inf, -1.0])
+    def test_bad_smoothing_rejected(self, smoothing):
+        with pytest.raises(DataError, match="smoothing"):
+            FrequencyNoise([3, 1, 0], smoothing=smoothing)
+
     def test_unsmoothed_probs(self):
         n = FrequencyNoise([3, 1, 0], smoothing=0.0)
         assert np.allclose(n.probs, [0.75, 0.25, 0.0])

@@ -421,6 +421,12 @@ class TestTrainLoop:
         with pytest.raises(DataError):
             TrainConfig(method="neg_sampling", learning_rate=0.1, log_every=-1)
 
+    @pytest.mark.parametrize("bad", [dict(learning_rate=np.nan), dict(learning_rate=np.inf),
+                                     dict(regularizer=np.nan), dict(regularizer=np.inf)])
+    def test_non_finite_rates_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            TrainConfig(**{"method": "neg_sampling", "learning_rate": 0.1, **bad})
+
 
 class TestMetrics:
     def test_log_rows_and_epoch_rows(self, rng):
