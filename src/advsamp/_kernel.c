@@ -169,7 +169,7 @@ int64_t advsamp_softmax_steps(const int64_t *indptr, const int64_t *indices, con
 
 /*
  * Auxiliary-tree fit, one tree level per call. advsamp_fit_level runs the
- * alternation of ``aux_tree.fit_node`` for each of the level's nodes from
+ * alternation of ``aux_tree._alternate`` for each of the level's nodes from
  * its initial (w, b): Newton ascent on theta = (w, b) for the current split,
  * then the balanced re-split, until the split is a fixed point or `guard`
  * rounds have run. Its arithmetic is that of ``newton_fit`` and

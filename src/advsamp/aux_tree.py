@@ -48,8 +48,8 @@ LINE_SEARCH_HALVINGS = 60
 ALTERNATION_GUARD = 50
 MAX_REDUCED_DIM = 64
 
-# what fit_node counts for one node, in this order: Newton steps, alternation
-# rounds, Newton runs stopped at NEWTON_MAX_ITER, and 1 when
+# what _alternate_level counts for each node, in this order: Newton steps,
+# alternation rounds, Newton runs stopped at NEWTON_MAX_ITER, and 1 when
 # ALTERNATION_GUARD stopped the alternation
 NODE_COUNTERS = ("newton_steps", "alternation_rounds", "newton_capped", "guard_hit")
 
@@ -58,56 +58,40 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
 
 
-def log_sigmoid_tail(z, out=None):
+def log_sigmoid_tail(z):
     """log1p(exp(-|z|)), so that log sigma(z) = min(z, 0) - tail and
-    log sigma(-z) = -max(z, 0) - tail; written into ``out`` (not ``z``) when
-    given. Four in-place passes of numpy's vectorised loops, no temporary."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.abs(z, out=np.empty_like(z) if out is None else out)
+    log sigma(-z) = -max(z, 0) - tail. Four passes of numpy's vectorised
+    loops into one new array, no temporary."""
+    out = np.abs(np.asarray(z, dtype=np.float64))
     np.negative(out, out=out)
     np.exp(out, out=out)
     return np.log1p(out, out=out)
 
 
-def log_sigmoid(z, out=None):
-    """log sigma(z) = min(z, 0) - log1p(exp(-|z|)), stable for any z;
-    written into ``out`` (not ``z``) when given."""
+def log_sigmoid(z):
+    """log sigma(z) = min(z, 0) - log1p(exp(-|z|)), stable for any z."""
     z = np.asarray(z, dtype=np.float64)
-    tail = log_sigmoid_tail(z, out)
+    tail = log_sigmoid_tail(z)
     return np.subtract(np.minimum(z, 0.0), tail, out=tail)
 
 
 @dataclass
 class NodeFitProblem:
-    """Per-node fitting data: the node's reduced rows and each row's label slot.
+    """One node of a level, as the numpy alternation reads it: the node's
+    reduced rows, each row's label slot, and each label's row count and
+    row sum.
 
     ``slots[i]`` is the position in ``label_ids`` of row i's label.
     ``label_ids`` may include padding ids (>= num_real_labels), which carry
-    no rows and are forced to the left half during splitting. ``counts`` and
-    ``aggregates`` are each label's row count and row sum; they are computed
-    from the rows unless given. The arrays are C-contiguous int64 and
-    float64, as the compiled fit reads them.
+    no rows and are forced to the left half during splitting.
     """
 
     label_ids: np.ndarray  # (L,)
     rows: np.ndarray  # (m, k)
     slots: np.ndarray  # (m,) in [0, L)
     num_real_labels: int
-    counts: np.ndarray | None = None  # (L,)
-    aggregates: np.ndarray | None = None  # (L, k)
-
-    def __post_init__(self):
-        self.label_ids = np.ascontiguousarray(self.label_ids, dtype=np.int64)
-        if self.label_ids.size < 2:
-            raise DataError("node fit needs at least 2 labels")
-        self.rows = np.ascontiguousarray(self.rows, dtype=np.float64)
-        self.slots = np.ascontiguousarray(self.slots, dtype=np.int64)
-        if self.counts is None:
-            self.counts = np.bincount(self.slots, minlength=self.label_ids.size)
-        self.counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if self.aggregates is None:
-            self.aggregates = label_sums(self.rows, self.slots, self.label_ids.size)
-        self.aggregates = np.ascontiguousarray(self.aggregates, dtype=np.float64)
+    counts: np.ndarray  # (L,)
+    aggregates: np.ndarray  # (L, k)
 
     def is_padding(self) -> np.ndarray:
         return self.label_ids >= self.num_real_labels
@@ -127,13 +111,6 @@ class LevelFitProblem:
     num_real_labels: int
     counts: np.ndarray  # (F, L)
     aggregates: np.ndarray  # (F, L, k)
-
-    @classmethod
-    def of_node(cls, problem: NodeFitProblem) -> "LevelFitProblem":
-        """One node as a level; its arrays are viewed, not copied or converted."""
-        return cls(problem.label_ids[None], problem.rows, problem.slots,
-                   np.array([0, problem.slots.size]), problem.num_real_labels,
-                   problem.counts[None], problem.aggregates[None])
 
     def node(self, i) -> NodeFitProblem:
         lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
@@ -244,89 +221,45 @@ def _warn_newton_capped(gnorm):
     warnings.warn(f"Newton ascent hit {NEWTON_MAX_ITER} iterations (|grad|={gnorm:.2e})")
 
 
-def init_node(problem: NodeFitProblem):
-    """Initial (w, b): dominant eigenvector of the covariance of the
-    per-label aggregate vectors; bias zero."""
-    real = ~problem.is_padding()
-    aggs, counts = problem.aggregates, problem.counts
-    if not real.all():
-        aggs, counts = aggs[real], counts[real]
-    k = aggs.shape[1]
-    # labels without training rows (e.g. all of them in the validation
-    # split) give all-zero aggregates and nothing to fit
-    if aggs.shape[0] < 2 or not counts.any():
-        return np.eye(k)[0], 0.0
-    # the sum and division of aggs.mean(axis=0), without its Python layers
-    centered = aggs - np.add.reduce(aggs, axis=0) / aggs.shape[0]
-    cov = centered.T @ centered / aggs.shape[0]
-    if not cov.any():
-        _warn_zero_covariance()
-        return np.eye(k)[0], 0.0
-    lam, vecs = np.linalg.eigh(cov)
-    if lam[-1] <= 0:
-        _warn_degenerate()
-        return np.eye(k)[0], 0.0
-    return vecs[:, -1], 0.0
-
-
-def _warn_zero_covariance():
-    warnings.warn("zero covariance of label aggregates; using first basis vector")
-
-
-def _warn_degenerate():
-    warnings.warn("degenerate covariance; using first basis vector")
-
-
 def init_level(level: LevelFitProblem) -> np.ndarray:
-    """``init_node``'s (w, b) for every node of ``level``, as the rows of a
-    (F, k + 1) array. The nodes of real labels only take one stacked
-    covariance product and one stacked ``eigh``, which give the bits of the
-    per-node calls; a node with padding labels (a level has at most one)
-    goes through ``init_node``."""
-    F, L, k = level.aggregates.shape
+    """Each node's initial (w, b), the rows of a (F, k + 1) array: the
+    dominant eigenvector of the covariance of its real labels' aggregate
+    vectors (a fitted node has at least two), bias zero. The nodes with the
+    same number of real labels (L, but in the one node of a level that mixes
+    real and padding labels) take one stacked covariance product, and all
+    nodes one stacked ``eigh``."""
+    F, _, k = level.aggregates.shape
     theta = np.zeros((F, k + 1))
     theta[:, 0] = 1.0  # the first basis vector, where there is nothing to fit
-    mixed = level.label_ids[:, -1] >= level.num_real_labels
-    for i in np.flatnonzero(mixed):
-        theta[i, :k] = init_node(level.node(i))[0]
-    real = np.flatnonzero(~mixed & level.counts.any(axis=1))
-    aggs = level.aggregates[real]
-    centered = aggs - np.add.reduce(aggs, axis=1, keepdims=True) / L
-    cov = np.matmul(centered.transpose(0, 2, 1), centered) / L
-    spread = cov.any(axis=(1, 2))
-    for _ in range(real.size - np.count_nonzero(spread)):
-        _warn_zero_covariance()
-    if spread.any():
+    num_real = np.count_nonzero(level.label_ids < level.num_real_labels, axis=1)
+    # labels without training rows (e.g. all of them in the validation
+    # split) give all-zero aggregates and nothing to fit
+    fit = level.counts.any(axis=1)
+    cov = np.zeros((F, k, k))
+    for n in np.unique(num_real[fit]):
+        group = np.flatnonzero(fit & (num_real == n))
+        aggs = level.aggregates[group, :n]
+        # the sum and division of aggs.mean(axis=1), without its Python layers
+        centered = aggs - np.add.reduce(aggs, axis=1, keepdims=True) / n
+        cov[group] = np.matmul(centered.transpose(0, 2, 1), centered) / n
+    spread = np.flatnonzero(fit & cov.any(axis=(1, 2)))
+    for _ in range(np.count_nonzero(fit) - spread.size):
+        warnings.warn("zero covariance of label aggregates; using first basis vector")
+    if spread.size:
         lam, vecs = np.linalg.eigh(cov[spread])
         top = lam[:, -1] > 0
         for _ in range(top.size - np.count_nonzero(top)):
-            _warn_degenerate()
-        theta[real[spread][top], :k] = vecs[top, :, -1]
+            warnings.warn("degenerate covariance; using first basis vector")
+        theta[spread[top], :k] = vecs[top, :, -1]
     return theta
 
 
-def fit_node(problem: NodeFitProblem, lam: float, lib=None, counters=None):
-    """Alternate Newton ascent and balanced re-splitting to a fixed point.
-
-    Returns (w, b, zeta). Neither half-step lowers the regularized node
-    objective (``tests/test_aux_tree.py`` traces it). The alternation runs
-    in the kernel library ``lib`` when one is given, else in numpy; either
-    fills ``counters`` (see NODE_COUNTERS) when it is given.
-    """
-    check_regularizer(lam)
-    level = LevelFitProblem.of_node(problem)
-    if lib is not None:
-        _check_level(level)
-    w, b = init_node(problem)
-    theta = np.append(w, b)[None]
-    zeta, node_counters = _alternate_level(lib, level, lam, theta)
-    if counters is not None:
-        counters[:] = node_counters[0]
-    return theta[0, :-1], float(theta[0, -1]), zeta[0]
-
-
 def _alternate(problem, lam, w, b, counters):
-    """fit_node's alternation in numpy, from (w, b)."""
+    """One node's alternation of Newton ascent and balanced re-splitting
+    in numpy, from (w, b) to a fixed point of the split or to
+    ALTERNATION_GUARD rounds; returns (w, b, zeta) and fills ``counters``
+    (see NODE_COUNTERS). Neither half-step lowers the regularized node
+    objective (``tests/test_aux_tree.py`` traces it)."""
     counters[:] = 0
     zeta = split_labels(problem, w, b)
     for _ in range(ALTERNATION_GUARD):
@@ -547,12 +480,14 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
     them in one call to the compiled kernel when ``kernel.load()`` returns
     it, else one by one in numpy.
     """
-    Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
+    Xr = np.asarray(Xr, dtype=np.float64)
     C = int(num_labels)
     if C < 2:
         raise DataError("need at least 2 labels to build a tree")
     check_regularizer(lam)
     labels = label_array(labels, C)
+    if Xr.ndim != 2 or labels.shape != Xr.shape[:1]:
+        raise DataError(f"tree fit needs one label per row: {labels.size} labels, rows {Xr.shape}")
     k = Xr.shape[1]
     if k > MAX_REDUCED_DIM:
         raise DataError(f"reduced dimension {k} exceeds the supported maximum {MAX_REDUCED_DIM}")

@@ -22,8 +22,10 @@ _CHOICES = {
     "noise": ("uniform", "frequency", "adversarial"),
     "eval_split": ("test", "validation"),
 }
-# smallest values for which diagnose's tables and sweep are defined
-_MINIMUM = {"diag_contexts": 1, "diag_labels": 2, "diag_sweep": 1}
+# smallest values for which the seeds, the feature PCA and diagnose's
+# tables and sweep are defined
+_MINIMUM = {"seed": 0, "feature_pca_k": 0, "diag_contexts": 1, "diag_labels": 2,
+            "diag_sweep": 1}
 
 
 @dataclass

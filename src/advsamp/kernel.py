@@ -10,7 +10,8 @@ The source is compiled on first use with the system C compiler (``cc``,
 else ``gcc``) and loaded through ctypes. The library goes into the
 package's ``__pycache__/``, named by the SHA-256 of the source, the compiler
 command and the interpreter's extension suffix, so an edited source or
-another interpreter gets its own build. When that directory is not
+another interpreter gets its own build; a new build there deletes the
+builds of the same suffix that it supersedes. When that directory is not
 writable the build goes into a private temporary directory, removed again
 once the library is loaded. Nothing is compiled at import.
 
@@ -23,6 +24,7 @@ line-by-line reader.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -120,7 +122,7 @@ def load():
     if not os.access(cache, os.W_OK):
         cache = private = Path(tempfile.mkdtemp(prefix="advsamp-kernel-"))
     try:
-        return _bind(build(cc, cache / name))
+        lib = _bind(build(cc, cache / name))
     except subprocess.CalledProcessError as exc:
         return _unavailable(f"{cc} failed on {SOURCE.name}: {exc.stderr.strip()}")
     except OSError as exc:
@@ -128,6 +130,13 @@ def load():
     finally:
         if private is not None:
             shutil.rmtree(private, ignore_errors=True)
+    # the builds this one supersedes: other hashes with the same extension
+    # suffix (another interpreter's builds have another suffix)
+    suffix = name[len("_kernel-") + 16:]  # past the hash
+    for old in set(cache.glob("_kernel-" + "?" * 16 + suffix)) - {cache / name}:
+        with contextlib.suppress(OSError):
+            old.unlink()
+    return lib
 
 
 def _unavailable(reason: str):

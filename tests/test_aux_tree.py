@@ -16,11 +16,13 @@ from advsamp.aux_tree import (
     B_PAD,
     NODE_COUNTERS,
     AuxiliaryTree,
+    LevelFitProblem,
     NodeFitProblem,
     all_deltas,
-    fit_node,
+    check_regularizer,
     fit_tree,
-    init_node,
+    init_level,
+    label_sums,
     log_sigmoid,
     newton_fit,
     sigmoid,
@@ -72,14 +74,74 @@ def _leaf_range(node, depth):
     return pos * size, size
 
 
+def node_problem(label_ids, rows, slots, num_real):
+    """A ``NodeFitProblem`` with each label's row count and row sum, as
+    ``fit_tree``'s gather gives them."""
+    label_ids = np.asarray(label_ids, dtype=np.int64)
+    return NodeFitProblem(label_ids, rows, slots, num_real,
+                          np.bincount(slots, minlength=label_ids.size),
+                          label_sums(rows, slots, label_ids.size))
+
+
 def make_problem(features_by_label, label_ids=None, num_real=None):
     """A ``NodeFitProblem`` from per-label (m_y, k) arrays: their rows stacked
     in label order, each with its label's slot."""
     feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in features_by_label]
     L = len(feats)
     slots = np.repeat(np.arange(L), [f.shape[0] for f in feats])
-    return NodeFitProblem(np.arange(L) if label_ids is None else label_ids,
-                          np.concatenate(feats), slots, L if num_real is None else num_real)
+    return node_problem(np.arange(L) if label_ids is None else label_ids,
+                        np.concatenate(feats), slots, L if num_real is None else num_real)
+
+
+def level_of(problems):
+    """Nodes of as many labels, stacked into one ``LevelFitProblem``."""
+    return LevelFitProblem(
+        np.stack([p.label_ids for p in problems]), np.concatenate([p.rows for p in problems]),
+        np.concatenate([p.slots for p in problems]),
+        np.cumsum([0] + [p.slots.size for p in problems]), problems[0].num_real_labels,
+        np.stack([p.counts for p in problems]), np.stack([p.aggregates for p in problems]))
+
+
+def init_node(problem):
+    """One node's start as a 2-D product and ``eigh``, the reference for
+    ``init_level``'s rows: the dominant eigenvector of the covariance of the
+    per-label aggregate vectors of the node's real labels; bias zero."""
+    real = ~problem.is_padding()
+    aggs, counts = problem.aggregates, problem.counts
+    if not real.all():
+        aggs, counts = aggs[real], counts[real]
+    k = aggs.shape[1]
+    if aggs.shape[0] < 2 or not counts.any():
+        return np.eye(k)[0], 0.0
+    centered = aggs - np.add.reduce(aggs, axis=0) / aggs.shape[0]
+    cov = centered.T @ centered / aggs.shape[0]
+    if not cov.any():
+        warnings.warn("zero covariance of label aggregates; using first basis vector")
+        return np.eye(k)[0], 0.0
+    lam, vecs = np.linalg.eigh(cov)
+    if not lam[-1] > 0:  # NaN too, from an overflowed covariance
+        warnings.warn("degenerate covariance; using first basis vector")
+        return np.eye(k)[0], 0.0
+    return vecs[:, -1], 0.0
+
+
+def fit_node(problem, lam, lib=None, counters=None):
+    """One node fitted as ``fit_tree`` fits a level: a one-node level (its
+    arrays viewed, not copied), started by ``init_node`` and alternated by
+    ``aux_tree._alternate_level`` in the kernel library ``lib`` (numpy when
+    None). Returns (w, b, zeta) and fills ``counters`` (see NODE_COUNTERS)
+    when given."""
+    check_regularizer(lam)
+    level = LevelFitProblem(problem.label_ids[None], problem.rows, problem.slots,
+                            np.array([0, problem.slots.size]), problem.num_real_labels,
+                            problem.counts[None], problem.aggregates[None])
+    if lib is not None:
+        aux_tree._check_level(level)
+    theta = np.append(*init_node(problem))[None]
+    zeta, node_counters = aux_tree._alternate_level(lib, level, lam, theta)
+    if counters is not None:
+        counters[:] = node_counters[0]
+    return theta[0, :-1], float(theta[0, -1]), zeta[0]
 
 
 def fit_tree_oracle(Xr, labels, C, lam, lib=None):
@@ -150,7 +212,7 @@ def root_problem(X, labels, C):
     id of the padded tree, the rows grouped by label."""
     order = np.argsort(labels, kind="stable")
     Cp = 1 << int(np.ceil(np.log2(C)))
-    return NodeFitProblem(np.arange(Cp), X[order], labels[order], C)
+    return node_problem(np.arange(Cp), X[order], labels[order], C)
 
 
 def fitted_nodes(tree, X, labels):
@@ -170,7 +232,7 @@ def fitted_nodes(tree, X, labels):
         zeta = np.where(np.concatenate([right, np.zeros(size - right.size, bool)]), 1, -1)
         rows = np.flatnonzero(np.isin(labels, ids))
         rows = rows[np.argsort(labels[rows], kind="stable")]
-        problem = NodeFitProblem(ids, X[rows], np.searchsorted(ids, labels[rows]), C)
+        problem = node_problem(ids, X[rows], np.searchsorted(ids, labels[rows]), C)
         yield node, problem, zeta
 
 
@@ -584,24 +646,32 @@ class TestNewtonFit:
             newton_fit(p, np.array([1, -1]), lam=0.0)
 
 
+def start(problem):
+    """``init_node``'s (w, b) for ``problem``, which ``init_level`` gives
+    bit for bit for it as a one-node level."""
+    w, b = init_node(problem)
+    assert init_level(level_of([problem])).tobytes() == np.append(w, b)[None].tobytes()
+    return w, b
+
+
 class TestInitNode:
     def test_collinear_aggregates(self):
         direction = np.array([0.6, 0.8])
         feats = [np.outer([c], direction) for c in (1.0, 2.0, -1.0, 0.5)]
         p = make_problem(feats)
-        w, b = init_node(p)
+        w, b = start(p)
         assert b == 0.0
         assert min(np.abs(w - direction).max(), np.abs(w + direction).max()) < 1e-6
 
     def test_two_point_symmetry(self):
         p = make_problem([np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]])])
-        w, _ = init_node(p)
+        w, _ = start(p)
         assert abs(abs(w[0]) - 1.0) < 1e-8 and abs(w[1]) < 1e-8
 
     def test_matches_eigensolver_oracle(self, rng):
         feats = [rng.standard_normal((rng.integers(1, 4), 4)) for _ in range(6)]
         p = make_problem(feats)
-        w, _ = init_node(p)
+        w, _ = start(p)
         aggs = np.stack([f.sum(axis=0) for f in feats])
         centered = aggs - aggs.mean(axis=0)
         cov = centered.T @ centered / len(feats)
@@ -612,7 +682,7 @@ class TestInitNode:
     def test_zero_covariance_fallback(self):
         same = np.array([[1.0, 1.0]])
         with pytest.warns(UserWarning):
-            w, b = init_node(make_problem([same, same]))
+            w, b = start(make_problem([same, same]))
         assert list(w) == [1.0, 0.0] and b == 0.0
 
     @pytest.mark.parametrize("num_real", [4, 2])
@@ -622,8 +692,75 @@ class TestInitNode:
         p = make_problem([np.zeros((0, 3))] * 4, num_real=num_real)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w, b = init_node(p)
+            w, b = start(p)
         assert list(w) == [1.0, 0.0, 0.0] and b == 0.0
+
+
+def assert_level_starts_per_node(level):
+    """Each row of ``init_level(level)`` is ``init_node`` of that node, bit
+    for bit, and the level warns as the nodes do, in count and text.
+    Returns the warnings."""
+    found = []
+    for start_level in (init_level, lambda level: np.array(
+            [np.append(*init_node(level.node(i))) for i in range(level.row_ptr.size - 1)])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            theta = start_level(level)
+        found.append((theta.tobytes(), sorted(str(w.message) for w in caught)))
+    assert found[0] == found[1]
+    return found[0][1]
+
+
+class TestInitLevel:
+    """``init_level``'s stacked start against ``init_node``, node by node."""
+
+    @pytest.mark.parametrize("k", [1, 3, aux_tree.MAX_REDUCED_DIM])
+    @pytest.mark.parametrize("C", [16, 5, 9, 33, 100])
+    def test_levels_of_a_fit(self, C, k, rng):
+        # every level fit_tree starts, among them (unless C is a power of
+        # two) levels with a node that mixes real and padding labels, and
+        # labels without rows
+        present = rng.choice(C, size=C - C // 4, replace=False)
+        X, labels = rng.standard_normal((6 * C, k)), rng.choice(present, size=6 * C)
+        levels = []
+
+        def record(level):
+            levels.append(level)
+            return init_level(level)
+
+        with mock.patch.object(aux_tree, "init_level", record), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit_tree(X, labels, C, 0.1)
+        assert len(levels) == int(np.ceil(np.log2(C)))
+        mixed = sum(int((level.label_ids >= C).any()) for level in levels)
+        assert (mixed == 0) == (C == 16)
+        for level in levels:
+            assert_level_starts_per_node(level)
+
+    @pytest.mark.parametrize("k", [1, aux_tree.MAX_REDUCED_DIM])
+    @pytest.mark.parametrize("spectrum", ["eigh", "zero"])
+    def test_fallbacks_in_one_level(self, k, spectrum, rng, monkeypatch):
+        # a finite nonzero covariance has a positive top eigenvalue, so the
+        # degenerate fallback is reached with eigh patched to a zero spectrum
+        if spectrum == "zero":
+            monkeypatch.setattr(np.linalg, "eigh",
+                                lambda a: (np.zeros(a.shape[:-1]), np.zeros(a.shape)))
+
+        def node(ids, feats):  # num_real = 100; ids ascend, padding last
+            return make_problem([np.reshape(f, (-1, k)) for f in feats], ids, 100)
+
+        same, none = np.ones((2, k)), np.zeros((0, k))
+        rows = [rng.standard_normal((int(rng.integers(1, 4)), k)) for _ in range(4)]
+        nodes = [
+            node([0, 1, 2, 3], rows),
+            node([4, 5, 6, 7], [same] * 4),  # zero covariance
+            node([8, 9, 10, 11], [none] * 4),  # labels without rows
+            node([97, 98, 99, 100], rows[:3] + [none]),  # mixed
+            node([98, 99, 100, 101], [same] * 2 + [none] * 2),  # mixed, zero covariance
+        ]
+        assert assert_level_starts_per_node(level_of(nodes)) == (
+            ["degenerate covariance; using first basis vector"] * (2 * (spectrum == "zero"))
+            + ["zero covariance of label aggregates; using first basis vector"] * 2)
 
 
 class TestFitNode:
@@ -763,11 +900,9 @@ class TestCompiledNodeFit:
     def test_bad_level_rejected(self, rng, row_ptr, why):
         # three nodes sharing nine rows: the kernel would read past a node's
         # rows, or past the array
-        nodes = [make_problem([rng.standard_normal((1, 2)) for _ in range(3)]) for _ in range(3)]
-        level = aux_tree.LevelFitProblem(
-            np.stack([p.label_ids for p in nodes]), np.concatenate([p.rows for p in nodes]),
-            np.concatenate([p.slots for p in nodes]), np.array(row_ptr), 3,
-            np.stack([p.counts for p in nodes]), np.stack([p.aggregates for p in nodes]))
+        level = level_of([make_problem([rng.standard_normal((1, 2)) for _ in range(3)])
+                          for _ in range(3)])
+        level.row_ptr = np.array(row_ptr)
         with pytest.raises(DataError, match=why):
             aux_tree._check_level(level)
         level.row_ptr = np.array([0, 3, 6, 9])
@@ -973,6 +1108,15 @@ class TestFitTree:
     def test_rejects_single_label(self):
         with pytest.raises(DataError):
             fit_tree(np.zeros((3, 2)), np.zeros(3, dtype=int), 1, 0.1)
+
+    @pytest.mark.parametrize("shape,labels", [
+        ((6, 2), [0, 1, 0]), ((3, 2), [0, 1, 0, 1, 1]), ((6,), [0, 1, 0, 1, 1, 0]),
+    ])
+    def test_one_label_per_row(self, shape, labels):
+        # fewer labels than rows used to fit on the first rows and ignore
+        # the rest, more labels than rows to fail with an IndexError
+        with pytest.raises(DataError, match="one label per row"):
+            fit_tree(np.zeros(shape), labels, 2, 0.1)
 
     def test_round_trip(self, tmp_path, rng):
         X = rng.standard_normal((50, 3))

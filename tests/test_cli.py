@@ -316,6 +316,18 @@ class TestEvalMatchesTraining:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command,key", [
+        ("preprocess", "seed=-1"), ("diagnose", "seed=-1"), ("preprocess", "feature_pca_k=-4"),
+    ])
+    def test_negative_seed_or_feature_pca_k_exits_2(self, workdir, command, key, capsys):
+        # a negative seed used to end in numpy's "expected non-negative
+        # integer" traceback (exit 1); a negative feature_pca_k ran no
+        # feature PCA and exited 0
+        out, base = workdir
+        assert run(command, out, base + [key]) == 2
+        assert f"{key.split('=')[0]} must be at least 0" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_input_file(self, tmp_path):
         out = tmp_path / "o"
         code = main(["preprocess", "--out", str(out), "--set", "seed=1",

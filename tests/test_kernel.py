@@ -181,6 +181,28 @@ class TestBuild:
         assert kernel.load.__wrapped__() is not None
         assert built.stat().st_mtime_ns == stamp
 
+    @needs_kernel
+    @pytest.mark.parametrize("unlink_fails", [False, True])
+    def test_build_deletes_superseded_builds(self, source, monkeypatch, unlink_fails):
+        # another hash with the same suffix is superseded; another
+        # interpreter's build is not, and a file that cannot be deleted stays
+        cache = source.parent / "__pycache__"
+        cache.mkdir()
+        suffix = kernel.library_name()[len("_kernel-") + 16:]
+        stale = cache / f"_kernel-{'0' * 16}{suffix}"
+        other = cache / f"_kernel-{'0' * 16}.cpython-399-other.so"
+        for path in (stale, other):
+            path.write_bytes(b"an older build")
+        if unlink_fails:
+            def unlink(self, missing_ok=False):
+                raise PermissionError(self)
+
+            monkeypatch.setattr(kernel.Path, "unlink", unlink)
+        assert kernel.load.__wrapped__() is not None
+        built = cache / kernel.library_name()
+        kept = {built, other, stale} if unlink_fails else {built, other}
+        assert set(cache.iterdir()) == kept
+
     def test_name_keyed_by_source(self, source):
         before = kernel.library_name()
         source.write_text(source.read_text() + "\n/* edited */\n")
