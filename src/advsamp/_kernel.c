@@ -1,7 +1,8 @@
 /*
  * Compiled kernels for advsamp: the training steps of advsamp.training,
- * the auxiliary-tree level fit and log-probability walk of advsamp.aux_tree
- * and the svmlight reader of advsamp.data_io (at the end of this file).
+ * the auxiliary-tree level fit, log-probability walk and path walk of
+ * advsamp.aux_tree and the svmlight reader of advsamp.data_io (at the end
+ * of this file).
  *
  * Training steps.
  * One call runs steps t0 .. t1-1 of an epoch: step t trains on example
@@ -524,6 +525,45 @@ int64_t advsamp_tree_add_log_probs(const double *z, const double *tail, int64_t 
         double *oi = out + i * C;
         for (int64_t c = 0; c < C; c++)
             oi[c] += cur[label_leaf[c]];
+    }
+    return 0;
+}
+
+/*
+ * Tree path walk, one root-to-leaf path per row of x (n, k), for a tree in
+ * heap order of depth `depth` with node parameters node_w (2^depth - 1, k)
+ * and node_b. At level l the row is at position pos of the level, node
+ * 2^l - 1 + pos, whose logit is z = x_i . w + b, and goes on to position
+ * 2 pos + bit of the next level. Two modes:
+ * - pairs (thresholds NULL): bit is the level's bit of leaves[i], most
+ *   significant first, and logits (depth, n) gets z for a right branch and
+ *   -z for a left one, so that log p(leaf | x_i) is the sum over the
+ *   levels of their log sigma;
+ * - sampling: bit is thresholds[l n + i] < z (thresholds (depth, n)), which
+ *   with the threshold logit(u) = log u - log1p(-u) of a uniform u goes
+ *   right with probability sigma(z); leaves[i] gets the leaf position.
+ * Only the low `depth` bits of a leaf are read. The levels are the outer
+ * loop, so that the rows' paths, each a chain of dependent loads, overlap.
+ * Returns 0.
+ */
+int64_t advsamp_tree_walk(const double *x, int64_t n, int64_t k, const double *node_w,
+                          const double *node_b, int64_t depth, const double *thresholds,
+                          int64_t *leaves, double *logits)
+{
+    if (thresholds != NULL)
+        memset(leaves, 0, (size_t)n * sizeof *leaves);
+    for (int64_t l = 0; l < depth; l++) {
+        int64_t first = ((int64_t)1 << l) - 1, shift = depth - 1 - l;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t pos = thresholds == NULL ? (leaves[i] >> (shift + 1)) & first : leaves[i];
+            double z = dot2(x + i * k, node_w + (first + pos) * k, k) + node_b[first + pos];
+            if (thresholds == NULL) {
+                int64_t bit = (leaves[i] >> shift) & 1;
+                logits[l * n + i] = bit ? z : -z;
+            } else {
+                leaves[i] = 2 * pos + (thresholds[l * n + i] < z);
+            }
+        }
     }
     return 0;
 }

@@ -47,6 +47,8 @@ NEWTON_GAIN_ULPS = 4.0
 LINE_SEARCH_HALVINGS = 60
 ALTERNATION_GUARD = 50
 MAX_REDUCED_DIM = 64
+# labels per block of the numpy log-probability walk's last level
+GATHER_COLUMNS = 64
 
 # what _alternate_level counts for each node, in this order: Newton steps,
 # alternation rounds, Newton runs stopped at NEWTON_MAX_ITER, and 1 when
@@ -227,7 +229,9 @@ def init_level(level: LevelFitProblem) -> np.ndarray:
     vectors (a fitted node has at least two), bias zero. The nodes with the
     same number of real labels (L, but in the one node of a level that mixes
     real and padding labels) take one stacked covariance product, and all
-    nodes one stacked ``eigh``."""
+    nodes one stacked ``eigh``. A covariance that overflows (rows of scale
+    ~1e155 and up) is a NumericError, not an ``eigh`` that fails to
+    converge."""
     F, _, k = level.aggregates.shape
     theta = np.zeros((F, k + 1))
     theta[:, 0] = 1.0  # the first basis vector, where there is nothing to fit
@@ -242,6 +246,9 @@ def init_level(level: LevelFitProblem) -> np.ndarray:
         # the sum and division of aggs.mean(axis=1), without its Python layers
         centered = aggs - np.add.reduce(aggs, axis=1, keepdims=True) / n
         cov[group] = np.matmul(centered.transpose(0, 2, 1), centered) / n
+    if not np.isfinite(cov).all():
+        raise NumericError("tree node fit gave non-finite parameters (the label-aggregate "
+                           "covariance of its start overflows)")
     spread = np.flatnonzero(fit & cov.any(axis=(1, 2)))
     for _ in range(np.count_nonzero(fit) - spread.size):
         warnings.warn("zero covariance of label aggregates; using first basis vector")
@@ -278,38 +285,48 @@ def _alternate_level(lib, level: LevelFitProblem, lam, theta):
     the rows of ``theta`` (F, k + 1), which get the fitted (w, b). In the
     kernel library ``lib`` when one is given, in one call, else node by node
     in numpy. Returns the splits (F, L) and the nodes' NODE_COUNTERS
-    (F, 4), and warns for each node stopped by NEWTON_MAX_ITER or
-    ALTERNATION_GUARD."""
+    (F, 4), and warns, in node order, for each node stopped by
+    NEWTON_MAX_ITER or ALTERNATION_GUARD up to the first node whose fit is
+    not finite, a NumericError."""
     F, L, k = level.aggregates.shape
     zeta = np.empty((F, L), dtype=np.int64)
     counters = np.zeros((F, len(NODE_COUNTERS)), dtype=np.int64)
-    if lib is not None:
-        cap_grad = np.empty((F, ALTERNATION_GUARD))
-        status = lib.advsamp_fit_level(
-            level.rows.ctypes.data, level.slots.ctypes.data, level.row_ptr.ctypes.data, k,
-            level.label_ids.ctypes.data, level.counts.ctypes.data,
-            level.aggregates.ctypes.data, F, L, level.num_real_labels,
-            lam, NEWTON_GRAD_TOL, NEWTON_GAIN_ULPS, NEWTON_MAX_ITER, LINE_SEARCH_HALVINGS,
-            ALTERNATION_GUARD, theta.ctypes.data, zeta.ctypes.data, counters.ctypes.data,
-            cap_grad.ctypes.data)
-        if status == -2:
-            raise MemoryError("no memory for the level fit's scratch arrays")
-        if status != -1:
-            raise NumericError("tree node fit gave non-finite parameters")
-    for i in range(F):
-        if lib is None:
+    if lib is None:
+        for i in range(F):
             w, b, zeta[i] = _alternate(level.node(i), lam, theta[i, :k], theta[i, k],
                                        counters[i])
             theta[i, :k], theta[i, k] = w, b
-        else:
-            for gnorm in cap_grad[i, :counters[i, 2]]:
-                _warn_newton_capped(gnorm)
+            if counters[i, 3]:
+                _warn_guard_hit()
+            if not np.isfinite(theta[i]).all():
+                raise NumericError("tree node fit gave non-finite parameters")
+        return zeta, counters
+    cap_grad = np.empty((F, ALTERNATION_GUARD))
+    status = lib.advsamp_fit_level(
+        level.rows.ctypes.data, level.slots.ctypes.data, level.row_ptr.ctypes.data, k,
+        level.label_ids.ctypes.data, level.counts.ctypes.data,
+        level.aggregates.ctypes.data, F, L, level.num_real_labels,
+        lam, NEWTON_GRAD_TOL, NEWTON_GAIN_ULPS, NEWTON_MAX_ITER, LINE_SEARCH_HALVINGS,
+        ALTERNATION_GUARD, theta.ctypes.data, zeta.ctypes.data, counters.ctypes.data,
+        cap_grad.ctypes.data)
+    if status == -2:
+        raise MemoryError("no memory for the level fit's scratch arrays")
+    if status != -1:
+        raise NumericError("tree node fit gave non-finite parameters")
+    bad = np.flatnonzero(~np.isfinite(theta).all(axis=1))[:1]
+    stop = bad[0] + 1 if bad.size else F
+    for i in np.flatnonzero(counters[:stop, 2:].any(axis=1)):
+        for gnorm in cap_grad[i, :counters[i, 2]]:
+            _warn_newton_capped(gnorm)
         if counters[i, 3]:
-            warnings.warn(f"node fit did not reach a split fixed point in {ALTERNATION_GUARD} "
-                          "rounds")
-        if not np.isfinite(theta[i]).all():
-            raise NumericError("tree node fit gave non-finite parameters")
+            _warn_guard_hit()
+    if bad.size:
+        raise NumericError("tree node fit gave non-finite parameters")
     return zeta, counters
+
+
+def _warn_guard_hit():
+    warnings.warn(f"node fit did not reach a split fixed point in {ALTERNATION_GUARD} rounds")
 
 
 def _check_level(level: LevelFitProblem):
@@ -410,25 +427,70 @@ class AuxiliaryTree:
 
     def _add_log_probs_numpy(self, z, tail, out):
         """The kernel's walk as a level loop: after level l, column j of the
-        running sums is the log-probability of reaching node 2^(l+1) - 1 + j."""
-        n = z.shape[0]
+        running sums is the log-probability of reaching node 2^(l+1) - 1 + j.
+        The last level goes straight into ``out``, a block of labels at a
+        time, so that no (n, Cp) table of leaves is held beside ``z``,
+        ``tail`` and ``out`` (the evaluation block allows BLOCK_TABLES)."""
+        n, last = z.shape[0], self.depth - 1
+        if last < 0:
+            return out  # one label, no branch
         acc = np.zeros((n, 1))
-        for level in range(self.depth):
+        for level in range(last):
             nodes = slice((1 << level) - 1, (2 << level) - 1)
             zl, tl = z[:, nodes], tail[:, nodes]
             children = np.empty((n, 1 << level, 2))
             np.add(acc, np.minimum(zl, 0.0) - tl, out=children[:, :, 1])
             np.add(acc, -np.maximum(zl, 0.0) - tl, out=children[:, :, 0])
             acc = children.reshape(n, -1)
-        out += acc[:, self.label_leaf]
+        # leaf j is the right (j odd) or left child of position j >> 1
+        zl, tl = z[:, (1 << last) - 1:], tail[:, (1 << last) - 1:]
+        for lo in range(0, out.shape[1], GATHER_COLUMNS):
+            leaf = self.label_leaf[lo:lo + GATHER_COLUMNS]
+            parent, right = leaf >> 1, (leaf & 1) == 1
+            zc = zl[:, parent]
+            branch = np.where(right, np.minimum(zc, 0.0), -np.maximum(zc, 0.0)) - tl[:, parent]
+            out[:, lo:lo + GATHER_COLUMNS] += acc[:, parent] + branch
         return out
 
+    def _walk_rows(self, Xr) -> np.ndarray:
+        """Xr as C-contiguous float64 rows (n, k), with the node arrays
+        checked against them: the compiled path walk indexes both unchecked."""
+        Xr = np.ascontiguousarray(np.atleast_2d(Xr), dtype=np.float64)
+        nodes, k = (1 << self.depth) - 1, self.reduced_dim
+        if Xr.ndim != 2 or Xr.shape[1] != k:
+            raise DataError(f"tree walk needs rows of {k} reduced features, not {Xr.shape}")
+        for arr, shape in ((self.node_w, (nodes, k)), (self.node_b, (nodes,))):
+            if not (arr.dtype == np.float64 and arr.shape == shape and arr.flags.c_contiguous):
+                raise DataError(f"tree walk needs C-contiguous float64 node arrays of shape "
+                                f"{shape}")
+        return Xr
+
     def log_prob_pairs(self, Xr, ys) -> np.ndarray:
-        """log p(ys[i] | Xr[i]) for each row; (n,)."""
-        Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
+        """log p(ys[i] | Xr[i]) for each row; (n,).
+
+        One walk per row along ys[i]'s path stores each level's signed logit
+        in a (depth, n) table, in the compiled kernel when ``kernel.load()``
+        has one, else in a numpy level loop; the table's log sigma is then
+        summed level by level, as that loop sums it.
+        """
+        Xr = self._walk_rows(Xr)
+        n = Xr.shape[0]
         leaves = self.label_leaf[label_array(ys, self.num_labels)]
-        node = np.zeros(Xr.shape[0], dtype=np.int64)
+        if leaves.shape != (n,) or leaves.dtype != np.int64:
+            raise DataError(f"log_prob_pairs needs one label per row: {np.shape(ys)} labels, "
+                            f"{n} rows")
+        lib = kernel.load()
+        if lib is None:
+            return self._log_prob_pairs_numpy(Xr, leaves)
+        logits = np.empty((self.depth, n))
+        lib.advsamp_tree_walk(Xr.ctypes.data, n, self.reduced_dim, self.node_w.ctypes.data,
+                              self.node_b.ctypes.data, self.depth, None, leaves.ctypes.data,
+                              logits.ctypes.data)
+        return np.add.reduce(log_sigmoid(logits), axis=0)
+
+    def _log_prob_pairs_numpy(self, Xr, leaves):
         out = np.zeros(Xr.shape[0])
+        node = np.zeros(Xr.shape[0], dtype=np.int64)
         for level in range(self.depth):
             bit = (leaves >> (self.depth - 1 - level)) & 1
             z = np.einsum("ij,ij->i", Xr, self.node_w[node]) + self.node_b[node]
@@ -437,18 +499,41 @@ class AuxiliaryTree:
         return out
 
     def sample_batch(self, Xr, rng) -> np.ndarray:
-        """Vectorized ancestral sampling, one label per row of Xr."""
-        Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
+        """Ancestral sampling, one label per row of Xr, with one uniform
+        ``rng.random`` per row and level, drawn level by level.
+
+        The compiled walk goes right where logit(u) = log u - log1p(-u) is
+        below the node's logit z, the numpy level loop where u < sigma(z):
+        the same event, so the two draw the same labels unless u lies within
+        rounding of sigma(z).
+        """
+        Xr = self._walk_rows(Xr)
+        n = Xr.shape[0]
+        lib = kernel.load()
+        if lib is None:
+            leaves = self._sample_leaves_numpy(Xr, rng)
+        else:
+            u = rng.random((self.depth, n))
+            with np.errstate(divide="ignore"):  # logit(0) = -inf: that branch goes right
+                thresholds = np.log(u)
+            thresholds -= np.log1p(np.negative(u, out=u), out=u)
+            leaves = np.empty(n, dtype=np.int64)
+            lib.advsamp_tree_walk(Xr.ctypes.data, n, self.reduced_dim, self.node_w.ctypes.data,
+                                  self.node_b.ctypes.data, self.depth, thresholds.ctypes.data,
+                                  leaves.ctypes.data, None)
+        labels = self.leaf_label[leaves]
+        if np.any(labels < 0):
+            raise NumericError("sampled a padding leaf; tree is corrupted")
+        return labels
+
+    def _sample_leaves_numpy(self, Xr, rng):
         n = Xr.shape[0]
         node = np.zeros(n, dtype=np.int64)
         for _ in range(self.depth):
             z = np.einsum("ij,ij->i", Xr, self.node_w[node]) + self.node_b[node]
             go_right = rng.random(n) < sigmoid(z)
             node = 2 * node + 1 + go_right
-        labels = self.leaf_label[node - (self.padded_size - 1)]
-        if np.any(labels < 0):
-            raise NumericError("sampled a padding leaf; tree is corrupted")
-        return labels
+        return node - (self.padded_size - 1)
 
     def save(self, path) -> None:
         np.savez(

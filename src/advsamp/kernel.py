@@ -2,9 +2,10 @@
 
 It has four users: ``advsamp.training`` runs its training steps through
 it, ``advsamp.aux_tree.fit_tree`` fits the tree's nodes with it one level
-per call, ``advsamp.aux_tree.AuxiliaryTree.log_prob_all`` walks the tree's
-log-probabilities with it, and ``advsamp.data_io.load_svmlight`` parses
-svmlight files with it.
+per call, ``advsamp.aux_tree.AuxiliaryTree`` walks the tree with it (all
+log-probabilities in ``log_prob_all``, one path per row in
+``sample_batch`` and ``log_prob_pairs``), and
+``advsamp.data_io.load_svmlight`` parses svmlight files with it.
 
 The source is compiled on first use with the system C compiler (``cc``,
 else ``gcc``) and loaded through ctypes. The library goes into the
@@ -17,9 +18,8 @@ once the library is loaded. Nothing is compiled at import.
 
 ``load()`` returns None, with one warning per process, when no compiler is
 found or the build fails; training then runs its Python step loop, the
-tree nodes are fitted by the numpy alternation, the tree's log-probabilities
-are summed by a numpy level loop, and svmlight files are read by the Python
-line-by-line reader.
+tree nodes are fitted by the numpy alternation, the tree is walked by numpy
+level loops, and svmlight files are read by the Python line-by-line reader.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ LIBS = ("-lm",)
 
 _P, _I, _D, _S = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_char_p
 # every exported function of the source, by its users: training's two step
-# loops, aux_tree's level fit and log-probability walk, and data_io's two
-# svmlight passes; tests/test_kernel.py checks them against the source
+# loops, aux_tree's level fit, log-probability walk and path walk, and
+# data_io's two svmlight passes; tests/test_kernel.py checks them against
+# the source
 SIGNATURES = {
     # CSR arrays, order, step labels, step log p_n; n, m+1, t0, t1;
     # W, B, AW, AB; K; rho, lam, eps; scratch xi, g, first; loss out
@@ -58,6 +59,9 @@ SIGNATURES = {
     # logits, log sigma tails; n, depth; label_leaf; C; scratch acc (2 Cp),
     # out in/out
     "advsamp_tree_add_log_probs": [_P] * 2 + [_I] * 2 + [_P] + [_I] + [_P] * 2,
+    # rows; n, k; node_w, node_b; depth; thresholds (None for pairs),
+    # leaves in (pairs) or out (sampling), signed logits out (pairs)
+    "advsamp_tree_walk": [_P] + [_I] * 2 + [_P] * 2 + [_I] + [_P] * 3,
     # file bytes, length; counts of newlines, commas and colons out
     "advsamp_count_svmlight": [_S, _I, _P],
     # file bytes, length, index offset; row, label and nonzero capacities;
@@ -141,7 +145,7 @@ def load():
 
 def _unavailable(reason: str):
     warnings.warn(f"compiled kernel unavailable ({reason}); training runs the Python "
-                  "step loop, tree nodes are fitted and tree log-probabilities summed "
-                  "in numpy, and svmlight files are parsed in Python", RuntimeWarning,
+                  "step loop, tree nodes are fitted and the tree walked in numpy, "
+                  "and svmlight files are parsed in Python", RuntimeWarning,
                   stacklevel=3)
     return None

@@ -39,9 +39,10 @@ class LinearClassifier:
                 raise DataError(f"bad model shape record {shape}")
             model = cls(*(int(v) for v in shape))
             for name in ("weights", "biases"):
-                # a mismatched array would otherwise broadcast into place
-                arr, dest = z[name], getattr(model, name)
-                if arr.shape != dest.shape:
-                    raise DataError(f"model {name} has shape {arr.shape}, want {dest.shape}")
-                dest[:] = arr
+                arr, want = z[name], getattr(model, name).shape
+                if arr.shape != want:
+                    raise DataError(f"model {name} has shape {arr.shape}, want {want}")
+                # kept without a copy where it can be: training updates the
+                # parameters in place, through the kernel too
+                setattr(model, name, np.ascontiguousarray(arr, dtype=np.float64))
             return model

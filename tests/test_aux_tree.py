@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import re
 import shutil
@@ -481,6 +482,106 @@ class TestLogProbAll:
             tree.log_prob_all(rng.standard_normal((2, 3)))
 
 
+def numpy_backend():
+    return mock.patch.object(kernel, "load", lambda: None)
+
+
+@needs_kernel
+class TestPathWalk:
+    """``sample_batch`` and ``log_prob_pairs`` through the compiled path
+    walk against their numpy level loops, the fallback and the oracle: the
+    same draws from the same generator stream, and pair log-probabilities
+    within 1e-13, relative beyond |log p| = 1 (the kernel's dot products sum
+    in another order than numpy's einsum)."""
+
+    def tree(self, C, k, fitted, rng):
+        if not fitted:
+            return random_tree(C, k, rng)  # pins at -B_PAD
+        # a fitted tree pins the parent of an all-padding half at +B_PAD
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return fit_tree(rng.standard_normal((2 * C, k)), np.arange(2 * C) % C, C, 0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(C=st.integers(2, 300), k=st.integers(1, 64), n=st.sampled_from([0, 1, 2, 37, 200]),
+           fitted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_levels(self, C, k, n, fitted, seed):
+        rng = np.random.default_rng(seed)
+        tree = self.tree(C, k, fitted, rng)
+        X = rng.standard_normal((n, k))
+        ys = rng.integers(0, C, n)
+        gens = [np.random.default_rng(seed) for _ in range(2)]
+        draws = tree.sample_batch(X, gens[0])
+        with numpy_backend():
+            want_draws = tree.sample_batch(X, gens[1])
+            want_pairs = tree.log_prob_pairs(X, ys)
+        assert np.array_equal(draws, want_draws)
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state
+        assert_oracle_close(tree.log_prob_pairs(X, ys), want_pairs)
+        counting = CountingRng(seed)
+        tree.sample_batch(X, counting)
+        assert counting.uniforms == tree.depth * n
+
+    def test_strided_rows(self, rng):
+        tree = random_tree(100, 6, rng)
+        X = rng.standard_normal((40, 12))[::2, ::2]  # neither axis contiguous
+        ys = rng.integers(0, 100, 20)
+        assert np.array_equal(tree.log_prob_pairs(X, ys),
+                              tree.log_prob_pairs(np.ascontiguousarray(X), ys))
+        assert np.array_equal(tree.sample_batch(X, np.random.default_rng(1)),
+                              tree.sample_batch(np.ascontiguousarray(X),
+                                                np.random.default_rng(1)))
+
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    @pytest.mark.parametrize("rows,labels,why", [
+        ((4, 4), 4, "reduced features"),
+        ((4, 2), 4, "reduced features"),
+        ((2, 2, 3), 2, "reduced features"),
+        ((4, 3), 3, "one label per row"),
+        ((4, 3), 1, "one label per row"),  # would broadcast in numpy
+        ((4, 3), (4, 1), "one label per row"),
+    ])
+    def test_wrong_shapes_rejected(self, rng, backend, rows, labels, why):
+        tree = random_tree(9, 3, rng)
+        X = rng.standard_normal(rows)
+        ys = np.zeros(labels, dtype=np.int64)
+        with numpy_backend() if backend == "numpy" else contextlib.nullcontext():
+            with pytest.raises(DataError, match=why):
+                tree.log_prob_pairs(X, ys)
+            if why == "reduced features":
+                with pytest.raises(DataError, match=why):
+                    tree.sample_batch(X, rng)
+
+    @pytest.mark.parametrize("field,value", [
+        ("node_w", lambda w: np.asfortranarray(w)),
+        ("node_w", lambda w: w[:-1]),
+        ("node_b", lambda b: b.astype(np.float32)),
+        ("node_b", lambda b: b[:-1]),
+    ])
+    def test_bad_node_arrays_rejected(self, rng, field, value):
+        # the kernel would read outside them
+        tree = random_tree(9, 3, rng)
+        setattr(tree, field, value(getattr(tree, field)))
+        X = rng.standard_normal((4, 3))
+        with pytest.raises(DataError, match="node arrays"):
+            tree.log_prob_pairs(X, np.zeros(4, dtype=np.int64))
+        with pytest.raises(DataError, match="node arrays"):
+            tree.sample_batch(X, rng)
+
+    @settings(max_examples=20, deadline=None)
+    @given(C=st.integers(2, 40), k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_fallback_matches_per_edge_oracle(self, C, k, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(C, k, rng)
+        X = rng.standard_normal((3, k))
+        with numpy_backend():
+            pairs = tree.log_prob_pairs(np.repeat(X, C, axis=0), np.tile(np.arange(C), 3))
+            draws = tree.sample_batch(X, rng)
+        oracle = [per_edge_oracle(tree, x, y) for x in X for y in range(C)]
+        assert np.abs(pairs - oracle).max() < 1e-12
+        assert draws.shape == (3,) and 0 <= draws.min() and draws.max() < C
+
+
 class TestSample:
     def test_fair_coin(self, rng):
         tree = AuxiliaryTree(np.zeros((1, 2)), np.zeros(1), np.arange(2), 2, 1)
@@ -944,6 +1045,20 @@ def test_overflowing_hessian_same_error(rng, big):
     for lib in (kernel.load(), None):
         with mock.patch.object(kernel, "load", lambda: lib), warnings.catch_warnings(), \
                 pytest.raises(NumericError, match="non-finite parameters"):
+            warnings.simplefilter("ignore")
+            fit_tree(X, labels, 5, 0.1)
+
+
+@pytest.mark.parametrize("k", [2, 8, 16])
+def test_overflowing_start_same_error(rng, k):
+    # rows of scale 1e200 overflow the covariance the start's eigh reads,
+    # which with k = 8 or 16 made numpy's eigh fail to converge
+    # (LinAlgError) and with k = 2 gave NaN eigenvalues
+    X = 1e200 * rng.standard_normal((40, k))
+    labels = np.arange(40) % 5
+    for lib in (kernel.load(), None):
+        with mock.patch.object(kernel, "load", lambda: lib), warnings.catch_warnings(), \
+                pytest.raises(NumericError, match="covariance of its start overflows"):
             warnings.simplefilter("ignore")
             fit_tree(X, labels, 5, 0.1)
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import advsamp
+import advsamp.cli
 import advsamp.inference
 from advsamp.cli import main
 from advsamp.config import ExperimentConfig, load_config, read_config_file
@@ -405,6 +406,19 @@ class TestExitCodes:
         assert run("preprocess", out, sets) == 0
         assert run("fit-aux", out, sets) == 2
         assert "tree regularizer must be finite and positive" in capsys.readouterr().err
+        assert not (out / "tree.npz").exists()
+
+    def test_overflowing_tree_start_exits_3(self, workdir, monkeypatch, capsys):
+        # reduced rows of scale 1e200 overflow the start's covariance, which
+        # used to end fit-aux in numpy's LinAlgError traceback (exit 1)
+        out, base = workdir
+        sets = base + ["noise=adversarial"]
+        assert run("preprocess", out, sets) == 0
+        apply = advsamp.cli.apply_pca_matrix
+        monkeypatch.setattr(advsamp.cli, "apply_pca_matrix",
+                            lambda proj, features: 1e200 * apply(proj, features))
+        assert run("fit-aux", out, sets) == 3
+        assert "non-finite parameters" in capsys.readouterr().err
         assert not (out / "tree.npz").exists()
 
     def test_threads_flag_removed(self, tmp_path, capsys):

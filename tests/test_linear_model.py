@@ -150,6 +150,22 @@ class TestSerialization:
         # accumulators excluded by default
         assert np.all(back.accum_w == 0.0)
 
+    @pytest.mark.parametrize("stored", [
+        lambda w: w.astype(np.float32), np.asfortranarray, lambda w: w.astype(">f8"),
+    ])
+    def test_loads_writeable_c_contiguous_float64(self, tmp_path, rng, stored):
+        # the kernel updates the loaded parameters in place, so they must be
+        # native C-contiguous float64 whatever layout the file holds
+        m = model_with(rng.standard_normal((3, 4)), rng.standard_normal(3))
+        np.savez(tmp_path / "m.npz", magic="advsamp-model-v1", shape=np.array([3, 4]),
+                 weights=stored(m.weights), biases=stored(m.biases))
+        back = LinearClassifier.load(tmp_path / "m.npz")
+        for got, want in ((back.weights, m.weights), (back.biases, m.biases)):
+            assert got.dtype == np.float64 and got.dtype.isnative
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert np.array_equal(got, stored(want).astype(np.float64))
+        assert np.all(back.accum_w == 0.0) and np.all(back.accum_b == 0.0)
+
     @pytest.mark.parametrize("change", [
         dict(weights=np.zeros((1, 4))),  # would broadcast over all labels
         dict(weights=np.zeros((3, 5))),
