@@ -7,8 +7,8 @@
  * Training steps.
  * One call runs steps t0 .. t1-1 of an epoch: step t trains on example
  * order[t] and applies Adagrad to the cells it touches. The arithmetic is
- * that of the reference loop ``training._steps_python``; only the order of
- * summation may differ.
+ * that of the numpy reference loop ``steps`` in tests/numpy_oracle.py; only
+ * the order of summation may differ.
  *
  * Arrays are C-contiguous. W and AW are (C, K), B and AB are (C,); the
  * training features are CSR (indptr, indices, data) with sorted, duplicate-
@@ -170,13 +170,14 @@ int64_t advsamp_softmax_steps(const int64_t *indptr, const int64_t *indices, con
 
 /*
  * Auxiliary-tree fit, one tree level per call. advsamp_fit_level runs the
- * alternation of ``aux_tree._alternate`` for each of the level's nodes from
- * its initial (w, b): Newton ascent on theta = (w, b) for the current split,
- * then the balanced re-split, until the split is a fixed point or `guard`
- * rounds have run. Its arithmetic is that of ``newton_fit`` and
- * ``split_labels``; the order of summation differs, and the Newton system
- * is solved by Cholesky (numpy uses LU), which is safe because the negated
- * Hessian plus 2 lam I is positive definite for lam > 0.
+ * alternation of ``alternate`` in tests/numpy_oracle.py for each of the
+ * level's nodes from its initial (w, b): Newton ascent on theta = (w, b) for
+ * the current split, then the balanced re-split, until the split is a fixed
+ * point or `guard` rounds have run. Its arithmetic is that of that module's
+ * ``newton_fit`` and ``split_labels``; the order of summation differs, and
+ * the Newton system is solved by Cholesky (numpy uses LU), which is safe
+ * because the negated Hessian plus 2 lam I is positive definite for
+ * lam > 0.
  *
  * The level has `nodes` nodes of L labels each. Node i has the rows
  * rows[row_ptr[i] .. row_ptr[i+1]-1] (rows is (m, k)); row r belongs to the
@@ -362,10 +363,10 @@ static int cholesky_solve(double *H, int64_t d, const double *g, double *x)
 }
 
 /*
- * newton_fit's ascent from theta for split zeta, with curv and curv_new of
- * m doubles as scratch. Returns the Newton steps taken, or -1 when a system
- * is not positive definite; a run stopped at max_iter adds one to *capped
- * and its gradient norm to cap_grad.
+ * The ascent of the oracle's newton_fit from theta for split zeta, with curv
+ * and curv_new of m doubles as scratch. Returns the Newton steps taken, or
+ * -1 when a system is not positive definite; a run stopped at max_iter adds
+ * one to *capped and its gradient norm to cap_grad.
  */
 static int64_t newton(const double *rows, const int64_t *slots, int64_t m, int64_t k,
                       const int64_t *zeta, double lam, double grad_tol, double gain_ulps,

@@ -11,9 +11,8 @@ Fitting is greedy and top-down, one level of the tree at a time: at each
 node, alternate Newton ascent on (w, b) with a balanced re-partition of the
 node's labels until the partition is a fixed point; the two halves are the
 labels of its children on the next level. A level's nodes start from one
-stacked ``eigh`` and are alternated in one call to the compiled kernel when
-``kernel.load()`` has one; the numpy ``newton_fit``/``split_labels``
-alternation, node by node, is its fallback and its reference.
+stacked ``eigh`` and are alternated in one call to the compiled kernel
+(``advsamp.kernel``), as are the tree walks of ``AuxiliaryTree``.
 
 Tree layout: heap order, node i has children 2i+1 (left) and 2i+2 (right);
 level l holds the contiguous nodes 2^l - 1 ... 2^(l+1) - 2, and leaf
@@ -47,9 +46,6 @@ NEWTON_GAIN_ULPS = 4.0
 LINE_SEARCH_HALVINGS = 60
 ALTERNATION_GUARD = 50
 MAX_REDUCED_DIM = 64
-# labels per block of the numpy log-probability walk's last level
-GATHER_COLUMNS = 64
-
 # what _alternate_level counts for each node, in this order: Newton steps,
 # alternation rounds, Newton runs stopped at NEWTON_MAX_ITER, and 1 when
 # ALTERNATION_GUARD stopped the alternation
@@ -78,33 +74,13 @@ def log_sigmoid(z):
 
 
 @dataclass
-class NodeFitProblem:
-    """One node of a level, as the numpy alternation reads it: the node's
-    reduced rows, each row's label slot, and each label's row count and
-    row sum.
-
-    ``slots[i]`` is the position in ``label_ids`` of row i's label.
-    ``label_ids`` may include padding ids (>= num_real_labels), which carry
-    no rows and are forced to the left half during splitting.
-    """
-
-    label_ids: np.ndarray  # (L,)
-    rows: np.ndarray  # (m, k)
-    slots: np.ndarray  # (m,) in [0, L)
-    num_real_labels: int
-    counts: np.ndarray  # (L,)
-    aggregates: np.ndarray  # (L, k)
-
-    def is_padding(self) -> np.ndarray:
-        return self.label_ids >= self.num_real_labels
-
-
-@dataclass
 class LevelFitProblem:
     """The fitted nodes of one tree level, stacked as the compiled fit reads
     them: node i has the L labels ``label_ids[i]``, with ``counts[i]`` rows
     that sum to ``aggregates[i]``, and the rows ``rows[row_ptr[i]:row_ptr[i +
-    1]]``, each with its label's slot in ``label_ids[i]``."""
+    1]]``, each with its label's slot in ``label_ids[i]``. ``label_ids`` may
+    include padding ids (>= num_real_labels), which carry no rows and are
+    forced to the left half during splitting."""
 
     label_ids: np.ndarray  # (F, L)
     rows: np.ndarray  # (m, k)
@@ -113,11 +89,6 @@ class LevelFitProblem:
     num_real_labels: int
     counts: np.ndarray  # (F, L)
     aggregates: np.ndarray  # (F, L, k)
-
-    def node(self, i) -> NodeFitProblem:
-        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-        return NodeFitProblem(self.label_ids[i], self.rows[lo:hi], self.slots[lo:hi],
-                              self.num_real_labels, self.counts[i], self.aggregates[i])
 
 
 def check_regularizer(lam) -> None:
@@ -134,89 +105,6 @@ def label_sums(rows, slots, num_slots: int) -> np.ndarray:
     if not np.isfinite(sums).all():
         raise NumericError("reduced rows for the tree fit are not finite")
     return sums
-
-
-def all_deltas(problem: NodeFitProblem, w, b) -> np.ndarray:
-    """Objective change for flipping each label from -1 to +1: w.s_y + n_y b."""
-    return problem.aggregates @ w + problem.counts * b
-
-
-def split_labels(problem: NodeFitProblem, w, b) -> np.ndarray:
-    """Balanced split: +1 for the half of labels with largest delta.
-
-    Ties break by label id ascending; padding labels always fall in the
-    -1 half (they sort below everything).
-    """
-    deltas = all_deltas(problem, w, b)
-    deltas = np.where(problem.is_padding(), -np.inf, deltas)
-    order = np.lexsort((problem.label_ids, -deltas))
-    half = problem.label_ids.size // 2
-    zeta = np.full(problem.label_ids.size, -1, dtype=np.int64)
-    zeta[order[:half]] = 1
-    return zeta
-
-
-def newton_fit(problem: NodeFitProblem, zeta, lam: float, w0=None, b0=0.0, counters=None):
-    """Maximize the regularized node objective over (w, b) by Newton ascent.
-
-    Backtracking halves the step until the objective increases. Once the
-    predicted gain grad . step is below the objective's roundoff, no line
-    search can see an ascent, so the full Newton step is taken and the
-    ascent stops. Requires a finite lam > 0 for strict concavity; a non-finite step
-    (rows so large that the Hessian overflows) is a NumericError. Adds its
-    steps, and a run stopped at NEWTON_MAX_ITER, to ``counters`` (see
-    NODE_COUNTERS).
-    """
-    check_regularizer(lam)
-    X, slots = problem.rows, problem.slots
-    k = X.shape[1]
-    theta = np.zeros(k + 1)
-    if w0 is not None:
-        theta[:k] = w0
-    theta[k] = b0
-    if X.shape[0] == 0:
-        return np.zeros(k), 0.0
-    s = zeta[slots].astype(np.float64)
-    Xt = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
-
-    def obj_and_grad(th):
-        z = s * (Xt @ th)
-        obj = log_sigmoid(z).sum() - lam * (th @ th)
-        grad = Xt.T @ (s * sigmoid(-z)) - 2.0 * lam * th
-        return obj, grad, z
-
-    obj, grad, z = obj_and_grad(theta)
-    for _ in range(NEWTON_MAX_ITER):
-        gnorm = np.linalg.norm(grad)
-        if gnorm < NEWTON_GRAD_TOL:
-            return theta[:k].copy(), float(theta[k])
-        sig = sigmoid(z)
-        curv = sig * (1.0 - sig)  # sigma(z) sigma(-z)
-        H = Xt.T @ (Xt * curv[:, None]) + 2.0 * lam * np.eye(k + 1)
-        step = np.linalg.solve(H, grad)
-        if not np.isfinite(step).all():
-            # an overflowed Hessian; the compiled fit's Cholesky meets the same
-            raise NumericError("tree node fit gave non-finite parameters")
-        if counters is not None:
-            counters[0] += 1
-        if grad @ step <= NEWTON_GAIN_ULPS * np.finfo(np.float64).eps * abs(obj):
-            theta = theta + step
-            return theta[:k].copy(), float(theta[k])
-        # backtracking line search: halve until ascent
-        t = 1.0
-        for _ in range(LINE_SEARCH_HALVINGS):
-            cand = theta + t * step
-            new_obj, new_grad, new_z = obj_and_grad(cand)
-            if new_obj > obj:
-                break
-            t *= 0.5
-        else:
-            return theta[:k].copy(), float(theta[k])
-        theta, obj, grad, z = cand, new_obj, new_grad, new_z
-    if counters is not None:
-        counters[2] += 1
-    _warn_newton_capped(gnorm)
-    return theta[:k].copy(), float(theta[k])
 
 
 def _warn_newton_capped(gnorm):
@@ -245,7 +133,8 @@ def init_level(level: LevelFitProblem) -> np.ndarray:
         aggs = level.aggregates[group, :n]
         # the sum and division of aggs.mean(axis=1), without its Python layers
         centered = aggs - np.add.reduce(aggs, axis=1, keepdims=True) / n
-        cov[group] = np.matmul(centered.transpose(0, 2, 1), centered) / n
+        with np.errstate(over="ignore"):  # overflow is the NumericError below
+            cov[group] = np.matmul(centered.transpose(0, 2, 1), centered) / n
     if not np.isfinite(cov).all():
         raise NumericError("tree node fit gave non-finite parameters (the label-aggregate "
                            "covariance of its start overflows)")
@@ -261,48 +150,21 @@ def init_level(level: LevelFitProblem) -> np.ndarray:
     return theta
 
 
-def _alternate(problem, lam, w, b, counters):
-    """One node's alternation of Newton ascent and balanced re-splitting
-    in numpy, from (w, b) to a fixed point of the split or to
-    ALTERNATION_GUARD rounds; returns (w, b, zeta) and fills ``counters``
-    (see NODE_COUNTERS). Neither half-step lowers the regularized node
-    objective (``tests/test_aux_tree.py`` traces it)."""
-    counters[:] = 0
-    zeta = split_labels(problem, w, b)
-    for _ in range(ALTERNATION_GUARD):
-        w, b = newton_fit(problem, zeta, lam, w0=w, b0=b, counters=counters)
-        counters[1] += 1
-        new_zeta = split_labels(problem, w, b)
-        if np.array_equal(new_zeta, zeta):
-            return w, b, zeta
-        zeta = new_zeta
-    counters[3] = 1
-    return w, b, zeta
-
-
-def _alternate_level(lib, level: LevelFitProblem, lam, theta):
+def _alternate_level(level: LevelFitProblem, lam, theta):
     """The alternation of every node of ``level`` from its initial (w, b),
-    the rows of ``theta`` (F, k + 1), which get the fitted (w, b). In the
-    kernel library ``lib`` when one is given, in one call, else node by node
-    in numpy. Returns the splits (F, L) and the nodes' NODE_COUNTERS
-    (F, 4), and warns, in node order, for each node stopped by
-    NEWTON_MAX_ITER or ALTERNATION_GUARD up to the first node whose fit is
-    not finite, a NumericError."""
+    the rows of ``theta`` (F, k + 1), which get the fitted (w, b): Newton
+    ascent on the regularized node objective, then a balanced re-split of
+    the node's labels, until the split is a fixed point or ALTERNATION_GUARD
+    rounds have run, for all nodes in one call to the compiled kernel.
+    Returns the splits (F, L) and the nodes' NODE_COUNTERS (F, 4), and
+    warns, in node order, for each node stopped by NEWTON_MAX_ITER or
+    ALTERNATION_GUARD up to the first node whose fit is not finite, a
+    NumericError."""
     F, L, k = level.aggregates.shape
     zeta = np.empty((F, L), dtype=np.int64)
     counters = np.zeros((F, len(NODE_COUNTERS)), dtype=np.int64)
-    if lib is None:
-        for i in range(F):
-            w, b, zeta[i] = _alternate(level.node(i), lam, theta[i, :k], theta[i, k],
-                                       counters[i])
-            theta[i, :k], theta[i, k] = w, b
-            if counters[i, 3]:
-                _warn_guard_hit()
-            if not np.isfinite(theta[i]).all():
-                raise NumericError("tree node fit gave non-finite parameters")
-        return zeta, counters
     cap_grad = np.empty((F, ALTERNATION_GUARD))
-    status = lib.advsamp_fit_level(
+    status = kernel.load().advsamp_fit_level(
         level.rows.ctypes.data, level.slots.ctypes.data, level.row_ptr.ctypes.data, k,
         level.label_ids.ctypes.data, level.counts.ctypes.data,
         level.aggregates.ctypes.data, F, L, level.num_real_labels,
@@ -354,10 +216,9 @@ class AuxiliaryTree:
     """Fitted conditional label distribution p(y | x_reduced).
 
     ``fit_report`` is None, or for a tree ``fit_tree`` made, what the fit
-    did: its backend ("c" or "python"), the totals of NODE_COUNTERS' first
-    two counters, the heap indices of the nodes whose Newton ascent hit
-    NEWTON_MAX_ITER and whose alternation hit ALTERNATION_GUARD (ascending),
-    and the seconds spent setting the nodes up (``init_s``: gathers,
+    did: the totals of NODE_COUNTERS' first two counters, the heap indices
+    of the nodes whose Newton ascent hit NEWTON_MAX_ITER and whose
+    alternation hit ALTERNATION_GUARD (ascending), and the seconds spent setting the nodes up (``init_s``: gathers,
     covariances and ``eigh``) and alternating (``alternation_s``).
     """
 
@@ -396,10 +257,8 @@ class AuxiliaryTree:
         With ``out`` (a C-contiguous float64 (n, C) array) given, the
         log-probabilities are added into it in place and it is returned.
         One GEMM gives the logits of all Cp - 1 nodes and one in-place pass
-        their ``log_sigmoid_tail``; then a top-down walk per row adds up the
-        log sigma of the branches, in the compiled kernel when
-        ``kernel.load()`` has one, else in a numpy level loop that does the
-        same arithmetic.
+        their ``log_sigmoid_tail``; then a top-down walk per row in the
+        compiled kernel adds up the log sigma of the branches.
         """
         Xr = np.atleast_2d(np.asarray(Xr, dtype=np.float64))
         n, C = Xr.shape[0], self.num_labels
@@ -412,44 +271,15 @@ class AuxiliaryTree:
         z = Xr @ self.node_w.T
         z += self.node_b
         tail = log_sigmoid_tail(z)
-        lib = kernel.load()
-        if lib is None:
-            return self._add_log_probs_numpy(z, tail, out)
         leaf = self.label_leaf
         # the kernel indexes its scratch by label_leaf unchecked
         if not (leaf.dtype == np.int64 and leaf.shape == (C,) and leaf.flags.c_contiguous
                 and leaf.min() >= 0 and leaf.max() < self.padded_size):
             raise DataError(f"label_leaf must be C-contiguous int64 in [0, {self.padded_size})")
         acc = np.empty(2 * self.padded_size)
-        lib.advsamp_tree_add_log_probs(z.ctypes.data, tail.ctypes.data, n, self.depth,
-                                       leaf.ctypes.data, C, acc.ctypes.data, out.ctypes.data)
-        return out
-
-    def _add_log_probs_numpy(self, z, tail, out):
-        """The kernel's walk as a level loop: after level l, column j of the
-        running sums is the log-probability of reaching node 2^(l+1) - 1 + j.
-        The last level goes straight into ``out``, a block of labels at a
-        time, so that no (n, Cp) table of leaves is held beside ``z``,
-        ``tail`` and ``out`` (the evaluation block allows BLOCK_TABLES)."""
-        n, last = z.shape[0], self.depth - 1
-        if last < 0:
-            return out  # one label, no branch
-        acc = np.zeros((n, 1))
-        for level in range(last):
-            nodes = slice((1 << level) - 1, (2 << level) - 1)
-            zl, tl = z[:, nodes], tail[:, nodes]
-            children = np.empty((n, 1 << level, 2))
-            np.add(acc, np.minimum(zl, 0.0) - tl, out=children[:, :, 1])
-            np.add(acc, -np.maximum(zl, 0.0) - tl, out=children[:, :, 0])
-            acc = children.reshape(n, -1)
-        # leaf j is the right (j odd) or left child of position j >> 1
-        zl, tl = z[:, (1 << last) - 1:], tail[:, (1 << last) - 1:]
-        for lo in range(0, out.shape[1], GATHER_COLUMNS):
-            leaf = self.label_leaf[lo:lo + GATHER_COLUMNS]
-            parent, right = leaf >> 1, (leaf & 1) == 1
-            zc = zl[:, parent]
-            branch = np.where(right, np.minimum(zc, 0.0), -np.maximum(zc, 0.0)) - tl[:, parent]
-            out[:, lo:lo + GATHER_COLUMNS] += acc[:, parent] + branch
+        kernel.load().advsamp_tree_add_log_probs(z.ctypes.data, tail.ctypes.data, n,
+                                                 self.depth, leaf.ctypes.data, C,
+                                                 acc.ctypes.data, out.ctypes.data)
         return out
 
     def _walk_rows(self, Xr) -> np.ndarray:
@@ -468,10 +298,9 @@ class AuxiliaryTree:
     def log_prob_pairs(self, Xr, ys) -> np.ndarray:
         """log p(ys[i] | Xr[i]) for each row; (n,).
 
-        One walk per row along ys[i]'s path stores each level's signed logit
-        in a (depth, n) table, in the compiled kernel when ``kernel.load()``
-        has one, else in a numpy level loop; the table's log sigma is then
-        summed level by level, as that loop sums it.
+        One walk per row along ys[i]'s path, in the compiled kernel, stores
+        each level's signed logit in a (depth, n) table; the table's log
+        sigma is then summed level by level.
         """
         Xr = self._walk_rows(Xr)
         n = Xr.shape[0]
@@ -479,61 +308,34 @@ class AuxiliaryTree:
         if leaves.shape != (n,) or leaves.dtype != np.int64:
             raise DataError(f"log_prob_pairs needs one label per row: {np.shape(ys)} labels, "
                             f"{n} rows")
-        lib = kernel.load()
-        if lib is None:
-            return self._log_prob_pairs_numpy(Xr, leaves)
         logits = np.empty((self.depth, n))
-        lib.advsamp_tree_walk(Xr.ctypes.data, n, self.reduced_dim, self.node_w.ctypes.data,
-                              self.node_b.ctypes.data, self.depth, None, leaves.ctypes.data,
-                              logits.ctypes.data)
+        kernel.load().advsamp_tree_walk(Xr.ctypes.data, n, self.reduced_dim,
+                                        self.node_w.ctypes.data, self.node_b.ctypes.data,
+                                        self.depth, None, leaves.ctypes.data, logits.ctypes.data)
         return np.add.reduce(log_sigmoid(logits), axis=0)
-
-    def _log_prob_pairs_numpy(self, Xr, leaves):
-        out = np.zeros(Xr.shape[0])
-        node = np.zeros(Xr.shape[0], dtype=np.int64)
-        for level in range(self.depth):
-            bit = (leaves >> (self.depth - 1 - level)) & 1
-            z = np.einsum("ij,ij->i", Xr, self.node_w[node]) + self.node_b[node]
-            out += log_sigmoid(np.where(bit == 1, z, -z))
-            node = 2 * node + 1 + bit
-        return out
 
     def sample_batch(self, Xr, rng) -> np.ndarray:
         """Ancestral sampling, one label per row of Xr, with one uniform
         ``rng.random`` per row and level, drawn level by level.
 
         The compiled walk goes right where logit(u) = log u - log1p(-u) is
-        below the node's logit z, the numpy level loop where u < sigma(z):
-        the same event, so the two draw the same labels unless u lies within
-        rounding of sigma(z).
+        below the node's logit z: the event u < sigma(z), up to rounding.
         """
         Xr = self._walk_rows(Xr)
         n = Xr.shape[0]
-        lib = kernel.load()
-        if lib is None:
-            leaves = self._sample_leaves_numpy(Xr, rng)
-        else:
-            u = rng.random((self.depth, n))
-            with np.errstate(divide="ignore"):  # logit(0) = -inf: that branch goes right
-                thresholds = np.log(u)
-            thresholds -= np.log1p(np.negative(u, out=u), out=u)
-            leaves = np.empty(n, dtype=np.int64)
-            lib.advsamp_tree_walk(Xr.ctypes.data, n, self.reduced_dim, self.node_w.ctypes.data,
-                                  self.node_b.ctypes.data, self.depth, thresholds.ctypes.data,
-                                  leaves.ctypes.data, None)
+        u = rng.random((self.depth, n))
+        with np.errstate(divide="ignore"):  # logit(0) = -inf: that branch goes right
+            thresholds = np.log(u)
+        thresholds -= np.log1p(np.negative(u, out=u), out=u)
+        leaves = np.empty(n, dtype=np.int64)
+        kernel.load().advsamp_tree_walk(Xr.ctypes.data, n, self.reduced_dim,
+                                        self.node_w.ctypes.data, self.node_b.ctypes.data,
+                                        self.depth, thresholds.ctypes.data, leaves.ctypes.data,
+                                        None)
         labels = self.leaf_label[leaves]
         if np.any(labels < 0):
             raise NumericError("sampled a padding leaf; tree is corrupted")
         return labels
-
-    def _sample_leaves_numpy(self, Xr, rng):
-        n = Xr.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        for _ in range(self.depth):
-            z = np.einsum("ij,ij->i", Xr, self.node_w[node]) + self.node_b[node]
-            go_right = rng.random(n) < sigmoid(z)
-            node = 2 * node + 1 + go_right
-        return node - (self.padded_size - 1)
 
     def save(self, path) -> None:
         np.savez(
@@ -562,8 +364,7 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
     real ones) and fits the tree level by level, from the root down. It
     pins any node with an all-padding child to the sentinel bias so padding
     mass underflows to zero; every other node of a level is fitted, all of
-    them in one call to the compiled kernel when ``kernel.load()`` returns
-    it, else one by one in numpy.
+    them in one call to the compiled kernel.
     """
     Xr = np.asarray(Xr, dtype=np.float64)
     C = int(num_labels)
@@ -590,10 +391,8 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
     node_w = np.zeros((Cp - 1, k))
     node_b = np.zeros(Cp - 1)
     label_leaf = np.zeros(C, dtype=np.int64)
-    lib = kernel.load()
-    report = {"backend": "python" if lib is None else "c", "newton_steps": 0,
-              "alternation_rounds": 0, "newton_capped_nodes": [], "guard_nodes": [],
-              "init_s": 0.0, "alternation_s": 0.0}
+    report = {"newton_steps": 0, "alternation_rounds": 0, "newton_capped_nodes": [],
+              "guard_nodes": [], "init_s": 0.0, "alternation_s": 0.0}
     # row j holds the label ids of the level's node j, ascending; splits are
     # balanced, so every node of a level has as many
     ids = np.arange(Cp)[None]
@@ -611,11 +410,10 @@ def fit_tree(Xr, labels, num_labels: int, lam: float = 0.1) -> AuxiliaryTree:
         if fit.size:
             t0 = time.perf_counter()
             problem = _gather_level(ids[fit], Xs, label_start, label_counts, label_aggs, C)
-            if lib is not None:
-                _check_level(problem)
+            _check_level(problem)
             theta = init_level(problem)
             t1 = time.perf_counter()
-            zeta[fit], counters = _alternate_level(lib, problem, lam, theta)
+            zeta[fit], counters = _alternate_level(problem, lam, theta)
             report["init_s"] += t1 - t0
             report["alternation_s"] += time.perf_counter() - t1
             node_w[first + fit] = theta[:, :k]

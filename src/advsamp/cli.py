@@ -3,7 +3,8 @@
 All artifacts land under ``--out DIR`` together with per-command records:
 the effective config ``config_used-<command>.cfg`` and a manifest
 ``manifest-<command>.json`` (inputs, outputs, seed, version, wall clock).
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
+4 no compiled kernel (no C compiler, or its build failed).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .diagnostics import (
     snr,
     snr_sweep,
 )
-from .errors import AdvsampError, DataError, NumericError, ParseError
+from .errors import AdvsampError, DataError, KernelError, NumericError, ParseError
 from .inference import PredictionConfig, evaluate
 from .linear_model import LinearClassifier
 from .noise import make_noise
@@ -160,11 +161,11 @@ def cmd_fit_aux(args) -> int:
     fit_seconds = time.perf_counter() - t0
     tree.save(out / "tree.npz")
     manifest.add_output(out / "tree.npz")
-    # the backend, Newton steps, alternation rounds and the nodes stopped
-    # by a guard, for a run directory to show how the fit went
+    # the Newton steps, alternation rounds and the nodes stopped by a
+    # guard, for a run directory to show how the fit went
     manifest.write({"aux_fit_wall_clock_s": fit_seconds, **tree.fit_report})
     print(f"fit-aux: depth={tree.depth} padded={tree.padded_size} "
-          f"backend={tree.fit_report['backend']} wall_clock_s={fit_seconds:.3f}")
+          f"wall_clock_s={fit_seconds:.3f}")
     return 0
 
 
@@ -220,10 +221,9 @@ def cmd_train(args) -> int:
     manifest.add_output(out / "model.npz")
     manifest.add_output(out / "metrics.csv")
     manifest.write({"method": cfg.method, "noise": cfg.noise,
-                    "train_backend": result.backend,
                     "train_steps_per_s": result.steps_per_s})
     last = result.metrics[-1] if result.metrics else {}
-    print(f"train: method={cfg.method} noise={cfg.noise} backend={result.backend} "
+    print(f"train: method={cfg.method} noise={cfg.noise} "
           f"final_train_loss={last.get('train_loss', float('nan')):.4f}")
     return 0
 
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except KernelError as exc:
+        print(f"compiled kernel unavailable: {exc}", file=sys.stderr)
+        return 4
     except AdvsampError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -115,14 +115,13 @@ def load_svmlight(path, one_based: bool = False) -> RawDataset:
     max index + 1. A malformed line, a non-finite value, an index outside
     int64 or a K above ``MAX_FEATURES`` is a ParseError naming the line.
 
-    The compiled reader in ``advsamp.kernel`` parses the file when it can be
-    built and the file keeps to its strict ASCII grammar; every other file,
-    including every malformed one, is read by ``_load_svmlight_python``, so
-    both give the same result and the same errors.
+    The compiled reader in ``advsamp.kernel`` parses the file when it keeps
+    to its strict ASCII grammar; every other file, including every
+    malformed one, is read by ``_load_svmlight_python``, so both give the
+    same result and the same errors.
     """
     offset = 1 if one_based else 0
-    lib = kernel.load()
-    raw = None if lib is None else _load_svmlight_c(lib, path, offset)
+    raw = _load_svmlight_c(kernel.load(), path, offset)
     return raw if raw is not None else _load_svmlight_python(path, offset)
 
 
@@ -374,25 +373,31 @@ _NPZ_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile)
 def _open_npz(path, kind: str, keys):
     """The open ``.npz`` cache at ``path``, once it is known to be a readable
     archive whose ``magic`` is ``kind`` and that holds ``keys``. Anything
-    else, and an array that cannot be read, is a DataError."""
+    else, and an array that cannot be read, is a DataError. The file is
+    closed on every way out, a rejected archive's too."""
     try:
-        z = np.load(path, allow_pickle=False)
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise
-    except _NPZ_ERRORS as exc:
+    except OSError as exc:
         raise DataError(f"{path} is not a readable .npz archive: {exc}") from exc
-    if not isinstance(z, np.lib.npyio.NpzFile):
-        raise DataError(f"{path} is not an .npz archive")
-    with z:
-        missing = [key for key in ("magic", *keys) if key not in z.files]
-        if missing:
-            raise DataError(f"{path} lacks {', '.join(missing)}")
+    with fh:
         try:
-            if str(z["magic"]) != kind:
-                raise DataError(f"{path} is not an {kind} file")
-            yield z
+            z = np.load(fh, allow_pickle=False)
         except _NPZ_ERRORS as exc:
-            raise DataError(f"corrupt cache {path}: {exc}") from exc
+            raise DataError(f"{path} is not a readable .npz archive: {exc}") from exc
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise DataError(f"{path} is not an .npz archive")
+        with z:
+            missing = [key for key in ("magic", *keys) if key not in z.files]
+            if missing:
+                raise DataError(f"{path} lacks {', '.join(missing)}")
+            try:
+                if str(z["magic"]) != kind:
+                    raise DataError(f"{path} is not an {kind} file")
+                yield z
+            except _NPZ_ERRORS as exc:
+                raise DataError(f"corrupt cache {path}: {exc}") from exc
 
 
 def load_dataset(path) -> SparseDataset:

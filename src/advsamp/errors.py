@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: usage errors -> 1, data errors -> 2,
-numeric failures -> 3.
+numeric failures -> 3, no compiled kernel -> 4.
 """
 
 
@@ -25,3 +25,8 @@ class DataError(AdvsampError):
 
 class NumericError(AdvsampError):
     """Numerical failure: non-finite values, singular systems, divergence."""
+
+
+class KernelError(AdvsampError):
+    """The compiled kernel cannot be built or loaded (no C compiler, or the
+    build failed)."""

@@ -22,7 +22,8 @@ from .errors import DataError
 from .linear_model import LinearClassifier
 
 # bytes one evaluation may hold in its copy of the weights and one block's
-# (rows, C) float64 tables
+# (rows, C) float64 tables; the blocks keep at least half of it, however
+# large the copy
 EVAL_BLOCK_BYTES = 16 * 2**20
 # how many such tables a block holds at its peak: its scores and, inside the
 # tree's log_prob_all, the node logits and their log sigma tails, each
@@ -97,11 +98,14 @@ def evaluate(model: LinearClassifier, noise, dataset: SparseDataset,
              cfg: PredictionConfig) -> EvalReport:
     """Top-1 accuracy and mean predictive log likelihood (softmax readout).
 
-    Each block of ``block_rows(C, weight copy)`` rows gets its dense scores
-    (plus the noise log-probabilities, added in place, under bias removal),
-    argmax and logsumexp; the per-row results are averaged once at the end.
-    A block at least ``DENSE_MIN_DENSITY`` full whose dense copy fits the
-    budget beside its scores is multiplied as a dense array.
+    Each block of rows gets its dense scores (plus the noise
+    log-probabilities, added in place, under bias removal), argmax and
+    logsumexp; the per-row results are averaged once at the end. The
+    (K, C) weights copy takes its bytes out of ``EVAL_BLOCK_BYTES``, but at
+    most half of it, and the blocks are sized by ``block_rows`` in the rest,
+    so the peak is at most max(budget, copy + budget / 2). A block at least
+    ``DENSE_MIN_DENSITY`` full whose dense copy fits the rest beside its
+    scores is multiplied as a dense array.
     """
     n, C = dataset.num_examples, model.num_labels
     if n == 0:
@@ -119,10 +123,12 @@ def evaluate(model: LinearClassifier, noise, dataset: SparseDataset,
     Z = noise.prepare(dataset.features) if correct and table is None else None
     # C-contiguous once, or every block's CSR product would copy it
     weights_t = np.ascontiguousarray(model.weights.T)
-    budget = EVAL_BLOCK_BYTES - weights_t.nbytes
+    # a copy larger than the budget would leave one-row blocks
+    reserved = min(weights_t.nbytes, EVAL_BLOCK_BYTES // 2)
+    budget = EVAL_BLOCK_BYTES - reserved
     hits = np.empty(n, dtype=bool)
     log_lik = np.empty(n)
-    step = block_rows(C, weights_t.nbytes)
+    step = block_rows(C, reserved)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         labels = dataset.labels[lo:hi]

@@ -16,10 +16,10 @@ builds of the same suffix that it supersedes. When that directory is not
 writable the build goes into a private temporary directory, removed again
 once the library is loaded. Nothing is compiled at import.
 
-``load()`` returns None, with one warning per process, when no compiler is
-found or the build fails; training then runs its Python step loop, the
-tree nodes are fitted by the numpy alternation, the tree is walked by numpy
-level loops, and svmlight files are read by the Python line-by-line reader.
+The kernel is required: ``load()`` raises a ``KernelError`` naming the
+compiler it looked for, or the build's error, when it cannot have the
+library. Either outcome is kept for the rest of the process, so a failed
+build is not run again on the next call.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ import shutil
 import subprocess
 import sysconfig
 import tempfile
-import warnings
 from pathlib import Path
+
+from .errors import KernelError
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -102,13 +103,33 @@ def _bind(path: Path):
     return lib
 
 
-@functools.cache
 def load():
-    """The kernel library, built if needed, or None when it cannot be had."""
+    """The kernel library, built if needed; a KernelError when it cannot be
+    built or loaded."""
+    lib = _outcome()
+    if isinstance(lib, KernelError):
+        raise KernelError(str(lib))
+    return lib
+
+
+@functools.cache
+def _outcome():
+    """``open_library()``'s library or its KernelError, once per process:
+    ``functools.cache`` would not keep a raised exception."""
+    try:
+        return open_library()
+    except KernelError as exc:
+        return exc
+
+
+def open_library():
+    """The library from the package's cache, built there (or privately) when
+    it is missing; a KernelError when no compiler is found or the build
+    fails."""
     try:
         name = library_name()
     except OSError as exc:
-        return _unavailable(f"cannot read {SOURCE.name}: {exc}")
+        raise KernelError(f"cannot read {SOURCE.name}: {exc}") from exc
     cache = SOURCE.parent / "__pycache__"
     if (cache / name).exists():
         try:
@@ -117,7 +138,7 @@ def load():
             pass  # unreadable or not a library: build it again
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
-        return _unavailable("no C compiler (cc or gcc) found")
+        raise KernelError(f"no C compiler (cc or gcc) found to build {SOURCE.name}")
     try:
         cache.mkdir(exist_ok=True)
     except OSError:
@@ -128,9 +149,9 @@ def load():
     try:
         lib = _bind(build(cc, cache / name))
     except subprocess.CalledProcessError as exc:
-        return _unavailable(f"{cc} failed on {SOURCE.name}: {exc.stderr.strip()}")
+        raise KernelError(f"{cc} failed on {SOURCE.name}: {exc.stderr.strip()}") from exc
     except OSError as exc:
-        return _unavailable(f"building {SOURCE.name} failed: {exc}")
+        raise KernelError(f"building {SOURCE.name} failed: {exc}") from exc
     finally:
         if private is not None:
             shutil.rmtree(private, ignore_errors=True)
@@ -141,11 +162,3 @@ def load():
         with contextlib.suppress(OSError):
             old.unlink()
     return lib
-
-
-def _unavailable(reason: str):
-    warnings.warn(f"compiled kernel unavailable ({reason}); training runs the Python "
-                  "step loop, tree nodes are fitted and the tree walked in numpy, "
-                  "and svmlight files are parsed in Python", RuntimeWarning,
-                  stacklevel=3)
-    return None

@@ -1,6 +1,7 @@
-"""Loss functions, exact gradients, and the Adagrad training loop.
+"""The Adagrad training loop, whose steps run in the compiled kernel
+(``advsamp.kernel``), and its learning curve.
 
-Methods:
+Methods, each with its loss and exact gradient:
 
 - ``softmax_full``: the exact multinomial loss, O(C K) per step.
 - ``neg_sampling``: binary discrimination of one positive against
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import functools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -61,60 +60,10 @@ class TrainConfig:
                             "and nonnegative")
 
 
-def softmax_loss_and_grad(scores, y: int):
-    """Full softmax loss and its gradient over all C scores.
-
-    loss = -xi_y + logsumexp(xi); d loss / d xi_c = softmax(xi)_c - 1[c=y].
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size > SOFTMAX_LABEL_GUARD:
-        raise DataError(f"softmax over {scores.size} labels exceeds the guard")
-    if not np.all(np.isfinite(scores)):
-        raise NumericError("non-finite scores in softmax loss")
-    m = scores.max()
-    exps = np.exp(scores - m)
-    total = exps.sum()
-    loss = -scores[y] + m + np.log(total)
-    grad = exps / total
-    grad[y] -= 1.0
-    return float(loss), grad
-
-
-def pair_loss_and_grad(xi, labs, lp, lam: float):
-    """Negative-sampling loss of one step and its gradient over the scores.
-
-    ``xi[0]`` scores the positive label ``labs[0]``, ``xi[1:]`` the sampled
-    negatives: loss = softplus(-xi_0) + sum_j softplus(xi_j), plus
-    lam * (xi + log p_n)^2 on every entry when lam > 0, with ``lp`` the
-    log p_n of each label. A label drawn more than once takes the summed
-    gradient in each of its rows, so its rows all write the same update.
-    """
-    s = xi.copy()
-    s[0] = -s[0]
-    terms = np.logaddexp(0.0, s)
-    g = 1.0 / (1.0 + np.exp(-s))
-    g[0] = -g[0]
-    if lam > 0:
-        resid = xi + lp
-        terms += lam * resid * resid
-        g += 2.0 * lam * resid
-    return float(terms.sum()), (labs[:, None] == labs) @ g
-
-
-def adagrad_step(param, accum, cells, value, grad, rho: float, eps: float) -> None:
-    """Adagrad on ``param[cells]``, whose current values are ``value``:
-    accum += grad^2; param -= rho * grad / (sqrt(accum) + eps). A cell listed
-    more than once must carry the same gradient each time."""
-    acc = accum[cells] + grad * grad
-    accum[cells] = acc
-    param[cells] = value - rho * grad / (np.sqrt(acc) + eps)
-
-
 @dataclass
 class TrainResult:
     model: LinearClassifier
     metrics: list = field(default_factory=list)  # dicts with METRIC_COLUMNS keys
-    backend: str = "python"  # "c": the compiled step kernel; "python": the reference loop
     steps_per_s: float = 0.0  # steps over the time spent in the step loop
 
     def write_metrics_csv(self, path, wall_clock_offset_s: float = 0.0) -> None:
@@ -221,48 +170,10 @@ class _Run:
         self.order = self.step_labels = self.step_lp = None
 
 
-def _steps_python(run: _Run, t0: int, t1: int):
-    """Steps t0..t1-1 of the current epoch, the reference for the compiled
-    kernel. Returns the loss sum and -1, or the sum so far and the first
-    step whose scores or loss are not finite (its update not applied)."""
-    W, B, AW, AB = run.W, run.B, run.AW, run.AB
-    lam = run.lam
-    loss_sum = 0.0
-    # every label; a slice keeps W[:, idx] a cheap gather for large C
-    labs = rows = slice(None)
-    for t in range(t0, t1):
-        i = run.order[t]
-        lo, hi = run.indptr[i], run.indptr[i + 1]
-        idx = run.indices[lo:hi]
-        vals = run.data[lo:hi]
-        if not run.softmax:
-            labs = run.step_labels[:, t]
-            rows = labs[:, None]
-        cells = (rows, idx)
-        w, b = W[cells], B[labs]
-        xi = w @ vals + b
-        if not np.all(np.isfinite(xi)):
-            return loss_sum, t
-        if run.softmax:
-            loss, g = softmax_loss_and_grad(xi, run.labels[i])
-        else:
-            loss, g = pair_loss_and_grad(xi, labs, run.step_lp[:, t] if lam > 0 else None, lam)
-        gw, gb = g[:, None] * vals, g
-        if run.softmax and lam > 0:
-            # parameter L2 on the touched coordinates
-            gw = gw + 2.0 * lam * w
-            gb = gb + 2.0 * lam * b
-            loss += lam * float((w**2).sum() + (b**2).sum())
-        if not math.isfinite(loss):
-            return loss_sum, t
-        adagrad_step(W, AW, cells, w, gw, run.rho, ADAGRAD_EPSILON)
-        adagrad_step(B, AB, labs, b, gb, run.rho, ADAGRAD_EPSILON)
-        loss_sum += loss
-    return loss_sum, -1
-
-
-def _steps_c(lib, run: _Run, t0: int, t1: int):
-    """``_steps_python`` through the compiled kernel."""
+def _steps(lib, run: _Run, t0: int, t1: int):
+    """Steps t0..t1-1 of the current epoch in the compiled kernel ``lib``.
+    Returns the loss sum and -1, or the sum so far and the first step whose
+    scores or loss are not finite (its update not applied)."""
     def ptr(a):
         return None if a is None else a.ctypes.data
 
@@ -294,9 +205,8 @@ def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
     negatives for ``neg_sampling``, all C labels for ``softmax_full`` -- on
     the nonzero features of one example, takes the method's loss and score
     gradient, and updates those cells and biases by Adagrad. The steps
-    between two learning-curve rows run as one call, of the compiled kernel
-    when it can be built (``advsamp.kernel``) and of ``_steps_python``
-    otherwise; ``TrainResult.backend`` says which ran.
+    between two learning-curve rows run as one call of the compiled kernel
+    (``advsamp.kernel``).
     """
     softmax = config.method == "softmax_full"
     if softmax and noise is not None:
@@ -308,9 +218,6 @@ def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
     check_compatible(model, noise, dataset)
     run = _Run(dataset, config, model)
     lib = kernel.load()
-    # one call runs the steps up to the next curve row
-    steps = (functools.partial(_steps_python, run) if lib is None
-             else functools.partial(_steps_c, lib, run))
     rng = np.random.default_rng(config.seed)
     n, C = dataset.num_examples, dataset.num_labels
     if not softmax:
@@ -340,7 +247,7 @@ def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
         while t < n:
             t1 = n if not log_every else min(n, t + log_every - done % log_every)
             start = time.perf_counter()
-            loss, bad = steps(t, t1)
+            loss, bad = _steps(lib, run, t, t1)
             step_s += time.perf_counter() - start
             if bad >= 0:
                 raise NumericError(f"non-finite score or loss at epoch {epoch} step {bad}: "
@@ -353,5 +260,4 @@ def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
                 loss_acc = 0.0
         curve.log(epoch, done, loss_acc, epoch_end=True)
         loss_acc = 0.0
-    return TrainResult(model, curve.rows, backend="python" if lib is None else "c",
-                       steps_per_s=done / step_s if step_s > 0 else 0.0)
+    return TrainResult(model, curve.rows, steps_per_s=done / step_s if step_s > 0 else 0.0)

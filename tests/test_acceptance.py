@@ -11,11 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advsamp.aux_tree import (
-    all_deltas,
-    fit_tree,
-    log_sigmoid,
-)
+from advsamp.aux_tree import fit_tree, log_sigmoid
 from advsamp.data_io import PcaProjection
 from advsamp.diagnostics import (
     NonparametricProblem,
@@ -27,14 +23,10 @@ from advsamp.diagnostics import (
 from advsamp.inference import PredictionConfig, evaluate
 from advsamp.linear_model import LinearClassifier
 from advsamp.noise import AdversarialNoise, FrequencyNoise
-from advsamp.training import (
-    TrainConfig,
-    pair_loss_and_grad,
-    softmax_loss_and_grad,
-    train,
-)
+from advsamp.training import TrainConfig, train
 
 from conftest import CountingRng, load_script, one_hot_contexts
+from numpy_oracle import all_deltas, pair_loss_and_grad, softmax_loss_and_grad
 from test_aux_tree import fit_node_traced, make_problem
 from snr_oracles import (
     FORM_AGREEMENT_TOL,

@@ -1,8 +1,7 @@
-import contextlib
 import itertools
 import re
-import shutil
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -11,30 +10,30 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from advsamp import aux_tree, kernel
+from advsamp import aux_tree
 from advsamp.aux_tree import (
     ALTERNATION_GUARD,
     B_PAD,
     NODE_COUNTERS,
     AuxiliaryTree,
     LevelFitProblem,
-    NodeFitProblem,
-    all_deltas,
     check_regularizer,
     fit_tree,
     init_level,
     label_sums,
     log_sigmoid,
-    newton_fit,
     sigmoid,
-    split_labels,
 )
 from advsamp.errors import DataError, NumericError
 
+import numpy_oracle
 from conftest import CountingRng
+from numpy_oracle import NodeFitProblem, all_deltas, level_node, newton_fit, split_labels
 
-needs_kernel = pytest.mark.skipif(shutil.which("cc") is None and shutil.which("gcc") is None,
-                                  reason="no C compiler (cc or gcc) on PATH")
+# fit_tree's alternation of a level, and fit_tree itself: in the compiled
+# kernel, and with the numpy oracle's alternation
+LEVEL_FITS = (aux_tree._alternate_level, numpy_oracle.alternate_level)
+TREE_FITS = (fit_tree, numpy_oracle.fit_tree)
 
 # The compiled node fit sums in another order and solves by Cholesky where
 # numpy uses LU, so its parameters theta = (w, b) agree with numpy's within
@@ -126,30 +125,29 @@ def init_node(problem):
     return vecs[:, -1], 0.0
 
 
-def fit_node(problem, lam, lib=None, counters=None):
+def fit_node(problem, lam, level_fit=numpy_oracle.alternate_level, counters=None):
     """One node fitted as ``fit_tree`` fits a level: a one-node level (its
-    arrays viewed, not copied), started by ``init_node`` and alternated by
-    ``aux_tree._alternate_level`` in the kernel library ``lib`` (numpy when
-    None). Returns (w, b, zeta) and fills ``counters`` (see NODE_COUNTERS)
-    when given."""
+    arrays viewed, not copied), checked and started as ``fit_tree`` does
+    (``init_node`` for the start) and alternated by ``level_fit``, one of
+    LEVEL_FITS (numpy by default). Returns (w, b, zeta) and fills
+    ``counters`` (see NODE_COUNTERS) when given."""
     check_regularizer(lam)
     level = LevelFitProblem(problem.label_ids[None], problem.rows, problem.slots,
                             np.array([0, problem.slots.size]), problem.num_real_labels,
                             problem.counts[None], problem.aggregates[None])
-    if lib is not None:
-        aux_tree._check_level(level)
+    aux_tree._check_level(level)
     theta = np.append(*init_node(problem))[None]
-    zeta, node_counters = aux_tree._alternate_level(lib, level, lam, theta)
+    zeta, node_counters = level_fit(level, lam, theta)
     if counters is not None:
         counters[:] = node_counters[0]
     return theta[0, :-1], float(theta[0, -1]), zeta[0]
 
 
-def fit_tree_oracle(Xr, labels, C, lam, lib=None):
+def fit_tree_oracle(Xr, labels, C, lam, level_fit=numpy_oracle.alternate_level):
     """``fit_tree`` as it was before the level loop: a depth-first recursion
     with per-label lists, a scan over all labels for their rows, each node's
     problem built from one feature array per label and fitted by
-    ``fit_node`` in ``lib`` (numpy when None), the children's label lists
+    ``fit_node`` with ``level_fit``, the children's label lists
     rebuilt by comprehension. Returns (node_w, node_b, label_leaf) and the
     fit's counters as ``fit_report`` holds them."""
     k = Xr.shape[1]
@@ -179,7 +177,8 @@ def fit_tree_oracle(Xr, labels, C, lam, lib=None):
             node_b[node] = B_PAD
         else:
             counters = np.zeros(len(NODE_COUNTERS), dtype=np.int64)
-            w, b, zeta = fit_node(make_problem(features_for(ids), ids, C), lam, lib, counters)
+            w, b, zeta = fit_node(make_problem(features_for(ids), ids, C), lam, level_fit,
+                                  counters)
             node_w[node] = w
             node_b[node] = b
             report["newton_steps"] += int(counters[0])
@@ -406,17 +405,15 @@ def assert_oracle_close(got, want):
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
-@needs_kernel
 class TestLogProbAll:
-    """``log_prob_all``'s compiled walk and its numpy fallback against the
-    level-loop oracle: the two backends read the same logit and tail tables
-    and add in the same order, so they agree bit for bit."""
+    """``log_prob_all``'s compiled walk and the numpy oracle's level loop
+    against the per-level GEMM oracle: the walk and the numpy oracle read
+    the same logit and tail tables and add in the same order, so they agree
+    bit for bit."""
 
     def both(self, tree, X, out=None):
-        got = []
-        for lib in (kernel.load(), None):
-            with mock.patch.object(kernel, "load", lambda: lib):
-                got.append(tree.log_prob_all(X, None if out is None else out.copy()))
+        got = [walk(X, None if out is None else out.copy())
+               for walk in (tree.log_prob_all, partial(numpy_oracle.log_prob_all, tree))]
         assert np.array_equal(got[0], got[1])
         return got[0]
 
@@ -482,15 +479,9 @@ class TestLogProbAll:
             tree.log_prob_all(rng.standard_normal((2, 3)))
 
 
-def numpy_backend():
-    return mock.patch.object(kernel, "load", lambda: None)
-
-
-@needs_kernel
 class TestPathWalk:
     """``sample_batch`` and ``log_prob_pairs`` through the compiled path
-    walk against their numpy level loops, the fallback and the oracle: the
-    same draws from the same generator stream, and pair log-probabilities
+    walk against the numpy oracle's level loops: the same draws from the same generator stream, and pair log-probabilities
     within 1e-13, relative beyond |log p| = 1 (the kernel's dot products sum
     in another order than numpy's einsum)."""
 
@@ -512,9 +503,8 @@ class TestPathWalk:
         ys = rng.integers(0, C, n)
         gens = [np.random.default_rng(seed) for _ in range(2)]
         draws = tree.sample_batch(X, gens[0])
-        with numpy_backend():
-            want_draws = tree.sample_batch(X, gens[1])
-            want_pairs = tree.log_prob_pairs(X, ys)
+        want_draws = numpy_oracle.sample_batch(tree, X, gens[1])
+        want_pairs = numpy_oracle.log_prob_pairs(tree, X, ys)
         assert np.array_equal(draws, want_draws)
         assert gens[0].bit_generator.state == gens[1].bit_generator.state
         assert_oracle_close(tree.log_prob_pairs(X, ys), want_pairs)
@@ -545,12 +535,17 @@ class TestPathWalk:
         tree = random_tree(9, 3, rng)
         X = rng.standard_normal(rows)
         ys = np.zeros(labels, dtype=np.int64)
-        with numpy_backend() if backend == "numpy" else contextlib.nullcontext():
+        # the oracle's walks check their arguments as the methods do
+        if backend == "c":
+            pairs, sample = tree.log_prob_pairs, tree.sample_batch
+        else:
+            pairs = partial(numpy_oracle.log_prob_pairs, tree)
+            sample = partial(numpy_oracle.sample_batch, tree)
+        with pytest.raises(DataError, match=why):
+            pairs(X, ys)
+        if why == "reduced features":
             with pytest.raises(DataError, match=why):
-                tree.log_prob_pairs(X, ys)
-            if why == "reduced features":
-                with pytest.raises(DataError, match=why):
-                    tree.sample_batch(X, rng)
+                sample(X, rng)
 
     @pytest.mark.parametrize("field,value", [
         ("node_w", lambda w: np.asfortranarray(w)),
@@ -570,13 +565,13 @@ class TestPathWalk:
 
     @settings(max_examples=20, deadline=None)
     @given(C=st.integers(2, 40), k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_fallback_matches_per_edge_oracle(self, C, k, seed):
+    def test_numpy_levels_match_per_edge_oracle(self, C, k, seed):
         rng = np.random.default_rng(seed)
         tree = random_tree(C, k, rng)
         X = rng.standard_normal((3, k))
-        with numpy_backend():
-            pairs = tree.log_prob_pairs(np.repeat(X, C, axis=0), np.tile(np.arange(C), 3))
-            draws = tree.sample_batch(X, rng)
+        pairs = numpy_oracle.log_prob_pairs(tree, np.repeat(X, C, axis=0),
+                                            np.tile(np.arange(C), 3))
+        draws = numpy_oracle.sample_batch(tree, X, rng)
         oracle = [per_edge_oracle(tree, x, y) for x in X for y in range(C)]
         assert np.abs(pairs - oracle).max() < 1e-12
         assert draws.shape == (3,) and 0 <= draws.min() and draws.max() < C
@@ -803,7 +798,8 @@ def assert_level_starts_per_node(level):
     Returns the warnings."""
     found = []
     for start_level in (init_level, lambda level: np.array(
-            [np.append(*init_node(level.node(i))) for i in range(level.row_ptr.size - 1)])):
+            [np.append(*init_node(level_node(level, i)))
+             for i in range(level.row_ptr.size - 1)])):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             theta = start_level(level)
@@ -892,11 +888,12 @@ class TestFitNode:
         assert sorted(zeta) == [-1, 1]
 
     def test_identical_features_tie_break(self):
-        # equal deltas: ids break the tie, on either backend
+        # equal deltas: ids break the tie, in the kernel and in numpy
         same = np.array([[0.5, -0.5], [0.5, -0.5]])
-        for lib in {kernel.load(), None}:
+        for level_fit in LEVEL_FITS:
             with pytest.warns(UserWarning):
-                w, b, zeta = fit_node(make_problem([same.copy() for _ in range(4)]), 1.0, lib)
+                w, b, zeta = fit_node(make_problem([same.copy() for _ in range(4)]), 1.0,
+                                      level_fit)
             assert np.linalg.norm(w) < 1e-4
             assert list(zeta) == [1, 1, -1, -1]
 
@@ -914,9 +911,9 @@ class TestFitNode:
             assert np.array_equal(fw, w) and fb == b and np.array_equal(fzeta, zeta)
 
 
-@needs_kernel
 class TestCompiledNodeFit:
-    """``fit_node`` in the compiled kernel against its numpy alternation."""
+    """``fit_node`` in the compiled kernel against the numpy oracle's
+    alternation."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(C=st.sampled_from([2, 4, 8, 16, 3, 5, 9, 17]), k=st.integers(1, 8),
@@ -928,8 +925,8 @@ class TestCompiledNodeFit:
         counters = np.zeros((2, len(NODE_COUNTERS)), dtype=np.int64)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            wc, bc, zc = fit_node(problem, 0.1, kernel.load(), counters[0])
-            wp, bp, zp = fit_node(problem, 0.1, None, counters[1])
+            wc, bc, zc = fit_node(problem, 0.1, aux_tree._alternate_level, counters[0])
+            wp, bp, zp = fit_node(problem, 0.1, numpy_oracle.alternate_level, counters[1])
         if np.array_equal(zc, zp):
             assert_theta_close((wc, bc), (wp, bp))
             assert counters[0, 1] == counters[1, 1]  # alternation rounds
@@ -940,19 +937,19 @@ class TestCompiledNodeFit:
 
     def test_same_warnings_and_counters(self, rng, monkeypatch):
         # one Newton step and one round are too few for this problem, so
-        # both stops fire on either backend; the kernel reads the limits
-        # from the module, as the numpy fit does
+        # both stops fire in the kernel and in numpy; the kernel reads the
+        # limits from the module, as the numpy oracle does
         monkeypatch.setattr(aux_tree, "NEWTON_MAX_ITER", 1)
         monkeypatch.setattr(aux_tree, "ALTERNATION_GUARD", 1)
         rng = np.random.default_rng(28)  # its alternation takes 2 rounds
         problem = make_problem([rng.standard_normal((int(rng.integers(1, 6)), 3))
                                 for _ in range(4)])
         found = []
-        for lib in (kernel.load(), None):
+        for level_fit in LEVEL_FITS:
             counters = np.zeros(len(NODE_COUNTERS), dtype=np.int64)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                fit_node(problem, 0.1, lib, counters)
+                fit_node(problem, 0.1, level_fit, counters)
             found.append(([re.sub(r"\|grad\|=[^)]*", "", str(w.message)) for w in caught],
                           counters.tolist()))
         assert found[0] == found[1]
@@ -966,11 +963,10 @@ class TestCompiledNodeFit:
         X = rng.standard_normal((12, 3))
         labels = rng.integers(0, 4, 12)
         reports = []
-        for lib in (kernel.load(), None):
-            with mock.patch.object(kernel, "load", lambda: lib), warnings.catch_warnings():
+        for fit in TREE_FITS:
+            with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                reports.append(fit_tree(X, labels, 4, 0.1).fit_report)
-        assert [r["backend"] for r in reports] == ["c", "python"]
+                reports.append(fit(X, labels, 4, 0.1).fit_report)
         for r in reports:
             assert r["alternation_rounds"] == 3 and r["newton_steps"] > 0
             assert r["newton_capped_nodes"] == []
@@ -992,7 +988,7 @@ class TestCompiledNodeFit:
         problem = make_problem([rng.standard_normal((3, 3)) for _ in range(4)])
         change(problem)
         with pytest.raises(DataError, match=why):
-            fit_node(problem, 0.1, kernel.load())
+            fit_node(problem, 0.1, aux_tree._alternate_level)
 
     @pytest.mark.parametrize("row_ptr,why", [
         ([0, 5, 3, 9], "row_ptr"), ([1, 5, 7, 9], "row_ptr"), ([0, 4, 6, 8], "row_ptr"),
@@ -1012,55 +1008,56 @@ class TestCompiledNodeFit:
     def test_widest_reduced_dimension(self, rng):
         feats = [rng.standard_normal((20, aux_tree.MAX_REDUCED_DIM)) + j for j in range(2)]
         problem = make_problem(feats)
-        fits = [fit_node(problem, 0.1, lib) for lib in (kernel.load(), None)]
+        fits = [fit_node(problem, 0.1, level_fit) for level_fit in LEVEL_FITS]
         assert np.array_equal(fits[0][2], fits[1][2])
         assert_theta_close(fits[0][:2], fits[1][:2])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_row_same_error(rng, bad):
-    # never a silent NaN tree, on either backend
+    # never a silent NaN tree, in the kernel or in numpy
     X = rng.standard_normal((30, 3))
     X[7, 1] = bad
     labels = rng.integers(0, 5, 30)
     messages = []
-    for lib in (kernel.load(), None):
-        with mock.patch.object(kernel, "load", lambda: lib), \
-                pytest.raises(NumericError) as exc:
-            fit_tree(X, labels, 5, 0.1)
+    for fit, level_fit in zip(TREE_FITS, LEVEL_FITS):
+        with pytest.raises(NumericError) as exc:
+            fit(X, labels, 5, 0.1)
         messages.append(str(exc.value))
         with pytest.raises(NumericError):
-            fit_node(make_problem([X[:15], X[15:]]), 0.1, lib)
+            fit_node(make_problem([X[:15], X[15:]]), 0.1, level_fit)
     assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("big", [1e160, 1e200, 1e300])
 def test_overflowing_hessian_same_error(rng, big):
     # finite rows so large that the Newton Hessian overflows: the compiled
-    # fit's Cholesky and numpy's step check both refuse, where the numpy
-    # fit used to keep the eigh start silently
+    # fit's Cholesky and the numpy oracle's step check both refuse, where the
+    # numpy fit used to keep the eigh start silently
     X = rng.standard_normal((40, 3))
     X[5, 1] = big
     labels = rng.integers(0, 5, 40)
-    for lib in (kernel.load(), None):
-        with mock.patch.object(kernel, "load", lambda: lib), warnings.catch_warnings(), \
+    for fit in TREE_FITS:
+        with warnings.catch_warnings(), \
                 pytest.raises(NumericError, match="non-finite parameters"):
             warnings.simplefilter("ignore")
-            fit_tree(X, labels, 5, 0.1)
+            fit(X, labels, 5, 0.1)
 
 
 @pytest.mark.parametrize("k", [2, 8, 16])
 def test_overflowing_start_same_error(rng, k):
     # rows of scale 1e200 overflow the covariance the start's eigh reads,
     # which with k = 8 or 16 made numpy's eigh fail to converge
-    # (LinAlgError) and with k = 2 gave NaN eigenvalues
+    # (LinAlgError) and with k = 2 gave NaN eigenvalues; the error is all
+    # the caller sees, with no overflow warning before it
     X = 1e200 * rng.standard_normal((40, k))
     labels = np.arange(40) % 5
-    for lib in (kernel.load(), None):
-        with mock.patch.object(kernel, "load", lambda: lib), warnings.catch_warnings(), \
+    for fit in TREE_FITS:
+        with warnings.catch_warnings(record=True) as caught, \
                 pytest.raises(NumericError, match="covariance of its start overflows"):
-            warnings.simplefilter("ignore")
-            fit_tree(X, labels, 5, 0.1)
+            warnings.simplefilter("always")
+            fit(X, labels, 5, 0.1)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestTreeValidation:
@@ -1101,28 +1098,26 @@ class TestFitTree:
            n=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
     def test_matches_per_label_oracle(self, C, k, n, seed):
         # C = 2, powers of two, and 2^d + 1 (the most padding); some labels
-        # without rows, and rows repeated within and across labels. On each
-        # backend the level-order fit, with its stacked eigh and (compiled)
-        # one call per level, is the per-node recursion bit for bit, counters
-        # included. The compiled tree agrees with the numpy one within
-        # THETA_RTOL, and each of its nodes is a fixed point of the numpy
-        # alternation
+        # without rows, and rows repeated within and across labels. With the
+        # kernel's alternation and with the numpy oracle's, the level-order
+        # fit, with its stacked eigh and one alternation per level, is the
+        # per-node recursion bit for bit, counters included. The compiled
+        # tree agrees with the numpy one within THETA_RTOL, and each of its
+        # nodes is a fixed point of the numpy alternation
         X, labels = oracle_case(C, k, n, seed)
-        for lib in (None, kernel.load()) if kernel.load() else (None,):
+        trees = []
+        for fit, level_fit in zip(TREE_FITS, LEVEL_FITS):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                want, want_report = fit_tree_oracle(X, labels, C, 0.1, lib)
-                with mock.patch.object(kernel, "load", lambda: lib):
-                    tree = fit_tree(X, labels, C, 0.1)
+                want, want_report = fit_tree_oracle(X, labels, C, 0.1, level_fit)
+                tree = fit(X, labels, C, 0.1)
             report = tree.fit_report
-            assert report["backend"] == ("python" if lib is None else "c")
             for got, expected in zip((tree.node_w, tree.node_b, tree.label_leaf), want):
                 assert got.tobytes() == expected.tobytes()
             assert {key: report[key] for key in want_report} == want_report
-            if lib is None:
-                numpy_tree = tree
-        if kernel.load() is None:
-            return
+            trees.append(tree)
+        tree, numpy_tree = trees
+        report = tree.fit_report
         if np.array_equal(tree.label_leaf, numpy_tree.label_leaf):
             for node in range(tree.node_b.size):
                 assert_theta_close((tree.node_w[node], tree.node_b[node]),
@@ -1142,11 +1137,11 @@ class TestFitTree:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((400, 3))
         labels = rng.integers(0, 33, 400)
-        for lib in (kernel.load(), None):
-            with mock.patch.object(kernel, "load", lambda: lib), warnings.catch_warnings():
+        for fit, level_fit in zip(TREE_FITS, LEVEL_FITS):
+            with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                report = fit_tree(X, labels, 33, 0.1).fit_report
-                _, want = fit_tree_oracle(X, labels, 33, 0.1, lib)
+                report = fit(X, labels, 33, 0.1).fit_report
+                _, want = fit_tree_oracle(X, labels, 33, 0.1, level_fit)
             assert report["guard_nodes"] == want["guard_nodes"] == [0, 2, 6, 13, 23]
 
     def test_level_fit_warns_as_the_oracle(self):
@@ -1155,12 +1150,11 @@ class TestFitTree:
         # node, as the per-node starts do
         X = np.ones((16, 2))
         labels = np.arange(16) % 8
-        for lib in (kernel.load(), None):
+        for tree_fit, level_fit in zip(TREE_FITS, LEVEL_FITS):
             found = []
-            for fit in (lambda: fit_tree(X, labels, 8, 0.1),
-                        lambda: fit_tree_oracle(X, labels, 8, 0.1, lib)):
-                with mock.patch.object(kernel, "load", lambda: lib), \
-                        warnings.catch_warnings(record=True) as caught:
+            for fit in (lambda: tree_fit(X, labels, 8, 0.1),
+                        lambda: fit_tree_oracle(X, labels, 8, 0.1, level_fit)):
+                with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     fit()
                 found.append(sorted(re.sub(r"\|grad\|=[^)]*", "", str(w.message))
@@ -1176,12 +1170,11 @@ class TestFitTree:
         X = rng.standard_normal((20, 3))
         labels = rng.integers(0, 4, 20)
         problem = make_problem([X[:10], X[10:]])
-        for lib in (kernel.load(), None):
-            with mock.patch.object(kernel, "load", lambda: lib), \
-                    pytest.raises(DataError, match="finite and positive"):
-                fit_tree(X, labels, 4, lam)
+        for fit, level_fit in zip(TREE_FITS, LEVEL_FITS):
             with pytest.raises(DataError, match="finite and positive"):
-                fit_node(problem, lam, lib)
+                fit(X, labels, 4, lam)
+            with pytest.raises(DataError, match="finite and positive"):
+                fit_node(problem, lam, level_fit)
         with pytest.raises(DataError, match="finite and positive"):
             newton_fit(problem, np.array([1, -1]), lam)
 

@@ -77,36 +77,32 @@ class TestPipeline:
             assert manifest["command"] == command
             assert manifest["seed"] == 42
             assert manifest["wall_clock_s"] > 0
+        # steps run only in the kernel, so only the parse names its reader
         trained = json.loads((out / "manifest-train.json").read_text())
-        want = "c" if shutil.which("cc") or shutil.which("gcc") else "python"
-        assert trained["train_backend"] == want
-        assert f"backend={want} " in train_line
+        assert "train_backend" not in trained and "backend=" not in train_line
         assert trained["train_steps_per_s"] > 0
         preprocessed = json.loads((out / "manifest-preprocess.json").read_text())
-        assert preprocessed["parse_backend"] == want
-        assert f"backend={want} " in preprocess_line
+        assert preprocessed["parse_backend"] == "c"
+        assert "backend=c " in preprocess_line
         assert preprocessed["parse_s"] > 0
 
-    def test_fit_aux_records_the_fit(self, workdir, capsys, monkeypatch):
+    def test_fit_aux_records_the_fit(self, workdir, capsys):
         out, base = workdir
         sets = base + ["noise=adversarial"]
         assert run("preprocess", out, sets) == 0
-        want = "c" if shutil.which("cc") or shutil.which("gcc") else "python"
-        for backend in (want, "python"):
-            if backend == "python":
-                monkeypatch.setattr(advsamp.kernel, "load", lambda: None)
-            assert run("fit-aux", out, sets) == 0
-            line = capsys.readouterr().out.strip().splitlines()[-1]
-            assert f" backend={backend} " in line
-            fit = json.loads((out / "manifest-fit-aux.json").read_text())
-            assert fit["backend"] == backend
-            # 5 labels pad to 8: 4 fitted nodes, each at least one round
-            assert fit["alternation_rounds"] >= 4
-            assert fit["newton_steps"] >= fit["alternation_rounds"]
-            assert fit["newton_capped_nodes"] == [] and fit["guard_nodes"] == []
-            # the set-up and alternation seconds lie within the fit's wall clock
-            assert fit["init_s"] >= 0 and fit["alternation_s"] >= 0
-            assert fit["init_s"] + fit["alternation_s"] <= fit["aux_fit_wall_clock_s"]
+        assert run("fit-aux", out, sets) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        # the fit runs only in the kernel, so neither names a backend
+        assert "backend=" not in line
+        fit = json.loads((out / "manifest-fit-aux.json").read_text())
+        assert "backend" not in fit
+        # 5 labels pad to 8: 4 fitted nodes, each at least one round
+        assert fit["alternation_rounds"] >= 4
+        assert fit["newton_steps"] >= fit["alternation_rounds"]
+        assert fit["newton_capped_nodes"] == [] and fit["guard_nodes"] == []
+        # the set-up and alternation seconds lie within the fit's wall clock
+        assert fit["init_s"] >= 0 and fit["alternation_s"] >= 0
+        assert fit["init_s"] + fit["alternation_s"] <= fit["aux_fit_wall_clock_s"]
 
     def test_retrain_keeps_aux_fit_time(self, workdir):
         # a second train still finds the fit-aux record and shifts its curve
@@ -421,6 +417,22 @@ class TestExitCodes:
         assert "non-finite parameters" in capsys.readouterr().err
         assert not (out / "tree.npz").exists()
 
+    def test_no_compiler_exits_4(self, workdir, tmp_path, monkeypatch, capsys):
+        # a source with no build beside it and no compiler to build it
+        source = tmp_path / "pkg" / "_kernel.c"
+        source.parent.mkdir()
+        shutil.copy(advsamp.kernel.SOURCE, source)
+        monkeypatch.setattr(advsamp.kernel, "SOURCE", source)
+        monkeypatch.setattr(advsamp.kernel.shutil, "which", lambda name: None)
+        advsamp.kernel._outcome.cache_clear()
+        try:
+            out, base = workdir
+            assert run("preprocess", out, base) == 4
+        finally:
+            advsamp.kernel._outcome.cache_clear()
+        err = capsys.readouterr().err
+        assert err.startswith("compiled kernel unavailable: no C compiler (cc or gcc)"), err
+
     def test_threads_flag_removed(self, tmp_path, capsys):
         code = main(["diagnose", "--out", str(tmp_path / "o"),
                      "--set", "seed=1", "--threads", "2"])
@@ -572,12 +584,13 @@ class TestConfig:
 
 def test_cli_import_skips_heavy_scipy_modules():
     # scipy.sparse.linalg and scipy.special cost every command import time and
-    # resident memory; only the calls that need them import them
+    # resident memory; only the calls that need them import them. Nor is the
+    # kernel built or loaded before a command needs it
     src = Path(advsamp.__file__).resolve().parents[1]
     code = ("import sys, advsamp.cli; "
             "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.special') "
-            "if m in sys.modules))")
+            "if m in sys.modules), advsamp.kernel._outcome.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] 0"

@@ -227,7 +227,8 @@ class TestStreaming:
     def test_bias_corrected_block_within_budget(self, density, K):
         # blocks of the compiled walk's tables on a 1,000-label tree (1,024
         # leaves), beside evaluate's copy of the weights: by the CSR product
-        # (3.1 MiB of weights, blocks of 24 rows) and by the dense one (98)
+        # (3.1 MiB of weights, more than half the budget, which the blocks
+        # keep: 52 rows) and by the dense one (98)
         budget, C, n = 4 * 2**20, 1000, 200
         rng = np.random.default_rng(0)
         with mock.patch.object(inference, "EVAL_BLOCK_BYTES", budget):
@@ -245,7 +246,41 @@ class TestStreaming:
         acc, log_lik = dense_evaluate(m, noise, ds, True)
         assert (rep.accuracy, rep.n_points) == (acc, n)
         assert abs(rep.log_likelihood - log_lik) <= 1e-12
-        assert peak <= budget, f"peak {peak / 2**20:.2f} MiB"
+        # the peak evaluate's docstring states
+        assert peak <= max(budget, K * C * 8 + budget // 2), f"peak {peak / 2**20:.2f} MiB"
+
+    def test_weights_copy_over_budget_keeps_half(self):
+        # a (K, C) weights copy larger than the whole budget used to leave
+        # blocks of one row; the blocks keep half the budget, so the peak is
+        # at most the copy plus that half
+        budget, n, C, K = 2**20, 120, 500, 300
+        copy = K * C * 8
+        assert copy > budget
+        rng = np.random.default_rng(0)
+        X = sp.random(n, K, density=0.03, format="csr", random_state=rng)
+        ds = SparseDataset(X, rng.integers(0, C, n), C)
+        m = model_with(rng.standard_normal((C, K)), rng.standard_normal(C))
+        noise = adversarial_noise(C, K, 8, rng)
+        rows, log_prob_matrix = [], noise.log_prob_matrix
+
+        def block(Z, out=None):  # a mock would keep every block's scores alive
+            rows.append(Z.shape[0])
+            return log_prob_matrix(Z, out=out)
+
+        with mock.patch.object(inference, "EVAL_BLOCK_BYTES", budget), \
+                mock.patch.object(noise, "log_prob_matrix", block):
+            tracemalloc.start()
+            try:
+                rep = evaluate(m, noise, ds, PredictionConfig())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            half = inference.block_rows(C, budget // 2)
+        assert sum(rows) == n and max(rows) == half > 1
+        assert peak <= copy + budget // 2, f"peak {peak / 2**20:.2f} MiB"
+        acc, log_lik = dense_evaluate(m, noise, ds, True)
+        assert (rep.accuracy, rep.n_points) == (acc, n)
+        assert abs(rep.log_likelihood - log_lik) <= 1e-12
 
     def test_noise_table_of_wrong_shape(self, rng):
         ds = dataset_from_dense(rng.standard_normal((5, 2)), [0, 1, 2, 0, 1], 3)

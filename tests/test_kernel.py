@@ -1,5 +1,5 @@
-"""The compiled step kernel against the Python reference loop, its build
-cache and its fallback."""
+"""The compiled step kernel against the numpy oracle's step loop, its build
+cache, and the error when it cannot be built."""
 
 import re
 import shutil
@@ -14,25 +14,23 @@ from hypothesis import strategies as st
 
 from advsamp import kernel
 from advsamp.data_io import SparseDataset
-from advsamp.errors import DataError, NumericError
+from advsamp.errors import DataError, KernelError, NumericError
 from advsamp.linear_model import LinearClassifier
 from advsamp.noise import FrequencyNoise, UniformNoise
 from advsamp.training import TrainConfig, train
 
+import numpy_oracle
 from conftest import dataset_from_dense
 
 CC = shutil.which("cc") or shutil.which("gcc")
-needs_kernel = pytest.mark.skipif(CC is None, reason="no C compiler (cc or gcc) on PATH")
+# train with the compiled steps, and with the numpy oracle's
+TRAINS = (train, numpy_oracle.train)
 
 
-def train_on(backend, ds, cfg, noise):
-    """Train a fresh model with the kernel ("c") or the reference ("python")."""
+def train_on(train_with, ds, cfg, noise):
+    """Train a fresh model with one of TRAINS."""
     model = LinearClassifier(ds.num_labels, ds.num_features)
-    lib = kernel.load() if backend == "c" else None
-    with mock.patch.object(kernel, "load", lambda: lib):
-        result = train(ds, cfg, model, noise=noise)
-    assert result.backend == backend
-    return model, result
+    return model, train_with(ds, cfg, model, noise=noise)
 
 
 def sparse_dataset(rng, n, K, C, density, idx_dtype):
@@ -58,7 +56,6 @@ def assert_same_run(got, want):
                                [r["train_loss"] for r in r2.metrics], rtol=1e-12, atol=1e-14)
 
 
-@needs_kernel
 class TestKernelMatchesReference:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(n=st.integers(2, 40), K=st.integers(2, 40), C=st.integers(2, 40),
@@ -77,7 +74,7 @@ class TestKernelMatchesReference:
                           seed=seed % 1000, negatives_per_positive=m,
                           log_every=int(log_frac * n))
         noise = FrequencyNoise(ds.label_counts + 1) if method == "neg_sampling" else None
-        assert_same_run(train_on("c", ds, cfg, noise), train_on("python", ds, cfg, noise))
+        assert_same_run(*(train_on(train_with, ds, cfg, noise) for train_with in TRAINS))
 
     @pytest.mark.parametrize("method", ["neg_sampling", "softmax_full"])
     @pytest.mark.parametrize("bad", ["nan_weights", "minus_inf_bias"])
@@ -90,15 +87,14 @@ class TestKernelMatchesReference:
         cfg = TrainConfig(method=method, learning_rate=0.1, epochs=1, seed=2, log_every=5)
         noise = UniformNoise(4) if method == "neg_sampling" else None
         messages = []
-        for lib in (kernel.load(), None):
+        for train_with in TRAINS:
             model = LinearClassifier(4, 5)
             if bad == "nan_weights":
                 model.weights[:] = np.nan
             else:
                 model.biases[1] = -np.inf
-            with mock.patch.object(kernel, "load", lambda: lib), \
-                    pytest.raises(NumericError) as exc:
-                train(ds, cfg, model, noise=noise)
+            with pytest.raises(NumericError) as exc:
+                train_with(ds, cfg, model, noise=noise)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
         assert "epoch 1 step " in messages[0]
@@ -110,35 +106,23 @@ class TestKernelMatchesReference:
         cfg = TrainConfig(method="neg_sampling", learning_rate=0.1, epochs=1, seed=0,
                           log_every=0)
         models = []
-        for lib in (kernel.load(), None):
+        for train_with in TRAINS:
             model = LinearClassifier(3, 5)
-            with mock.patch.object(kernel, "load", lambda: lib), \
-                    pytest.raises(NumericError):
-                train(ds, cfg, model, noise=UniformNoise(3))
+            with pytest.raises(NumericError):
+                train_with(ds, cfg, model, noise=UniformNoise(3))
             models.append(model)
         np.testing.assert_allclose(models[0].weights, models[1].weights, rtol=1e-12)
 
 
 class TestBackendChoice:
-    def test_fallback_without_kernel(self, rng, monkeypatch):
-        ds = sparse_dataset(rng, 30, 6, 5, 0.6, np.int32)
-        cfg = TrainConfig(method="neg_sampling", learning_rate=0.1, epochs=2, seed=4,
-                          negatives_per_positive=3, regularizer=0.01, log_every=7)
-        noise = FrequencyNoise(ds.label_counts + 1)
-        monkeypatch.setattr(kernel, "load", lambda: None)
-        model = LinearClassifier(5, 6)
-        result = train(ds, cfg, model, noise=noise)
-        assert result.backend == "python" and result.steps_per_s > 0
-        monkeypatch.undo()
-        if CC is not None:
-            assert_same_run((model, result), train_on("c", ds, cfg, noise))
-
-    @needs_kernel
     def test_kernel_used_when_built(self, rng):
         ds = sparse_dataset(rng, 10, 4, 3, 0.7, np.int32)
         cfg = TrainConfig(method="softmax_full", learning_rate=0.1, epochs=1)
-        result = train(ds, cfg, LinearClassifier(3, 4))
-        assert result.backend == "c" and result.steps_per_s > 0
+        lib = kernel.load()
+        with mock.patch.object(lib, "advsamp_softmax_steps",
+                               wraps=lib.advsamp_softmax_steps) as steps:
+            result = train(ds, cfg, LinearClassifier(3, 4))
+        assert steps.call_count == 1 and result.steps_per_s > 0
 
     def test_parameters_are_never_copied(self, rng):
         ds = sparse_dataset(rng, 10, 4, 3, 0.7, np.int64)
@@ -171,17 +155,22 @@ class TestBuild:
         monkeypatch.setattr(kernel, "SOURCE", src)
         return src
 
-    @needs_kernel
+    @pytest.fixture
+    def fresh_load(self):
+        """``kernel.load`` with nothing kept yet, and nothing kept after."""
+        kernel._outcome.cache_clear()
+        yield
+        kernel._outcome.cache_clear()
+
     def test_builds_into_pycache_once(self, source):
-        lib = kernel.load.__wrapped__()
+        lib = kernel.open_library()
         built = source.parent / "__pycache__" / kernel.library_name()
         assert lib is not None and built.exists()
         assert list(built.parent.iterdir()) == [built]  # no temporary left
         stamp = built.stat().st_mtime_ns
-        assert kernel.load.__wrapped__() is not None
+        assert kernel.open_library() is not None
         assert built.stat().st_mtime_ns == stamp
 
-    @needs_kernel
     @pytest.mark.parametrize("unlink_fails", [False, True])
     def test_build_deletes_superseded_builds(self, source, monkeypatch, unlink_fails):
         # another hash with the same suffix is superseded; another
@@ -198,7 +187,7 @@ class TestBuild:
                 raise PermissionError(self)
 
             monkeypatch.setattr(kernel.Path, "unlink", unlink)
-        assert kernel.load.__wrapped__() is not None
+        assert kernel.open_library() is not None
         built = cache / kernel.library_name()
         kept = {built, other, stale} if unlink_fails else {built, other}
         assert set(cache.iterdir()) == kept
@@ -208,7 +197,6 @@ class TestBuild:
         source.write_text(source.read_text() + "\n/* edited */\n")
         assert kernel.library_name() != before
 
-    @needs_kernel
     def test_unwritable_cache_builds_privately(self, source, tmp_path, monkeypatch):
         made = []
 
@@ -221,24 +209,31 @@ class TestBuild:
         monkeypatch.setattr(kernel.shutil, "which", lambda name: CC)
         monkeypatch.setattr(kernel.os, "access", lambda path, mode: False)
         monkeypatch.setattr(kernel.tempfile, "mkdtemp", mkdtemp)
-        assert kernel.load.__wrapped__() is not None
+        assert kernel.open_library() is not None
         assert made and not made[0].exists()
         assert not (source.parent / "__pycache__" / kernel.library_name()).exists()
 
-    def test_no_compiler_falls_back(self, source, monkeypatch):
-        monkeypatch.setattr(kernel.shutil, "which", lambda name: None)
-        with pytest.warns(RuntimeWarning, match="no C compiler"):
-            assert kernel.load.__wrapped__() is None
+    def test_no_compiler_raises(self, source, monkeypatch, fresh_load):
+        # the outcome is kept: a second call looks for no compiler again
+        which = mock.Mock(return_value=None)
+        monkeypatch.setattr(kernel.shutil, "which", which)
+        for _ in range(2):
+            with pytest.raises(KernelError, match=r"no C compiler \(cc or gcc\)"):
+                kernel.load()
+        assert [c.args for c in which.call_args_list] == [("cc",), ("gcc",)]
 
-    @needs_kernel
-    def test_failed_build_falls_back(self, source):
+    def test_failed_build_raises(self, source, monkeypatch, fresh_load):
+        # the build runs once; a second call starts no subprocess
         source.write_text("this is not C\n")
-        with pytest.warns(RuntimeWarning, match="Python step loop"):
-            assert kernel.load.__wrapped__() is None
+        run = mock.Mock(wraps=subprocess.run)
+        monkeypatch.setattr(kernel.subprocess, "run", run)
+        for _ in range(2):
+            with pytest.raises(KernelError, match=re.escape(f"{CC} failed on _kernel.c")):
+                kernel.load()
+        assert run.call_count == 1
         assert list((source.parent / "__pycache__").iterdir()) == []
 
 
-@needs_kernel
 def test_kernel_compiles_without_warnings(tmp_path):
     """New compiler warnings fail here wherever a C compiler exists."""
     proc = subprocess.run(
