@@ -572,28 +572,27 @@ int64_t advsamp_tree_walk(const double *x, int64_t n, int64_t k, const double *n
 /*
  * svmlight parsing. advsamp_parse_svmlight reads a whole file,
  * buf[0 .. len-1] with buf[len] == 0 (as in a Python bytes object), in one
- * pass. It accepts a strict ASCII subset of the format that
- * ``data_io._load_svmlight_python`` parses to the same result: lines end in
- * '\n' and hold only printable ASCII, the only blank is ' ', labels and
- * feature indices are plain decimal digits, and values are decimal floats
- * [+-]digits[.digits][(e|E)[+-]digits] (a mantissa digit on either side of
- * the point). Anything else -- a tab, '\r', a non-ASCII byte, a sign or '_'
- * in an integer, "nan" or "inf", a non-finite value, an int64 overflow, a
- * decreasing or negative index, an index past the header's K -- makes it
- * return the 1-based number of the line it stopped at, and the caller reads
- * the file with the Python reader, which then decides it.
+ * pass, in the grammar of the ``advsamp.data_io`` docstring, to the outcome
+ * of the line-by-line oracle ``load_svmlight`` in tests/numpy_oracle.py:
+ * the same arrays bit for bit, or the same first error. Indices are
+ * shifted down by offset (0 or 1); K may not exceed max_features.
  *
- * Output: row r has labels labels[label_ptr[r] .. label_ptr[r+1]-1] in
- * file order and the CSR feature row indptr[r] .. indptr[r+1]-1 of
- * (indices, data). The arrays hold max_rows + 1, max_labels and max_nnz
- * entries; a file that needs more is declined. On success it stores rows,
- * label count, nnz and K in sizes[0 .. 3] and returns -1.
+ * Row r has labels labels[label_ptr[r] .. label_ptr[r+1]-1] in file order
+ * and the CSR feature row indptr[r] .. indptr[r+1]-1 of (indices, data).
+ * It returns 0 and stores rows, label count, nnz and K in sizes[0 .. 3],
+ * or returns an error code (below) and stores the error's 1-based line (0
+ * for none), the byte span [start, end) of the offending token and the
+ * shift from that token's integer to the feature count it gives.
  *
- * advsamp_count_svmlight sizes those arrays: one pass stores the counts of
- * '\n', ',' and ':' in buf[0 .. len-1] into counts[0 .. 2] and returns 0.
+ * advsamp_count_svmlight sizes the arrays: it stores the counts of line
+ * ends ('\n' and '\r'), ',' and ':' in buf[0 .. len-1] into counts[0 .. 2]
+ * and returns 0. A file has at most line ends + 1 rows, commas + rows
+ * labels and colons nonzeros.
  */
 
-#define MAX_INDEX (INT64_MAX - 1) /* so that index + 1 is an int64 too */
+/* the error codes, in the order of their messages in data_io._PARSE_ERRORS */
+enum { SVM_NON_ASCII = 1, SVM_BAD_LABEL, SVM_BAD_FEATURE, SVM_INDEX_RANGE, SVM_NON_FINITE,
+       SVM_UNORDERED, SVM_NEGATIVE, SVM_TOO_MANY_FEATURES, SVM_PAST_HEADER_K };
 
 static const double POW10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
                                1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
@@ -604,28 +603,73 @@ static int is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
-/* the digits at p as an int64 <= MAX_INDEX; NULL when there are none or too many */
-static const char *parse_count(const char *p, const char *end, int64_t *out)
+/* Python's ASCII whitespace, on which str.split() splits (c is ASCII) */
+static int is_blank(char c)
 {
-    const char *start = p;
-    int64_t v = 0;
-    for (; p < end && is_digit(*p); p++) {
-        int d = *p - '0';
-        if (v > (MAX_INDEX - d) / 10)
-            return NULL;
-        v = v * 10 + d;
-    }
-    *out = v;
-    return p == start ? NULL : p;
+    return c <= ' ' && (c == ' ' || (c >= '\t' && c <= '\r') || c >= 0x1c);
+}
+
+static const char *skip_blanks(const char *p, const char *end)
+{
+    while (p < end && is_blank(*p))
+        p++;
+    return p;
+}
+
+static const char *token_end(const char *p, const char *end)
+{
+    while (p < end && !is_blank(*p))
+        p++;
+    return p;
 }
 
 /*
- * The value of the decimal float [p, end), rounded as Python's float()
- * rounds it, into *out; 0 when the text is outside the grammar above or
- * the value is not finite. Short mantissas with small exponents take
- * Clinger's exact path (an integer below 2^53 times or divided by an exact
- * power of ten is one correctly rounded operation); the rest go through
- * strtod, which is correctly rounded too.
+ * The integer [+-]digits at p, as Python's int() reads it: its sign into
+ * *neg and its magnitude into *mag, saturated at UINT64_MAX. Returns the
+ * end of its digits, or NULL when there are none.
+ */
+static inline const char *parse_int(const char *p, const char *end, int *neg, uint64_t *mag)
+{
+    const char *digits;
+    uint64_t m = 0;
+    *neg = 0;
+    if (p < end && (*p == '+' || *p == '-'))
+        *neg = *p++ == '-';
+    for (digits = p; p < end && is_digit(*p); p++) {
+        unsigned d = (unsigned)(*p - '0');
+        m = m > (UINT64_MAX - d) / 10 ? UINT64_MAX : m * 10 + d;
+    }
+    *mag = m;
+    return p == digits ? NULL : p;
+}
+
+/* the signed integer (neg, mag) minus sub (0 or 1) into *out; 0 when that lies outside int64 */
+static int to_int64(int neg, uint64_t mag, int64_t sub, int64_t *out)
+{
+    uint64_t limit = neg ? (UINT64_C(1) << 63) - (uint64_t)sub : (uint64_t)INT64_MAX + (uint64_t)sub;
+    if (mag > limit)
+        return 0;
+    *out = (int64_t)(neg ? 0 - mag - (uint64_t)sub : mag - (uint64_t)sub);
+    return 1;
+}
+
+/* whether [p, end) spells the lower-case word w, in any case */
+static int is_word(const char *p, const char *end, const char *w)
+{
+    for (; p < end && *w; p++, w++)
+        if ((*p | 0x20) != *w)
+            return 0;
+    return p == end && !*w;
+}
+
+/*
+ * The float [p, end) as Python's float() reads it, rounded as it rounds
+ * it, into *out: 1 when it is finite, -1 when it is not (nan, inf or
+ * infinity in any case, or beyond the double range), 0 when [p, end) is
+ * no float. Short mantissas with small exponents take Clinger's exact path
+ * (an integer below 2^53 times or divided by an exact power of ten is one
+ * correctly rounded operation); the rest go through strtod, which is
+ * correctly rounded too.
  */
 static int parse_value(const char *p, const char *end, double *out)
 {
@@ -635,6 +679,9 @@ static int parse_value(const char *p, const char *end, double *out)
     uint64_t mant = 0;
     if (p < end && (*p == '+' || *p == '-'))
         neg = *p++ == '-';
+    if (p < end && !is_digit(*p) && *p != '.')
+        return is_word(p, end, "nan") || is_word(p, end, "inf") || is_word(p, end, "infinity")
+                   ? -1 : 0;
     for (int frac = 0; p < end; p++) {
         if (*p == '.' && !frac) {
             frac = 1;
@@ -676,26 +723,32 @@ static int parse_value(const char *p, const char *end, double *out)
             return 0;
     }
     *out = v;
-    return isfinite(v) != 0;
+    return isfinite(v) ? 1 : -1;
 }
 
-/* a first line of exactly three digit fields "N K C": K into *k */
-static int parse_header(const char *p, const char *end, int64_t *k)
+/* whether [p, end), a line without its leading blanks, is a header of exactly three integers */
+static int is_header(const char *p, const char *end)
 {
-    int64_t field[3];
+    int neg;
+    uint64_t mag;
     for (int i = 0; i < 3; i++) {
-        while (p < end && *p == ' ')
-            p++;
-        p = parse_count(p, end, &field[i]);
-        if (p == NULL || (p < end && *p != ' '))
+        p = parse_int(p, end, &neg, &mag);
+        if (p == NULL || (p < end && !is_blank(*p)))
             return 0;
+        p = skip_blanks(p, end);
     }
-    while (p < end && *p == ' ')
-        p++;
-    if (p != end)
-        return 0;
-    *k = field[1];
-    return 1;
+    return p == end;
+}
+
+/* the error code, with its line, the span [t0, t1) of buf and the count shift into sizes */
+static int64_t fail(int64_t code, int64_t *sizes, int64_t line, const char *buf,
+                    const char *t0, const char *t1, int64_t shift)
+{
+    sizes[0] = line;
+    sizes[1] = t0 - buf;
+    sizes[2] = t1 - buf;
+    sizes[3] = shift;
+    return code;
 }
 
 #define ONES UINT64_C(0x0101010101010101)
@@ -716,12 +769,12 @@ int64_t advsamp_count_svmlight(const char *buf, int64_t len, int64_t *counts)
     for (; i + 8 <= len; i += 8) {
         uint64_t w;
         memcpy(&w, buf + i, sizeof w);
-        lines += count_byte(w, '\n');
+        lines += count_byte(w, '\n') + count_byte(w, '\r');
         commas += count_byte(w, ',');
         colons += count_byte(w, ':');
     }
     for (; i < len; i++) {
-        lines += buf[i] == '\n';
+        lines += buf[i] == '\n' || buf[i] == '\r';
         commas += buf[i] == ',';
         colons += buf[i] == ':';
     }
@@ -732,79 +785,92 @@ int64_t advsamp_count_svmlight(const char *buf, int64_t len, int64_t *counts)
 }
 
 int64_t advsamp_parse_svmlight(const char *buf, int64_t len, int64_t offset,
-                               int64_t max_rows, int64_t max_labels, int64_t max_nnz,
-                               int64_t *label_ptr, int64_t *labels, int64_t *indptr,
-                               int64_t *indices, double *data, int64_t *sizes)
+                               int64_t max_features, int64_t *label_ptr, int64_t *labels,
+                               int64_t *indptr, int64_t *indices, double *data,
+                               int64_t *sizes)
 {
-    const char *p = buf, *stop = buf + len;
-    int64_t line = 0, rows = 0, nlab = 0, nnz = 0, num_features = 0, header_k = -1;
+    const char *p = buf, *stop = buf + len, *k0 = NULL, *k1 = NULL;
+    int64_t line = 0, rows = 0, nlab = 0, nnz = 0, num_features = 0, header_k = 0;
+    int neg;
+    uint64_t mag;
     label_ptr[0] = indptr[0] = 0;
     for (const char *next; p < stop; p = next) {
-        const char *eol = p, *q = p;
+        const char *eol = p;
         line++;
-        for (; eol < stop && *eol != '\n'; eol++)
-            if ((unsigned char)*eol < ' ' || (unsigned char)*eol > '~')
-                return line;
-        next = eol + (eol < stop);
-        while (q < eol && *q == ' ')
-            q++;
+        for (; eol < stop && *eol != '\n' && *eol != '\r'; eol++)
+            if ((unsigned char)*eol > 0x7f)
+                return fail(SVM_NON_ASCII, sizes, line, buf, eol, eol + 1, 0);
+        /* "\r\n", a lone '\r' and '\n' each end a line */
+        next = eol + (eol < stop) + (eol + 1 < stop && eol[0] == '\r' && eol[1] == '\n');
+        const char *q = skip_blanks(p, eol), *te = token_end(q, eol);
         if (q == eol)
             continue;
-        if (line == 1 && !memchr(q, ':', eol - q) && !memchr(q, ',', eol - q)
-            && parse_header(q, eol, &header_k))
+        if (line == 1 && is_header(q, eol)) {
+            /* "N K C": K is the second integer */
+            k0 = skip_blanks(te, eol);
+            k1 = parse_int(k0, eol, &neg, &mag);
+            if (!neg && mag > (uint64_t)max_features)
+                return fail(SVM_TOO_MANY_FEATURES, sizes, line, buf, k0, k1, 0);
+            header_k = neg && mag ? -1 : (int64_t)mag; /* a negative K fails at the end */
             continue;
-        if (rows == max_rows)
-            return line;
-        const char *te = q;
-        while (te < eol && *te != ' ')
-            te++;
-        if (q == p && !memchr(q, ':', te - q)) {
-            /* the label field: ids separated by commas, empty ids skipped */
-            while (q < te) {
-                if (*q == ',') {
-                    q++;
+        }
+        /* the label field: the first token, unless the line starts with ' '
+           or '\t' or the token holds a colon; empty entries are skipped */
+        if (*p != ' ' && *p != '\t' && !memchr(q, ':', (size_t)(te - q))) {
+            for (const char *a = q; a < te;) {
+                if (*a == ',') {
+                    a++;
                     continue;
                 }
-                if (nlab == max_labels)
-                    return line;
-                q = parse_count(q, te, &labels[nlab++]);
-                if (q == NULL || (q < te && *q != ','))
-                    return line;
+                a = parse_int(a, te, &neg, &mag);
+                if (a == NULL || (a < te && *a != ',') || !to_int64(neg, mag, 0, &labels[nlab]))
+                    return fail(SVM_BAD_LABEL, sizes, line, buf, q, te, 0);
+                nlab++;
             }
+            q = skip_blanks(te, eol);
         }
-        int64_t prev = -1;
-        for (;;) {
-            while (q < eol && *q == ' ')
-                q++;
-            if (q == eol)
-                break;
+        /* the feature tokens; the last one's index digits are [head, colon) */
+        int64_t row_start = nnz;
+        int unordered = 0;
+        const char *head = q, *colon = q;
+        for (; q < eol; q = skip_blanks(te, eol)) {
             int64_t idx;
-            te = q;
-            while (te < eol && *te != ' ')
-                te++;
-            q = parse_count(q, te, &idx);
-            if (q == NULL || q == te || *q != ':' || nnz == max_nnz)
-                return line;
-            idx -= offset;
-            if (idx <= prev || !parse_value(q + 1, te, &data[nnz]))
-                return line;
-            indices[nnz++] = prev = idx;
-            q = te;
+            te = token_end(q, eol);
+            colon = parse_int(q, te, &neg, &mag);
+            if (colon == NULL || colon == te || *colon != ':')
+                return fail(SVM_BAD_FEATURE, sizes, line, buf, q, te, 0);
+            if (!to_int64(neg, mag, offset, &idx))
+                return fail(SVM_INDEX_RANGE, sizes, line, buf, q, te, 0);
+            int value = parse_value(colon + 1, te, &data[nnz]);
+            if (value <= 0)
+                return fail(value ? SVM_NON_FINITE : SVM_BAD_FEATURE, sizes, line, buf, q, te, 0);
+            unordered |= nnz > row_start && idx <= indices[nnz - 1];
+            indices[nnz++] = idx;
+            head = q;
         }
-        if (prev + 1 > num_features)
-            num_features = prev + 1;
+        if (nnz > row_start) {
+            int64_t last = indices[nnz - 1];
+            if (unordered)
+                return fail(SVM_UNORDERED, sizes, line, buf, buf, buf, 0);
+            if (indices[row_start] < 0)
+                return fail(SVM_NEGATIVE, sizes, line, buf, buf, buf, 0);
+            if (last >= max_features)
+                return fail(SVM_TOO_MANY_FEATURES, sizes, line, buf, head, colon, 1 - offset);
+            if (last >= num_features)
+                num_features = last + 1;
+        }
         rows++;
         label_ptr[rows] = nlab;
         indptr[rows] = nnz;
     }
-    if (header_k >= 0) {
+    if (k0 != NULL) {
         if (num_features > header_k)
-            return line;
+            return fail(SVM_PAST_HEADER_K, sizes, 0, buf, k0, k1, 0);
         num_features = header_k;
     }
     sizes[0] = rows;
     sizes[1] = nlab;
     sizes[2] = nnz;
     sizes[3] = num_features;
-    return -1;
+    return 0;
 }

@@ -118,7 +118,6 @@ def cmd_preprocess(args) -> int:
         "num_val": val_set.num_examples,
         "num_features": train_set.num_features,
         "num_labels": train_set.num_labels,
-        "parse_backend": raw.backend,
     }
     if cfg.test_path:
         manifest.add_input(cfg.test_path)
@@ -141,7 +140,7 @@ def cmd_preprocess(args) -> int:
     summary["parse_s"] = parse_s
     manifest.write(summary)
     line = (f"preprocess: N={train_set.num_examples} K={train_set.num_features} "
-            f"C={train_set.num_labels} backend={raw.backend}")
+            f"C={train_set.num_labels}")
     if cfg.test_path:
         line += f" test_rows_dropped={summary['test_rows_dropped']}"
     print(line)

@@ -1,18 +1,30 @@
-"""Dataset loading, multi-label reduction, splitting, and PCA projection.
+r"""Dataset loading, multi-label reduction, splitting, and PCA projection.
 
 The on-disk input format is the sparse text format used by the Extreme
 Classification Repository: one example per line,
 
     label[,label...] idx:val idx:val ...
 
-An optional first line of exactly three integers ``N K C`` is treated as a
-header. Cached datasets and PCA projections are stored as ``.npz`` files
-with a magic string (see ``save_dataset`` / ``save_pca``).
+``load_svmlight`` reads an ASCII file as Python's own line-by-line reading
+would. Lines end in ``\n``, ``\r\n`` or a lone ``\r``; runs of Python's
+ASCII blanks (space, ``\t``, ``\v``, ``\f`` and ``\x1c``-``\x1f``) separate
+tokens, and a blank line is skipped. Labels and indices are int64 integers
+``[+-]digits``; values are decimal floats, where ``nan``, ``inf`` and
+``infinity`` in any case are non-finite. The first token is the
+comma-separated label field (empty entries skipped) unless it holds a colon
+or the line starts with a space or a tab. A first line of exactly three
+integers ``N K C`` is a header whose K is the feature count; without one,
+K is the largest index plus one. Within a row indices strictly increase
+from 0 or more, and K is at most ``MAX_FEATURES``. Anything else, a
+non-ASCII byte or a ``_`` digit separator included, is a ParseError naming
+the first bad line.
+
+Cached datasets and PCA projections are stored as ``.npz`` files with a
+magic string (see ``save_dataset`` / ``save_pca``).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 import zipfile
 from contextlib import contextmanager
@@ -39,14 +51,12 @@ class RawDataset:
 
     Row i has the labels ``labels[label_ptr[i]:label_ptr[i + 1]]``, in file
     order, and the features ``features[i]``, whose column indices strictly
-    increase. ``backend`` names the reader that parsed the file: "c" for
-    the compiled one, "python" for the line-by-line one.
+    increase.
     """
 
     features: sp.csr_matrix
     labels: np.ndarray  # int64
     label_ptr: np.ndarray  # int64, (rows + 1,)
-    backend: str
 
     @property
     def num_examples(self) -> int:
@@ -96,137 +106,54 @@ class SparseDataset:
         return self.num_examples
 
 
-def _parse_header(line: str) -> tuple[int, int, int] | None:
-    toks = line.split()
-    if len(toks) != 3:
-        return None
-    try:
-        n, k, c = (int(t) for t in toks)
-    except ValueError:
-        return None
-    return n, k, c
+# advsamp_parse_svmlight's error codes (see _kernel.c) and their messages;
+# tok is the offending token, num (codes 8 and 9) the feature count it gives
+_PARSE_ERRORS = {
+    1: "non-ASCII byte {tok!a}",
+    2: "bad label field {tok!r}",
+    3: "bad feature token {tok!r}",
+    4: "feature index out of int64 range in {tok!r}",
+    5: "non-finite feature value in {tok!r}",
+    6: "feature indices not strictly increasing",
+    7: "negative feature index",
+    8: "{num} features exceed the maximum " + str(MAX_FEATURES),
+    9: "feature index exceeds header K={num}",
+}
 
 
 def load_svmlight(path, one_based: bool = False) -> RawDataset:
-    """Load a sparse multi-label text file.
-
-    ``one_based`` shifts feature indices down by one. K is taken from a
-    three-integer ``N K C`` header if present, otherwise inferred as
-    max index + 1. A malformed line, a non-finite value, an index outside
-    int64 or a K above ``MAX_FEATURES`` is a ParseError naming the line.
-
-    The compiled reader in ``advsamp.kernel`` parses the file when it keeps
-    to its strict ASCII grammar; every other file, including every
-    malformed one, is read by ``_load_svmlight_python``, so both give the
-    same result and the same errors.
-    """
-    offset = 1 if one_based else 0
-    raw = _load_svmlight_c(kernel.load(), path, offset)
-    return raw if raw is not None else _load_svmlight_python(path, offset)
-
-
-def _load_svmlight_c(lib, path, offset: int) -> RawDataset | None:
-    """The file read by the compiled reader, or None when it declines it."""
-    text = Path(path).read_bytes()
-    # upper bounds, which the parser checks: a row per line, a label per
-    # comma or row, a feature per colon
+    """Load a sparse multi-label text file, in the module docstring's
+    grammar, in one pass of the compiled kernel. ``one_based`` shifts
+    feature indices down by one; an unreadable file is a DataError."""
+    try:
+        text = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    lib = kernel.load()
+    # upper bounds: a row per line, a label per comma or row, a feature per colon
     counts = np.empty(3, dtype=np.int64)
     lib.advsamp_count_svmlight(text, len(text), counts.ctypes.data)
-    newlines, commas, colons = counts.tolist()
-    max_rows = newlines + 1
-    max_labels = commas + max_rows
-    max_nnz = colons
-    label_ptr = np.empty(max_rows + 1, dtype=np.int64)
-    indptr = np.empty(max_rows + 1, dtype=np.int64)
-    labels = np.empty(max_labels, dtype=np.int64)
-    indices = np.empty(max_nnz, dtype=np.int64)
-    data = np.empty(max_nnz)
+    line_ends, commas, colons = counts.tolist()
+    label_ptr = np.empty(line_ends + 2, dtype=np.int64)
+    indptr = np.empty(line_ends + 2, dtype=np.int64)
+    labels = np.empty(commas + line_ends + 1, dtype=np.int64)
+    indices = np.empty(colons, dtype=np.int64)
+    data = np.empty(colons)
     sizes = np.empty(4, dtype=np.int64)
-    stopped = lib.advsamp_parse_svmlight(
-        text, len(text), offset, max_rows, max_labels, max_nnz,
+    code = lib.advsamp_parse_svmlight(
+        text, len(text), int(one_based), MAX_FEATURES,
         *(a.ctypes.data for a in (label_ptr, labels, indptr, indices, data, sizes)))
-    if stopped >= 0:
-        return None
+    if code:
+        line, start, end, shift = sizes.tolist()
+        tok = text[start:end].decode("latin-1")
+        num = int(tok) + shift if code >= 8 else None
+        raise ParseError(_PARSE_ERRORS[code].format(tok=tok, num=num), line or None)
     rows, nlab, nnz, num_features = sizes.tolist()
-    if num_features > MAX_FEATURES:
-        return None
     features = sp.csr_matrix((data[:nnz], indices[:nnz], indptr[:rows + 1]),
                              shape=(rows, num_features))
-    return RawDataset(features, labels[:nlab], label_ptr[:rows + 1], "c")
-
-
-def _check_feature_count(num_features: int, lineno: int) -> None:
-    if num_features > MAX_FEATURES:
-        raise ParseError(f"{num_features} features exceed the maximum {MAX_FEATURES}", lineno)
-
-
-def _load_svmlight_python(path, offset: int) -> RawDataset:
-    """The line-by-line reader: the reference for the compiled one, and the
-    reader of every file that one declines."""
-    labels, label_ptr = [np.empty(0, dtype=np.int64)], [0]
-    indices, values, indptr = [np.empty(0, dtype=np.int64)], [np.empty(0)], [0]
-    num_features = 0
-    header_k = None
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if lineno == 1 and ":" not in stripped and "," not in stripped:
-                header = _parse_header(stripped)
-                if header is not None:
-                    header_k = header[1]
-                    _check_feature_count(header_k, lineno)
-                    continue
-            # A leading feature token means the label field is empty.
-            leading_ws = line[0] in " \t"
-            toks = stripped.split()
-            if leading_ws or ":" in toks[0]:
-                label_toks, feat_toks = [], toks
-            else:
-                label_toks, feat_toks = toks[0].split(","), toks[1:]
-            try:
-                labs = np.array([int(t) for t in label_toks if t != ""], dtype=np.int64)
-            except (ValueError, OverflowError):
-                raise ParseError(f"bad label field {toks[0]!r}", lineno)
-            idx = np.empty(len(feat_toks), dtype=np.int64)
-            val = np.empty(len(feat_toks))
-            for j, tok in enumerate(feat_toks):
-                head, sep, tail = tok.partition(":")
-                if not sep:
-                    raise ParseError(f"bad feature token {tok!r}", lineno)
-                try:
-                    idx[j] = int(head) - offset
-                    val[j] = float(tail)
-                except ValueError:
-                    raise ParseError(f"bad feature token {tok!r}", lineno)
-                except OverflowError:
-                    raise ParseError(f"feature index out of int64 range in {tok!r}", lineno)
-                if not math.isfinite(val[j]):
-                    raise ParseError(f"non-finite feature value in {tok!r}", lineno)
-            if idx.size:
-                if np.any(np.diff(idx) <= 0):
-                    raise ParseError("feature indices not strictly increasing", lineno)
-                if idx[0] < 0:
-                    raise ParseError("negative feature index", lineno)
-                num_features = max(num_features, int(idx[-1]) + 1)
-                _check_feature_count(num_features, lineno)
-            labels.append(labs)
-            label_ptr.append(label_ptr[-1] + labs.size)
-            indices.append(idx)
-            values.append(val)
-            indptr.append(indptr[-1] + idx.size)
-
-    if header_k is not None:
-        if num_features > header_k:
-            raise ParseError(f"feature index exceeds header K={header_k}")
-        num_features = header_k
-    features = sp.csr_matrix(
-        (np.concatenate(values), np.concatenate(indices), np.array(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, num_features))
-    return RawDataset(features, np.concatenate(labels), np.array(label_ptr, dtype=np.int64),
-                      "python")
+    return RawDataset(features, labels[:nlab], label_ptr[:rows + 1])
 
 
 def reduce_multilabel(raw: RawDataset, policy: str = "smallest_id",

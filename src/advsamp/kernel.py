@@ -5,7 +5,7 @@ it, ``advsamp.aux_tree.fit_tree`` fits the tree's nodes with it one level
 per call, ``advsamp.aux_tree.AuxiliaryTree`` walks the tree with it (all
 log-probabilities in ``log_prob_all``, one path per row in
 ``sample_batch`` and ``log_prob_pairs``), and
-``advsamp.data_io.load_svmlight`` parses svmlight files with it.
+``advsamp.data_io.load_svmlight`` parses every svmlight file with it.
 
 The source is compiled on first use with the system C compiler (``cc``,
 else ``gcc``) and loaded through ctypes. The library goes into the
@@ -63,11 +63,11 @@ SIGNATURES = {
     # rows; n, k; node_w, node_b; depth; thresholds (None for pairs),
     # leaves in (pairs) or out (sampling), signed logits out (pairs)
     "advsamp_tree_walk": [_P] + [_I] * 2 + [_P] * 2 + [_I] + [_P] * 3,
-    # file bytes, length; counts of newlines, commas and colons out
+    # file bytes, length; counts of line ends, commas and colons out
     "advsamp_count_svmlight": [_S, _I, _P],
-    # file bytes, length, index offset; row, label and nonzero capacities;
-    # label_ptr, labels, indptr, indices, data; sizes out
-    "advsamp_parse_svmlight": [_S] + [_I] * 5 + [_P] * 6,
+    # file bytes, length, index offset, feature count limit; label_ptr,
+    # labels, indptr, indices, data; sizes or error place out
+    "advsamp_parse_svmlight": [_S] + [_I] * 3 + [_P] * 6,
 }
 
 

@@ -13,7 +13,9 @@ inputs through the numpy code below and compare:
   numpy level loops;
 - the training steps: ``softmax_loss_and_grad``, ``pair_loss_and_grad``,
   ``adagrad_step`` and ``steps``, a drop-in for ``training._steps``;
-  ``train`` runs ``training.train`` on it.
+  ``train`` runs ``training.train`` on it;
+- the svmlight reader: ``load_svmlight``, a line-by-line drop-in for
+  ``data_io.load_svmlight``.
 
 The constants (``aux_tree.NEWTON_MAX_ITER`` and the like) are read from the
 package at call time, so a test that patches one patches both sides.
@@ -26,11 +28,12 @@ from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
+import scipy.sparse as sp
 
 from advsamp import aux_tree, training
 from advsamp.aux_tree import LevelFitProblem, log_sigmoid, log_sigmoid_tail, sigmoid
-from advsamp.data_io import label_array
-from advsamp.errors import DataError, NumericError
+from advsamp.data_io import MAX_FEATURES, RawDataset, label_array
+from advsamp.errors import DataError, NumericError, ParseError
 from advsamp.training import ADAGRAD_EPSILON, SOFTMAX_LABEL_GUARD
 
 # labels per block of log_prob_all's last level
@@ -361,3 +364,105 @@ def train(dataset, config, model, noise=None, val_dataset=None):
     """``training.train`` with its steps run by ``steps``."""
     with mock.patch.object(training, "_steps", lambda lib, run, t0, t1: steps(run, t0, t1)):
         return training.train(dataset, config, model, noise, val_dataset)
+
+
+# --- the svmlight reader ---------------------------------------------------
+
+
+def _plain(text: str) -> str:
+    """``text``; a ValueError when it holds a ``_`` digit separator, which
+    ``int`` and ``float`` would accept."""
+    if "_" in text:
+        raise ValueError(text)
+    return text
+
+
+def _parse_header(line: str) -> tuple[int, int, int] | None:
+    toks = line.split()
+    if len(toks) != 3:
+        return None
+    try:
+        n, k, c = (int(_plain(t)) for t in toks)
+    except ValueError:
+        return None
+    return n, k, c
+
+
+def _check_feature_count(num_features: int, lineno: int) -> None:
+    if num_features > MAX_FEATURES:
+        raise ParseError(f"{num_features} features exceed the maximum {MAX_FEATURES}", lineno)
+
+
+def load_svmlight(path, one_based: bool = False) -> RawDataset:
+    """The file read line by line with Python's universal newlines, ``str``
+    methods, ``int`` and ``float``."""
+    offset = 1 if one_based else 0
+    labels, label_ptr = [np.empty(0, dtype=np.int64)], [0]
+    indices, values, indptr = [np.empty(0, dtype=np.int64)], [np.empty(0)], [0]
+    num_features = 0
+    header_k = None
+
+    # latin-1 gives each byte one character, so a line is ASCII when its
+    # characters are
+    with open(path, "r", encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ch for ch in line if not ch.isascii())
+                raise ParseError(f"non-ASCII byte {byte!a}", lineno)
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if lineno == 1 and ":" not in stripped and "," not in stripped:
+                header = _parse_header(stripped)
+                if header is not None:
+                    header_k = header[1]
+                    _check_feature_count(header_k, lineno)
+                    continue
+            # A leading feature token means the label field is empty.
+            leading_ws = line[0] in " \t"
+            toks = stripped.split()
+            if leading_ws or ":" in toks[0]:
+                label_toks, feat_toks = [], toks
+            else:
+                label_toks, feat_toks = toks[0].split(","), toks[1:]
+            try:
+                labs = np.array([int(_plain(t)) for t in label_toks if t != ""], dtype=np.int64)
+            except (ValueError, OverflowError):
+                raise ParseError(f"bad label field {toks[0]!r}", lineno)
+            idx = np.empty(len(feat_toks), dtype=np.int64)
+            val = np.empty(len(feat_toks))
+            for j, tok in enumerate(feat_toks):
+                head, sep, tail = tok.partition(":")
+                if not sep:
+                    raise ParseError(f"bad feature token {tok!r}", lineno)
+                try:
+                    idx[j] = int(_plain(head)) - offset
+                    val[j] = float(_plain(tail))
+                except ValueError:
+                    raise ParseError(f"bad feature token {tok!r}", lineno)
+                except OverflowError:
+                    raise ParseError(f"feature index out of int64 range in {tok!r}", lineno)
+                if not math.isfinite(val[j]):
+                    raise ParseError(f"non-finite feature value in {tok!r}", lineno)
+            if idx.size:
+                # compared, not subtracted: np.diff wraps around past int64
+                if np.any(idx[1:] <= idx[:-1]):
+                    raise ParseError("feature indices not strictly increasing", lineno)
+                if idx[0] < 0:
+                    raise ParseError("negative feature index", lineno)
+                num_features = max(num_features, int(idx[-1]) + 1)
+                _check_feature_count(num_features, lineno)
+            labels.append(labs)
+            label_ptr.append(label_ptr[-1] + labs.size)
+            indices.append(idx)
+            values.append(val)
+            indptr.append(indptr[-1] + idx.size)
+
+    if header_k is not None:
+        if num_features > header_k:
+            raise ParseError(f"feature index exceeds header K={header_k}")
+        num_features = header_k
+    features = sp.csr_matrix(
+        (np.concatenate(values), np.concatenate(indices), np.array(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, num_features))
+    return RawDataset(features, np.concatenate(labels), np.array(label_ptr, dtype=np.int64))

@@ -77,13 +77,12 @@ class TestPipeline:
             assert manifest["command"] == command
             assert manifest["seed"] == 42
             assert manifest["wall_clock_s"] > 0
-        # steps run only in the kernel, so only the parse names its reader
+        # every layer runs only in the kernel, so no record names a backend
         trained = json.loads((out / "manifest-train.json").read_text())
         assert "train_backend" not in trained and "backend=" not in train_line
         assert trained["train_steps_per_s"] > 0
         preprocessed = json.loads((out / "manifest-preprocess.json").read_text())
-        assert preprocessed["parse_backend"] == "c"
-        assert "backend=c " in preprocess_line
+        assert "parse_backend" not in preprocessed and "backend=" not in preprocess_line
         assert preprocessed["parse_s"] > 0
 
     def test_fit_aux_records_the_fit(self, workdir, capsys):
@@ -331,12 +330,28 @@ class TestExitCodes:
                      "--set", "train_path=/nonexistent/file.txt"])
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["train_path", "test_path"])
+    def test_unreadable_input_exits_2(self, workdir, tmp_path, key, capsys):
+        # a directory used to end in an IsADirectoryError traceback (exit 1)
+        out, base = workdir
+        assert run("preprocess", out, base + [f"{key}={tmp_path}"]) == 2
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
     def test_malformed_data(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 0:1.0\n1 junk\n")
         code = main(["preprocess", "--out", str(tmp_path / "o"),
                      "--set", "seed=1", "--set", f"train_path={bad}"])
         assert code == 2
+
+    def test_non_ascii_byte_exits_2(self, tmp_path, capsys):
+        # this used to end in a UnicodeDecodeError traceback (exit 1)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1:1.0\n1 2:\xff\n")
+        code = main(["preprocess", "--out", str(tmp_path / "o"),
+                     "--set", "seed=1", "--set", f"train_path={bad}"])
+        assert code == 2
+        assert "line 2: non-ASCII byte" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token,why", [
         ("1:nan", "non-finite feature value"), ("1:-inf", "non-finite feature value"),

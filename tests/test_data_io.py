@@ -12,7 +12,6 @@ from advsamp.data_io import (
     MAX_FEATURES,
     PcaProjection,
     RawDataset,
-    _load_svmlight_python,
     apply_pca_matrix,
     fit_pca,
     load_dataset,
@@ -25,6 +24,7 @@ from advsamp.data_io import (
 )
 from advsamp.errors import DataError, ParseError
 
+import numpy_oracle
 from conftest import csr_row, dataset_from_dense
 
 
@@ -48,7 +48,7 @@ def raw_from_labels(label_lists, num_features=4):
                              shape=(n, num_features))
     label_ptr = np.cumsum([0] + [len(labs) for labs in label_lists])
     labels = np.array([lab for labs in label_lists for lab in labs], dtype=np.int64)
-    return RawDataset(features, labels, label_ptr, "python")
+    return RawDataset(features, labels, label_ptr)
 
 
 class TestLoadSvmlight:
@@ -91,7 +91,8 @@ class TestLoadSvmlight:
         with pytest.raises(ParseError, match="increasing"):
             load_svmlight(write(tmp_path, "0 3:1.0 1:1.0\n"))
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN", "+nan", "-INF",
+                                       "Infinity", "-iNfInItY"])
     def test_non_finite_value_rejected(self, tmp_path, value):
         path = write(tmp_path, f"0 0:1.0\n1 0:2.0 1:{value}\n")
         with pytest.raises(ParseError, match="line 2: non-finite feature value") as exc:
@@ -107,6 +108,22 @@ class TestLoadSvmlight:
     def test_label_overflow_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="line 1: bad label field"):
             load_svmlight(write(tmp_path, "99999999999999999999 0:1.0\n"))
+
+    def test_non_ascii_byte_rejected(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"0 1:1.0\n1 2:\xff\n")
+        with pytest.raises(ParseError, match=r"line 2: non-ASCII byte '\\xff'"):
+            load_svmlight(path)
+
+    def test_indices_compared_not_subtracted(self, tmp_path):
+        # 5 - (-2^63) wraps around in int64 arithmetic; the negative index
+        # must not pass as the larger one
+        with pytest.raises(ParseError, match="line 1: feature indices not strictly"):
+            load_svmlight(write(tmp_path, "0 5:1 -9223372036854775808:1\n"))
+
+    def test_unreadable_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_svmlight(tmp_path)
 
 
 class TestReduceMultilabel:
@@ -174,14 +191,18 @@ class TestReduceMultilabel:
 # value spellings: repr, %.6g and exponent forms, plain integers, a bare point
 VALUE_FORMATS = (repr, "{:.6g}".format, "{:e}".format, "{:.3E}".format, "{:.0f}".format,
                  lambda v: f"{v:.2f}".replace("0.", ".", 1))
-# rows a strict file may hold in place of one of its rows: malformed ones,
-# and valid ones outside the fast reader's grammar
+# malformed rows
 MALFORMED_ROWS = ["0 7", "0 1:2:3", "0 :1.0", "0 1:", "0 2:1 2:1", "0 3:1 1:1", "0 0:nan",
                   "0 1:inf", "0 1:-inf", "0 1:1e999", "0 99999999999999999999:1.0", "0 1:1e",
                   "0 1:.", "0 1:--1", "0 1:0x10", "0 0:1 :", "a 1:1", "1;2 0:1",
-                  "99999999999999999999 0:1", "0 0:1.5"]  # the last: negative when one-based
-FALLBACK_ROWS = ["0 +3:1 40:2.5", "0 1_0:2 40:2.5", "0 ٣:1.0 40:2.5", "0 4:١.5 40:2.5",
-                 "0 39:1.5\t40:2", "0 39:1.5\f40:2", "0 39:1.5\r40:2", "-1 40:2"]
+                  "99999999999999999999 0:1", "0 5:1 -9223372036854775807:1",
+                  "0 0:1.5"]  # the last: negative when one-based
+# valid rows with signs, blanks other than ' ' and a lone '\r' line end
+VALID_ROWS = ["0 +3:1 40:2.5", "0 39:1.5\t40:2", "0 39:1.5\f40:2", "0 39:1.5\r40:2", "-1 40:2"]
+# rows with a non-ASCII byte or a '_' digit separator
+REJECTED_ROWS = ["0 1_0:2 40:2.5", "0 \u0663:1.0 40:2.5", "0 4:\u0661.5 40:2.5", "1_2 3:1",
+                 "0 3:1_0", "0 3:1\u00a040:2", "\u0663 3:1"]
+BLANKS = [" ", " ", "  ", "\t", "\f", "\v", "\x1f"]
 
 
 def assert_same_outcome(got, want):
@@ -200,13 +221,11 @@ def assert_same_outcome(got, want):
 
 
 def outcomes(path, one_based):
-    """load_svmlight's outcome, the compiled reader's where it takes the
-    file, then the outcome of the line-by-line reader alone."""
+    """The outcomes of load_svmlight and of the line-by-line oracle."""
     result = []
-    for read in (lambda: load_svmlight(path, one_based=one_based),
-                 lambda: _load_svmlight_python(path, int(one_based))):
+    for read in (load_svmlight, numpy_oracle.load_svmlight):
         try:
-            result.append(read())
+            result.append(read(path, one_based=one_based))
         except ParseError as exc:
             result.append(exc)
     return result
@@ -215,41 +234,44 @@ def outcomes(path, one_based):
 @st.composite
 def svmlight_files(draw):
     """(text, one_based, twist): a file of valid rows with at most one twist,
-    "" (none), "malformed" or "fallback" (valid, outside the strict grammar)."""
+    "" (none) or "malformed" (a malformed or rejected row). Lines end in
+    '\n', '\r\n' or '\r'; blanks, signed labels and signed indices vary."""
     one_based = draw(st.booleans())
+    blank = st.sampled_from(BLANKS)
     lines = []
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(["row", "row", "row", "blank", "unlabelled", "label_only"]))
         if kind == "blank":
-            lines.append(" " * draw(st.integers(0, 2)))
+            lines.append("".join(draw(st.lists(blank, max_size=2))))
             continue
-        labels = draw(st.lists(st.integers(0, 60), max_size=3))
-        field = ",".join(map(str, labels)) + "," * draw(st.integers(0, 1))
+        labels = draw(st.lists(st.integers(-1, 60), max_size=3))
+        field = ",".join(draw(st.sampled_from(["{}", "{:+d}"])).format(lab) for lab in labels)
+        field += "," * draw(st.integers(0, 1))
         if kind == "label_only":
             lines.append(field or "0")
             continue
         cols = sorted(draw(st.sets(st.integers(one_based, 40), max_size=6)))
-        feats = [f"{j}:{draw(st.sampled_from(VALUE_FORMATS))(draw(st.floats(-1e30, 1e30)))}"
+        feats = [f"{draw(st.sampled_from(['', '+']))}{j}:"
+                 f"{draw(st.sampled_from(VALUE_FORMATS))(draw(st.floats(-1e30, 1e30)))}"
                  for j in cols]
-        sep = " " * draw(st.integers(1, 2))
-        head = " " if kind == "unlabelled" else field + sep
-        lines.append(head + sep.join(feats) + " " * draw(st.integers(0, 1)))
-    twist = draw(st.sampled_from(["", "", "malformed", "fallback"]))
+        sep = draw(blank)
+        head = draw(st.sampled_from([" ", "\t"])) if kind == "unlabelled" else field + sep
+        lines.append(head + sep.join(feats) + draw(st.sampled_from(["", *BLANKS])))
+    twist = draw(st.sampled_from(["", "", "malformed"]))
     at = draw(st.integers(0, len(lines) - 1))
     if twist:
-        lines[at] = draw(st.sampled_from(MALFORMED_ROWS if twist == "malformed"
-                                         else FALLBACK_ROWS))
+        lines[at] = draw(st.sampled_from(MALFORMED_ROWS + REJECTED_ROWS))
         one_based = one_based or lines[at] == "0 0:1.5"
     if draw(st.booleans()):
         # K=30 may lie below an index, which makes the file malformed
-        k = draw(st.sampled_from([60, 41] if twist == "fallback" else [60, 41, 30]))
+        k = draw(st.sampled_from([60, 41, 30, "+60"]))
         lines.insert(0, f"{draw(st.integers(0, 9))} {k} {draw(st.integers(0, 9))}")
-    newline = "\n" if draw(st.booleans()) else ""
-    return "\n".join(lines) + newline, one_based, twist
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + newline * draw(st.integers(0, 1)), one_based, twist
 
 
 class TestFastReaderMatchesReference:
-    """The compiled reader against ``_load_svmlight_python``: the same
+    """The compiled reader against the line-by-line oracle: the same
     dataset bit for bit, or the same ParseError and line number."""
 
     @settings(max_examples=250, deadline=None, derandomize=True,
@@ -259,17 +281,13 @@ class TestFastReaderMatchesReference:
         text, one_based, twist = case
         fast, reference = outcomes(write(tmp_path, text), one_based)
         assert_same_outcome(fast, reference)
-        # a strict file never leaves the fast reader; the others always do
-        if twist == "malformed":
+        if twist:
             assert isinstance(fast, ParseError)
-        elif twist == "fallback":
-            assert fast.backend == "python"
-        elif not isinstance(fast, ParseError):
-            assert fast.backend == "c"
 
     @settings(max_examples=400, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.text("0123456789::,,.  \n\n-+eE_\tnaif", max_size=40), st.booleans())
+    @given(st.text("0123456789::,,.  \n\n\r-+eE_\t\v\f\x1cnaifNIty\u0663", max_size=40),
+           st.booleans())
     def test_random_text(self, tmp_path, text, one_based):
         fast, reference = outcomes(write(tmp_path, text), one_based)
         assert_same_outcome(fast, reference)
@@ -296,18 +314,31 @@ class TestFastReaderMatchesReference:
         assert isinstance(reference, ParseError) and reference.line_number == line
         assert_same_outcome(fast, reference)
 
+    @pytest.mark.parametrize("one_based", [False, True])
+    @pytest.mark.parametrize("head", ["9223372036854775807", "9223372036854775808",
+                                      "-9223372036854775808", "-9223372036854775807", "-1"])
+    def test_index_range_after_shift(self, tmp_path, head, one_based):
+        # the int64 range applies to the index after the one-based shift
+        fast, reference = outcomes(write(tmp_path, f"0 1:1\n1 {head}:1\n"), one_based)
+        assert isinstance(reference, ParseError) and reference.line_number == 2
+        assert_same_outcome(fast, reference)
+
     def test_largest_feature_count_accepted(self, tmp_path):
         text = f"2 {MAX_FEATURES} 3\n0 {MAX_FEATURES - 1}:1\n"
         fast, reference = outcomes(write(tmp_path, text), False)
         assert reference.num_features == MAX_FEATURES
         assert_same_outcome(fast, reference)
-        assert fast.backend == "c"
 
-    @pytest.mark.parametrize("text", [*FALLBACK_ROWS, "1 2:+.5e-3 3:7. 4:-0"])
+    @pytest.mark.parametrize("text", [*VALID_ROWS, *REJECTED_ROWS, "1 2:+.5e-3 3:7. 4:-0"])
     def test_reader_choice(self, tmp_path, text):
+        # a row with a non-ASCII byte or a '_' is a ParseError at its line;
+        # the other rows parse
         fast, reference = outcomes(write(tmp_path, f"3 1:1\n{text}\n5 2:2\n"), False)
         assert_same_outcome(fast, reference)
-        assert fast.backend == ("python" if text in FALLBACK_ROWS else "c")
+        if text in REJECTED_ROWS:
+            assert isinstance(fast, ParseError) and fast.line_number == 2
+        else:
+            assert not isinstance(fast, ParseError)
 
     def test_decimal_values_round_as_python(self, tmp_path):
         # 1 to 19 digits, a point anywhere or none, exponents near 0 (the
@@ -327,27 +358,26 @@ class TestFastReaderMatchesReference:
                 values.append(rng.choice(["", "-", "+"]) + digits + exp)
             rows.append("0 " + " ".join(f"{j}:{v}" for j, v in enumerate(values)))
         fast, reference = outcomes(write(tmp_path, "\n".join(rows)), False)
-        assert fast.backend == "c"
         assert_same_outcome(fast, reference)
 
     def test_without_kernel_same_output(self, tmp_path):
-        # the line-by-line reader, which needs no kernel
+        # the oracle, which needs no kernel
         path = write(tmp_path, "3 50 9\n4,2 0:1.5 7:-2e-05\n\n 3:0.25\n1,\n")
-        fast = load_svmlight(path)
-        slow = _load_svmlight_python(path, 0)
-        assert (fast.backend, slow.backend) == ("c", "python")
+        fast, slow = outcomes(path, False)
+        assert not isinstance(slow, ParseError)
         assert_same_outcome(fast, slow)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.sampled_from([b"\n", b",", b":", b"7", b" ", b"\x00", b"\x8a", b"\xac",
-                                 b"\xba", b"\xff"]), max_size=70).map(b"".join))
+@given(st.lists(st.sampled_from([b"\n", b"\r", b",", b":", b"7", b" ", b"\x00", b"\x8a",
+                                 b"\x8d", b"\xac", b"\xba", b"\xff"]), max_size=70).map(b"".join))
 def test_sizing_counts_match_bytes_count(data):
     # the compiled reader's capacities; bytes that differ from a counted one
     # only in the high bit, and lengths that are not a multiple of 8
     counts = np.empty(3, dtype=np.int64)
     kernel.load().advsamp_count_svmlight(data, len(data), counts.ctypes.data)
-    assert counts.tolist() == [data.count(b"\n"), data.count(b","), data.count(b":")]
+    assert counts.tolist() == [data.count(b"\n") + data.count(b"\r"), data.count(b","),
+                               data.count(b":")]
 
 
 class TestPca:
