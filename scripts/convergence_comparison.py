@@ -45,7 +45,7 @@ def compare_noises(*, seed, clusters, labels_per_cluster, n, noise_scale,
                                     zipf_exponent=zipf_exponent)
     train_set, val_set = split(dataset, 0.1, seed)
     proj = fit_pca(train_set, pca_k, seed=seed)
-    tree = fit_tree(apply_pca_matrix(proj, train_set.features),
+    tree = fit_tree(apply_pca_matrix(proj, train_set),
                     train_set.labels, train_set.num_labels)
     kwargs = {
         "uniform": {"num_labels": train_set.num_labels},

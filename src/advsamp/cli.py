@@ -22,6 +22,7 @@ from . import __version__
 from .aux_tree import AuxiliaryTree, fit_tree
 from .config import ExperimentConfig, load_config
 from .data_io import (
+    SparseDataset,
     apply_pca_matrix,
     fit_pca,
     load_dataset,
@@ -80,13 +81,8 @@ def _prepare(args, command):
 
 
 def _project_dataset(proj, dataset):
-    import scipy.sparse as sp
-
-    from .data_io import SparseDataset
-
-    projected = apply_pca_matrix(proj, dataset.features)
-    return SparseDataset(sp.csr_matrix(projected), dataset.labels,
-                         dataset.num_labels)
+    return SparseDataset.from_dense(apply_pca_matrix(proj, dataset), dataset.labels,
+                                    dataset.num_labels)
 
 
 def cmd_preprocess(args) -> int:
@@ -154,7 +150,7 @@ def cmd_fit_aux(args) -> int:
     manifest.add_input(out / "train.npz")
     manifest.add_input(out / "pca.npz")
     t0 = time.perf_counter()
-    reduced = apply_pca_matrix(proj, train_set.features)
+    reduced = apply_pca_matrix(proj, train_set)
     tree = fit_tree(reduced, train_set.labels, train_set.num_labels,
                     cfg.tree_regularizer)
     fit_seconds = time.perf_counter() - t0
@@ -168,10 +164,16 @@ def cmd_fit_aux(args) -> int:
     return 0
 
 
-def _build_noise(cfg, out, train_set):
+def _build_noise(cfg, out, num_labels, train_set=None):
+    """The configured noise over ``num_labels`` labels. Only frequency noise
+    reads the training set, for its label counts: ``train_set``, or else
+    ``train.npz`` in ``out``; adversarial noise reads ``tree.npz`` and
+    ``pca.npz``."""
     if cfg.noise == "uniform":
-        return make_noise("uniform", num_labels=train_set.num_labels)
+        return make_noise("uniform", num_labels=num_labels)
     if cfg.noise == "frequency":
+        if train_set is None:
+            train_set = load_dataset(out / "train.npz")
         return make_noise("frequency", label_counts=train_set.label_counts,
                           smoothing=cfg.frequency_smoothing)
     if cfg.noise == "adversarial":
@@ -199,7 +201,7 @@ def cmd_train(args) -> int:
     offset = 0.0
     noise = None
     if cfg.method == "neg_sampling":
-        noise = _build_noise(cfg, out, train_set)
+        noise = _build_noise(cfg, out, train_set.num_labels, train_set)
         if cfg.noise == "adversarial":
             offset = float(_read_manifest(out, "fit-aux").get("aux_fit_wall_clock_s", 0.0))
     tconf = TrainConfig(
@@ -241,8 +243,7 @@ def cmd_eval(args) -> int:
     manifest.add_input(out / "model.npz")
     noise = None
     if cfg.method == "neg_sampling":
-        train_set = load_dataset(out / "train.npz")
-        noise = _build_noise(cfg, out, train_set)
+        noise = _build_noise(cfg, out, model.num_labels)
     pconf = PredictionConfig(bias_removal=cfg.bias_removal)
     report = evaluate(model, noise, dataset, pconf)
     payload = {"split": cfg.eval_split, **report.to_dict()}

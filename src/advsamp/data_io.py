@@ -30,9 +30,9 @@ import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernel
 from .errors import DataError, NumericError, ParseError
@@ -45,26 +45,127 @@ PCA_ZERO_TOL = 1e-12  # zero level, relative to the mean squared norm E|x|^2
 MAX_FEATURES = np.iinfo(np.intp).max // 8
 
 
-@dataclass
-class RawDataset:
-    """Multi-label dataset as read from disk, before label reduction.
+class Csr(NamedTuple):
+    """A CSR matrix as its arrays and shape, under scipy's attribute names:
+    what a dataset is built from without a scipy matrix."""
 
-    Row i has the labels ``labels[label_ptr[i]:label_ptr[i + 1]]``, in file
-    order, and the features ``features[i]``, whose column indices strictly
-    increase.
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+
+class CsrRows:
+    """The rows of a CSR feature matrix: C-contiguous int64 ``indptr`` and
+    ``indices``, float64 ``data``, and ``num_features`` columns.
+
+    ``features`` is any object with ``indptr``, ``indices``, ``data`` and
+    ``shape``: a ``Csr``, another ``CsrRows`` or a scipy CSR matrix. Its
+    arrays are checked here, once, and a DataError names the first fault:
+    ``indptr`` starts at 0, never decreases and ends at nnz, and the column
+    indices lie in [0, K) and strictly increase within each row. The
+    compiled kernels index with them unchecked, and a repeated cell would be
+    read once but written twice per training step.
     """
 
-    features: sp.csr_matrix
-    labels: np.ndarray  # int64
-    label_ptr: np.ndarray  # int64, (rows + 1,)
+    def __init__(self, features):
+        n, K = (int(v) for v in features.shape)
+        indptr, indices, data = (np.ascontiguousarray(features.indptr, dtype=np.int64),
+                                 np.ascontiguousarray(features.indices, dtype=np.int64),
+                                 np.ascontiguousarray(features.data, dtype=np.float64))
+        _check_csr(indptr, indices, data, n, K)
+        self.indptr, self.indices, self.data, self.num_features = indptr, indices, data, K
 
     @property
     def num_examples(self) -> int:
-        return self.features.shape[0]
+        return self.indptr.size - 1
 
     @property
-    def num_features(self) -> int:
-        return self.features.shape[1]
+    def shape(self) -> tuple:
+        return self.num_examples, self.num_features
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def take_rows(self, idx) -> Csr:
+        """The rows ``idx`` (row numbers in [0, n)), in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.num_examples):
+            raise DataError(f"row numbers must lie in [0, {self.num_examples})")
+        starts, sizes = self.indptr[idx], self.indptr[idx + 1] - self.indptr[idx]
+        indptr = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        gather = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], sizes)
+        return Csr(indptr, self.indices[gather], self.data[gather],
+                   (idx.size, self.num_features))
+
+    def dense(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Rows lo .. hi-1 as a dense (hi - lo, K) array."""
+        hi = self.num_examples if hi is None else hi
+        K, a, b = self.num_features, self.indptr[lo], self.indptr[hi]
+        out = np.zeros((hi - lo, K))
+        # each nonzero's place in the flattened block: its row's start plus its column
+        flat = np.repeat(np.arange(hi - lo) * K, np.diff(self.indptr[lo:hi + 1]))
+        flat += self.indices[a:b]
+        out.ravel()[flat] = self.data[a:b]
+        return out
+
+    def matmul(self, b: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Rows lo .. hi-1 times the (K, k) matrix ``b``, a dense (hi - lo, k)
+        array, bit for bit as scipy's CSR product gives it."""
+        hi = self.num_examples if hi is None else hi
+        b = np.ascontiguousarray(b, dtype=np.float64)
+        if b.ndim != 2 or b.shape[0] != self.num_features or not 0 <= lo <= hi <= self.num_examples:
+            raise DataError(f"cannot multiply rows {lo}:{hi} of a {self.shape} CSR matrix "
+                            f"by a {b.shape} matrix")
+        out = np.empty((hi - lo, b.shape[1]))
+        kernel.load().advsamp_csr_matmat(
+            self.indptr.ctypes.data, self.indices.ctypes.data, self.data.ctypes.data,
+            lo, hi, b.ctypes.data, b.shape[1], out.ctypes.data)
+        return out
+
+    @property
+    def features(self):
+        """A scipy CSR matrix over these arrays, built on each access. scipy is
+        imported here, so that the commands that never ask for it (all but
+        ``preprocess``) do not load it."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+
+def _check_csr(indptr, indices, data, n: int, K: int) -> None:
+    """A DataError unless the arrays are an (n, K) CSR matrix whose column
+    indices strictly increase within each row (see ``CsrRows``)."""
+    if (min(n, K) < 0 or indptr.shape != (n + 1,) or indices.ndim != 1
+            or data.shape != indices.shape
+            or indptr[0] != 0 or indptr[-1] != indices.size
+            or np.any(indptr[1:] < indptr[:-1])):
+        raise DataError("features are not a valid CSR matrix: indptr must start at 0, "
+                        "never decrease and end at the nonzero count")
+    if indices.size and (indices.min() < 0 or indices.max() >= K):
+        raise DataError(f"CSR column indices must lie in [0, {K})")
+    # compared, not subtracted: a difference of int64 indices can wrap
+    rising = indices[1:] > indices[:-1]
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # across rows
+    if not rising.all():
+        raise DataError("CSR column indices must be sorted and distinct within each row")
+
+
+class RawDataset(CsrRows):
+    """Multi-label dataset as read from disk, before label reduction.
+
+    Row i has the labels ``labels[label_ptr[i]:label_ptr[i + 1]]``, in file
+    order, and the CSR feature row i, whose column indices strictly
+    increase.
+    """
+
+    def __init__(self, features, labels: np.ndarray, label_ptr: np.ndarray):
+        super().__init__(features)
+        self.labels = labels  # int64
+        self.label_ptr = label_ptr  # int64, (rows + 1,)
 
     @property
     def examples(self) -> range:
@@ -81,26 +182,32 @@ def label_array(ys, num_labels: int) -> np.ndarray:
     return ys
 
 
-class SparseDataset:
-    """Immutable single-label dataset backed by a CSR feature matrix."""
+class SparseDataset(CsrRows):
+    """Immutable single-label dataset: CSR feature rows and a label in
+    [0, num_labels) per row."""
 
-    def __init__(self, features: sp.csr_matrix, labels: np.ndarray, num_labels: int):
-        features = features.tocsr()
-        labels = label_array(labels, num_labels)
-        if features.shape[0] != labels.shape[0]:
+    def __init__(self, features, labels: np.ndarray, num_labels: int):
+        super().__init__(features)
+        labels = np.ascontiguousarray(label_array(labels, num_labels))
+        if labels.shape != (self.num_examples,):
             raise DataError("feature/label count mismatch")
-        self.features = features
         self.labels = labels
         self.num_labels = int(num_labels)
         self.label_counts = np.bincount(labels, minlength=num_labels)
 
-    @property
-    def num_examples(self) -> int:
-        return self.features.shape[0]
+    @classmethod
+    def from_dense(cls, X: np.ndarray, labels: np.ndarray, num_labels: int) -> SparseDataset:
+        """The dataset of a dense (n, K) feature array, without its exact
+        zeros (as scipy's conversion drops them)."""
+        X = np.asarray(X, dtype=np.float64)
+        nonzero = X != 0
+        indptr = np.zeros(X.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
+        return cls(Csr(indptr, np.nonzero(nonzero)[1], X[nonzero], X.shape), labels, num_labels)
 
-    @property
-    def num_features(self) -> int:
-        return self.features.shape[1]
+    def rows(self, idx) -> SparseDataset:
+        """The examples ``idx``, in that order."""
+        return SparseDataset(self.take_rows(idx), self.labels[idx], self.num_labels)
 
     def __len__(self) -> int:
         return self.num_examples
@@ -151,8 +258,7 @@ def load_svmlight(path, one_based: bool = False) -> RawDataset:
         num = int(tok) + shift if code >= 8 else None
         raise ParseError(_PARSE_ERRORS[code].format(tok=tok, num=num), line or None)
     rows, nlab, nnz, num_features = sizes.tolist()
-    features = sp.csr_matrix((data[:nnz], indices[:nnz], indptr[:rows + 1]),
-                             shape=(rows, num_features))
+    features = Csr(indptr[:rows + 1], indices[:nnz], data[:nnz], (rows, num_features))
     return RawDataset(features, labels[:nlab], label_ptr[:rows + 1])
 
 
@@ -183,9 +289,8 @@ def reduce_multilabel(raw: RawDataset, policy: str = "smallest_id",
     num_labels = max(label_map.values()) + 1
 
     K = max(raw.num_features, num_features or 0)
-    kept = raw.features[rows]
-    mat = sp.csr_matrix((kept.data, kept.indices, kept.indptr), shape=(rows.size, K))
-    dataset = SparseDataset(mat, labels, num_labels)
+    dataset = SparseDataset(raw.take_rows(rows)._replace(shape=(rows.size, K)), labels,
+                            num_labels)
     return (dataset, label_map) if return_map else dataset
 
 
@@ -253,11 +358,14 @@ def fit_pca(dataset: SparseDataset, k: int, seed=0) -> PcaProjection:
     return PcaProjection(mean, comps, eigs)
 
 
-def apply_pca_matrix(proj: PcaProjection, features: sp.csr_matrix) -> np.ndarray:
-    """Project all rows of a CSR matrix at once; returns (n, k) dense."""
-    if features.shape[1] != proj.input_dim:
+def apply_pca_matrix(proj: PcaProjection, features) -> np.ndarray:
+    """Project all rows of a dataset (or of any CSR matrix ``CsrRows``
+    takes) at once; returns (n, k) dense."""
+    if not isinstance(features, CsrRows):
+        features = CsrRows(features)
+    if features.num_features != proj.input_dim:
         raise DataError("dimension mismatch in batch projection")
-    return np.asarray((features @ proj.components.T) - proj.mean @ proj.components.T)
+    return features.matmul(proj.components.T) - proj.mean @ proj.components.T
 
 
 def split(dataset: SparseDataset, validation_fraction: float, seed: int):
@@ -274,10 +382,7 @@ def split(dataset: SparseDataset, validation_fraction: float, seed: int):
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
 
-    def subset(idx):
-        return SparseDataset(dataset.features[idx], dataset.labels[idx], dataset.num_labels)
-
-    return subset(train_idx), subset(val_idx)
+    return dataset.rows(train_idx), dataset.rows(val_idx)
 
 
 def save_dataset(path, dataset: SparseDataset) -> None:
@@ -285,9 +390,9 @@ def save_dataset(path, dataset: SparseDataset) -> None:
         path,
         magic=DATASET_MAGIC,
         shape=np.array([dataset.num_examples, dataset.num_features, dataset.num_labels]),
-        data=dataset.features.data,
-        indices=dataset.features.indices,
-        indptr=dataset.features.indptr,
+        data=dataset.data,
+        indices=dataset.indices,
+        indptr=dataset.indptr,
         labels=dataset.labels,
     )
 
@@ -328,23 +433,17 @@ def _open_npz(path, kind: str, keys):
 
 
 def load_dataset(path) -> SparseDataset:
+    """The cached dataset at ``path``, its CSR arrays checked as
+    ``CsrRows`` checks them; a DataError names a corrupt cache."""
     with _open_npz(path, DATASET_MAGIC, ("shape", "data", "indices", "indptr", "labels")) as z:
-        labels = z["labels"]
-        # a column index >= K or a decreasing indptr would otherwise reach
-        # the sparse kernels unchecked
         try:
             n, K, C = (int(v) for v in z["shape"])
-            mat = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=(n, K))
-            mat.check_format(full_check=True)
-        except (TypeError, ValueError) as exc:
+            arrays = [z[key] for key in ("indptr", "indices", "data")]
+            if not all(a.dtype.kind in kinds for a, kinds in zip(arrays, ("iu", "iu", "iuf"))):
+                raise DataError("indptr and indices must be integer arrays, data numeric")
+            return SparseDataset(Csr(*arrays, (n, K)), z["labels"], C)
+        except (TypeError, ValueError, DataError) as exc:
             raise DataError(f"corrupt dataset cache {path}: {exc}") from exc
-        if not mat.has_canonical_format:
-            # the parser writes sorted, duplicate-free rows; training relies on it
-            raise DataError(f"corrupt dataset cache {path}: unsorted or repeated "
-                            "column indices within a row")
-        if labels.shape != (n,):
-            raise DataError(f"labels have shape {labels.shape}, want ({n},)")
-        return SparseDataset(mat, labels, C)
 
 
 def save_pca(path, proj: PcaProjection) -> None:

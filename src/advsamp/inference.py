@@ -68,9 +68,10 @@ def block_rows(num_labels: int, reserved: int = 0) -> int:
     return max(1, (EVAL_BLOCK_BYTES - reserved) // (BLOCK_TABLES * 8 * num_labels))
 
 
-def is_dense(features) -> bool:
-    """Whether a CSR block has enough nonzeros for the dense product."""
-    return features.nnz >= DENSE_MIN_DENSITY * features.shape[0] * features.shape[1]
+def is_dense(nnz: int, rows: int, cols: int) -> bool:
+    """Whether a (rows, cols) CSR block of nnz nonzeros has enough of them
+    for the dense product."""
+    return nnz >= DENSE_MIN_DENSITY * rows * cols
 
 
 def noise_log_probs(noise, features) -> np.ndarray:
@@ -120,7 +121,7 @@ def evaluate(model: LinearClassifier, noise, dataset: SparseDataset,
     K = dataset.num_features
     if dense is not None and dense.shape != (n, K):
         raise DataError(f"dense features have shape {dense.shape}, want {(n, K)}")
-    Z = noise.prepare(dataset.features) if correct and table is None else None
+    Z = noise.prepare(dataset) if correct and table is None else None
     # C-contiguous once, or every block's CSR product would copy it
     weights_t = np.ascontiguousarray(model.weights.T)
     # a copy larger than the budget would leave one-row blocks
@@ -134,12 +135,11 @@ def evaluate(model: LinearClassifier, noise, dataset: SparseDataset,
         labels = dataset.labels[lo:hi]
         if dense is not None:
             scores = dense[lo:hi] @ weights_t
+        elif (is_dense(dataset.indptr[hi] - dataset.indptr[lo], hi - lo, K)
+                and (hi - lo) * (K + C) * 8 <= budget):
+            scores = dataset.dense(lo, hi) @ weights_t
         else:
-            block = dataset.features[lo:hi]
-            if is_dense(block) and (hi - lo) * (K + C) * 8 <= budget:
-                scores = block.toarray() @ weights_t
-            else:
-                scores = np.asarray(block @ weights_t)
+            scores = dataset.matmul(weights_t, lo, hi)
         scores += model.biases
         if table is not None:
             scores += table[lo:hi]

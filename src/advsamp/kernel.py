@@ -4,8 +4,9 @@ It has four users: ``advsamp.training`` runs its training steps through
 it, ``advsamp.aux_tree.fit_tree`` fits the tree's nodes with it one level
 per call, ``advsamp.aux_tree.AuxiliaryTree`` walks the tree with it (all
 log-probabilities in ``log_prob_all``, one path per row in
-``sample_batch`` and ``log_prob_pairs``), and
-``advsamp.data_io.load_svmlight`` parses every svmlight file with it.
+``sample_batch`` and ``log_prob_pairs``), and ``advsamp.data_io`` parses
+every svmlight file with it and multiplies CSR rows by dense matrices
+with it (``CsrRows.matmul``, behind the PCA projection and evaluation).
 
 The source is compiled on first use with the system C compiler (``cc``,
 else ``gcc``) and loaded through ctypes. The library goes into the
@@ -44,8 +45,8 @@ LIBS = ("-lm",)
 _P, _I, _D, _S = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_char_p
 # every exported function of the source, by its users: training's two step
 # loops, aux_tree's level fit, log-probability walk and path walk, and
-# data_io's two svmlight passes; tests/test_kernel.py checks them against
-# the source
+# data_io's CSR product and two svmlight passes; tests/test_kernel.py checks
+# them against the source
 SIGNATURES = {
     # CSR arrays, order, step labels, step log p_n; n, m+1, t0, t1;
     # W, B, AW, AB; K; rho, lam, eps; scratch xi, g, first; loss out
@@ -63,6 +64,8 @@ SIGNATURES = {
     # rows; n, k; node_w, node_b; depth; thresholds (None for pairs),
     # leaves in (pairs) or out (sampling), signed logits out (pairs)
     "advsamp_tree_walk": [_P] + [_I] * 2 + [_P] * 2 + [_I] + [_P] * 3,
+    # CSR arrays; first and end row; dense (K, k) operand; k; (rows, k) out
+    "advsamp_csr_matmat": [_P] * 3 + [_I] * 2 + [_P] + [_I] + [_P],
     # file bytes, length; counts of line ends, commas and colons out
     "advsamp_count_svmlight": [_S, _I, _P],
     # file bytes, length, index offset, feature count limit; label_ptr,

@@ -2,7 +2,8 @@
 
 Three variants behind one batch contract:
 
-- ``prepare(features)`` maps a CSR feature matrix once to the dense (n, k)
+- ``prepare(features)`` maps a dataset's CSR arrays (a ``SparseDataset``,
+  or any CSR matrix ``data_io.CsrRows`` takes) once to the dense (n, k)
   context the noise conditions on;
 - ``sample_batch(Z, rng)`` draws one label per row of a prepared context;
 - ``log_prob_matrix(Z, out=None)`` gives the (n, C) log probabilities of

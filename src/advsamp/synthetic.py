@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data_io import SparseDataset
 from .errors import DataError
@@ -40,4 +39,4 @@ def hierarchical_clusters(num_clusters: int, labels_per_cluster: int, n: int,
     X = noise_scale * rng.standard_normal((n, K))
     X[np.arange(n), labels // labels_per_cluster] += c_str[labels // labels_per_cluster]
     X[np.arange(n), num_clusters + labels % labels_per_cluster] += l_str[labels % labels_per_cluster]
-    return SparseDataset(sp.csr_matrix(X), labels, num_labels)
+    return SparseDataset.from_dense(X, labels, num_labels)

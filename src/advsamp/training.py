@@ -119,12 +119,11 @@ def _val_metrics(model, noise, val_dataset, config):
     if val_dataset is None:
         return lambda: ("", "")
     cfg = PredictionConfig(bias_removal=config.bias_removal_at_eval and noise is not None)
-    X = val_dataset.features
-    (n, K), C = X.shape, val_dataset.num_labels
+    (n, K), C = val_dataset.shape, val_dataset.num_labels
     if cfg.bias_removal and n * C * 8 <= inference.EVAL_BLOCK_BYTES:
-        cfg.noise_log_probs = noise_log_probs(noise, X)
-    if inference.is_dense(X) and n * K * 8 <= inference.EVAL_BLOCK_BYTES:
-        cfg.dense_features = X.toarray()
+        cfg.noise_log_probs = noise_log_probs(noise, val_dataset)
+    if inference.is_dense(val_dataset.nnz, n, K) and n * K * 8 <= inference.EVAL_BLOCK_BYTES:
+        cfg.dense_features = val_dataset.dense()
 
     def metrics():
         report = evaluate(model, noise, val_dataset, cfg)
@@ -140,26 +139,14 @@ class _Run:
     (their log p_n, None when lam == 0) before it calls the steps."""
 
     def __init__(self, dataset, config, model):
-        X = dataset.features
-        n, K = X.shape
-        # int64 once per run: scipy may hold CSR indices as int32
-        self.indptr = np.ascontiguousarray(X.indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(X.indices, dtype=np.int64)
-        self.data = np.ascontiguousarray(X.data, dtype=np.float64)
-        self.labels = np.ascontiguousarray(dataset.labels, dtype=np.int64)
-        # the compiled steps index W and AW with these unchecked
-        ptr, used = self.indptr, self.indices[:self.indptr[-1]]
-        if (ptr.size != n + 1 or ptr[0] != 0 or np.any(np.diff(ptr) < 0)
-                or used.size != ptr[-1] or self.data.size < ptr[-1]
-                or (used.size and (used.min() < 0 or used.max() >= K))):
-            raise DataError("feature matrix is not a valid CSR matrix")
-        if not X.has_canonical_format:
-            # a repeated cell would be read once but written twice per step
-            raise DataError("feature rows need sorted, duplicate-free column indices")
+        # the compiled steps index W and AW with these unchecked: the
+        # dataset checked them when it was built
+        self.indptr, self.indices, self.data = dataset.indptr, dataset.indices, dataset.data
+        self.labels = dataset.labels
         # the steps write these in place, so they are never copied
         self.W, self.B = model.weights, model.biases
         self.AW, self.AB = model.accum_w, model.accum_b
-        C = dataset.num_labels
+        C, K = dataset.num_labels, dataset.num_features
         for arr, shape in ((self.W, (C, K)), (self.B, (C,)), (self.AW, (C, K)), (self.AB, (C,))):
             if not (arr.shape == shape and arr.dtype == np.float64
                     and arr.flags.c_contiguous and arr.flags.writeable):
@@ -221,7 +208,7 @@ def train(dataset: SparseDataset, config: TrainConfig, model: LinearClassifier,
     rng = np.random.default_rng(config.seed)
     n, C = dataset.num_examples, dataset.num_labels
     if not softmax:
-        Z = noise.prepare(dataset.features)
+        Z = noise.prepare(dataset)
 
     curve = _LearningCurve(config, _val_metrics(model, noise, val_dataset, config))
     done = 0

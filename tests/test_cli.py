@@ -523,7 +523,8 @@ class TestCacheKeys:
 
     @staticmethod
     def command_for(name):
-        return "train" if name == "val.npz" else "eval"
+        # an adversarial eval reads neither training split
+        return "train" if name in ("train.npz", "val.npz") else "eval"
 
     @pytest.mark.parametrize("name,key", [(n, k) for n, keys in CACHE_KEYS.items()
                                           for k in keys])
@@ -598,14 +599,51 @@ class TestConfig:
 
 
 def test_cli_import_skips_heavy_scipy_modules():
-    # scipy.sparse.linalg and scipy.special cost every command import time and
-    # resident memory; only the calls that need them import them. Nor is the
-    # kernel built or loaded before a command needs it
+    # scipy costs every command import time and resident memory; only
+    # preprocess's PCA imports it, inside the call. Nor is the kernel built
+    # or loaded before a command needs it
     src = Path(advsamp.__file__).resolve().parents[1]
     code = ("import sys, advsamp.cli; "
-            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.special') "
-            "if m in sys.modules), advsamp.kernel._outcome.cache_info().currsize)")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "advsamp.kernel._outcome.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[] 0"
+
+
+def test_commands_after_preprocess_load_no_scipy(trained_run, tmp_path):
+    # fit-aux, train, eval and diagnose on a finished adversarial run
+    # directory, one after another in a fresh interpreter
+    src, sets = trained_run
+    out = tmp_path / "run"
+    shutil.copytree(src, out)
+    code = ("import json, sys, advsamp.cli\n"
+            "out, sets = sys.argv[1], json.loads(sys.argv[2])\n"
+            "for command in ('fit-aux', 'train', 'eval', 'diagnose'):\n"
+            "    argv = [command, '--out', out, *sum((['--set', s] for s in sets), [])]\n"
+            "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "    print(command, advsamp.cli.main(argv), loaded, flush=True)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(out), json.dumps(sets)],
+                          env={**os.environ, "PYTHONPATH": str(Path(advsamp.__file__).parents[1])},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    commands = ("fit-aux", "train", "eval", "diagnose")
+    # the commands' own lines end their first word in ':' or '['
+    lines = [line for line in proc.stdout.splitlines() if line.split(" ")[0] in commands]
+    assert lines == [f"{c} 0 []" for c in commands]
+
+
+@pytest.mark.parametrize("noise,code", [("uniform", 0), ("adversarial", 0), ("frequency", 2)])
+def test_eval_reads_train_split_only_for_frequency_noise(workdir, noise, code, capsys):
+    # only frequency noise needs the training label counts
+    out, base = workdir
+    sets = base + [f"noise={noise}"]
+    assert run("preprocess", out, sets) == 0
+    if noise == "adversarial":
+        assert run("fit-aux", out, sets) == 0
+    assert run("train", out, sets) == 0
+    (out / "train.npz").unlink()
+    assert run("eval", out, sets) == code
+    if code:
+        assert "train.npz" in capsys.readouterr().err

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from advsamp import kernel
 from advsamp.data_io import (
     MAX_FEATURES,
+    Csr,
+    CsrRows,
     PcaProjection,
     RawDataset,
+    SparseDataset,
     apply_pca_matrix,
     fit_pca,
     load_dataset,
@@ -499,6 +502,99 @@ class TestPca:
             apply_pca_matrix(proj, csr_row([1.0, 0.0]))
 
 
+@st.composite
+def csr_arrays(draw):
+    """Small CSR arrays, valid or not: rows of column indices in [-1, K],
+    and an indptr that may be disturbed but ends at the nonzero count."""
+    K = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-1, K), max_size=5), max_size=6))
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    if draw(st.booleans()) and len(rows) > 1:
+        i = draw(st.integers(1, len(rows) - 1))
+        indptr[i] = draw(st.integers(0, indptr[-1]))
+    indices = np.array([j for r in rows for j in r], dtype=np.int64)
+    return Csr(indptr, indices, np.ones(indices.size), (len(rows), K))
+
+
+class TestCsrRows:
+    """The datasets' CSR arrays: the one check, the row selection, the dense
+    forms and the constructor from a dense array, each against scipy."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(csr_arrays())
+    def test_check_agrees_with_scipy(self, arrays):
+        # accepted exactly when scipy's full format check passes and the
+        # rows are in its canonical form (sorted, no repeated column)
+        try:
+            mat = sp.csr_matrix((arrays.data, arrays.indices, arrays.indptr), shape=arrays.shape)
+            mat.check_format(full_check=True)
+            valid = mat.has_canonical_format
+        except ValueError:
+            valid = False
+        try:
+            rows = CsrRows(arrays)
+        except DataError:
+            assert not valid
+        else:
+            assert valid
+            assert rows.shape == arrays.shape and rows.nnz == arrays.indices.size
+            assert rows.indptr.dtype == rows.indices.dtype == np.int64
+            assert rows.data.dtype == np.float64
+            assert all(a.flags.c_contiguous for a in (rows.indptr, rows.indices, rows.data))
+
+    @pytest.mark.parametrize("change,why", [
+        (dict(indptr=np.array([1, 2, 3])), "CSR"),
+        (dict(indptr=np.array([0, 2])), "CSR"),
+        (dict(indptr=np.array([0, 2, 2])), "CSR"),  # ends before the last nonzero
+        (dict(data=np.ones(2)), "CSR"),
+        (dict(indices=np.array([0, 2, 3])), "CSR"),
+        (dict(indices=np.array([1, 0, 2])), "sorted"),
+    ])
+    def test_check_messages(self, change, why):
+        good = Csr(np.array([0, 2, 3]), np.array([0, 1, 2]), np.ones(3), (2, 3))
+        CsrRows(good)
+        with pytest.raises(DataError, match=why):
+            CsrRows(good._replace(**change))
+
+    def test_rows_match_scipy(self, rng):
+        X = rng.standard_normal((9, 5)) * (rng.random((9, 5)) < 0.5)
+        X[[2, 5]] = 0.0
+        ds = dataset_from_dense(X, rng.integers(0, 3, 9), 3)
+        for idx in ([], [4], [8, 0, 2, 2, 5], np.arange(9)):
+            got, want = ds.rows(idx), ds.features[np.asarray(idx, dtype=np.int64)]
+            assert got.labels.tolist() == ds.labels[idx].tolist() and got.num_labels == 3
+            assert got.shape == want.shape
+            assert got.indptr.tolist() == want.indptr.tolist()
+            assert got.indices.tolist() == want.indices.tolist()
+            assert got.data.tobytes() == want.data.tobytes()
+        for idx in ([9], [-1]):
+            with pytest.raises(DataError, match="row numbers"):
+                ds.rows(idx)
+
+    def test_dense_rows_match_toarray(self, rng):
+        mat = sp.csr_matrix(rng.standard_normal((7, 4)) * (rng.random((7, 4)) < 0.6))
+        rows = CsrRows(mat)
+        assert rows.dense().tobytes() == mat.toarray().tobytes()
+        for lo, hi in ((0, 7), (2, 5), (3, 3), (6, 7)):
+            assert rows.dense(lo, hi).tobytes() == mat[lo:hi].toarray().tobytes()
+
+    def test_from_dense_matches_scipy(self):
+        # exact zeros, negative zero included, are dropped; nan and inf stay
+        X = np.array([[0.0, -0.0, 1.5, np.nan], [0.0, 0.0, 0.0, 0.0], [np.inf, 0.0, -2.0, 1e-300]])
+        got = SparseDataset.from_dense(X, [0, 1, 0], 2)
+        want = sp.csr_matrix(X)
+        assert got.shape == want.shape
+        assert got.indptr.tolist() == want.indptr.tolist()
+        assert got.indices.tolist() == want.indices.tolist()
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_features_view_shares_the_data(self, rng):
+        ds = dataset_from_dense(rng.standard_normal((3, 2)), [0, 1, 0], 2)
+        view = ds.features
+        assert isinstance(view, sp.csr_matrix) and view.shape == ds.shape
+        assert np.shares_memory(view.data, ds.data)
+
+
 class TestSplit:
     def test_ten_percent(self, rng):
         ds = dataset_from_dense(rng.standard_normal((10, 3)), np.zeros(10, dtype=int), 1)
@@ -565,6 +661,8 @@ class TestRoundTrip:
         dict(labels=np.array([0, 1])),
         dict(indices=np.array([0, 3, 1])),  # unsorted within a row
         dict(indices=np.array([0, 1, 1])),  # repeated within a row
+        dict(indices=np.array([0.0, 1.0, 3.0])),  # not integers
+        dict(data=np.ones(2)),  # fewer values than indices
     ])
     def test_corrupt_dataset_cache_rejected(self, tmp_path, change):
         ds = dataset_from_dense([[1.0, 0, 0, 0, 0], [0, 2.0, 0, 3.0, 0], [0, 0, 0, 0, 0]],
@@ -587,6 +685,20 @@ class TestRoundTrip:
                     load(tmp_path / "c.npz")
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_int32_index_cache_loads(self, tmp_path, rng):
+        # caches written while datasets held scipy matrices have int32
+        # indices; they load as int64
+        ds = dataset_from_dense(rng.standard_normal((6, 4)), rng.integers(0, 3, 6), 3)
+        save_dataset(tmp_path / "c.npz", ds)
+        with np.load(tmp_path / "c.npz") as z:
+            parts = {k: z[k] for k in z.files}
+        for key in ("indices", "indptr"):
+            parts[key] = parts[key].astype(np.int32)
+        np.savez(tmp_path / "c.npz", **parts)
+        back = load_dataset(tmp_path / "c.npz")
+        assert back.indices.dtype == back.indptr.dtype == np.int64
+        assert (back.features != ds.features).nnz == 0
 
     def test_npy_file_rejected(self, tmp_path):
         np.save(tmp_path / "c.npy", np.zeros(3))

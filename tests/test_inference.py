@@ -233,7 +233,7 @@ class TestStreaming:
         rng = np.random.default_rng(0)
         with mock.patch.object(inference, "EVAL_BLOCK_BYTES", budget):
             X = sp.random(n, K, density=density, format="csr", random_state=rng)
-            assert inference.is_dense(X) == (density == 1.0)
+            assert inference.is_dense(X.nnz, *X.shape) == (density == 1.0)
             ds = SparseDataset(X, rng.integers(0, C, n), C)
             m = model_with(rng.standard_normal((C, K)), rng.standard_normal(C))
             noise = adversarial_noise(C, K, 16, rng)

@@ -13,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advsamp import kernel
-from advsamp.data_io import SparseDataset
+from advsamp.data_io import CsrRows, SparseDataset
 from advsamp.errors import DataError, KernelError, NumericError
 from advsamp.linear_model import LinearClassifier
 from advsamp.noise import FrequencyNoise, UniformNoise
 from advsamp.training import TrainConfig, train
 
 import numpy_oracle
-from conftest import dataset_from_dense
 
 CC = shutil.which("cc") or shutil.which("gcc")
 # train with the compiled steps, and with the numpy oracle's
@@ -34,13 +33,14 @@ def train_on(train_with, ds, cfg, noise):
 
 
 def sparse_dataset(rng, n, K, C, density, idx_dtype):
+    """A dataset built from a scipy matrix with ``idx_dtype`` indices."""
     X = rng.standard_normal((n, K)) * 2.0
     X[rng.random((n, K)) > density] = 0.0
     X[rng.random(n) < 0.2] = 0.0  # rows with no features
-    ds = dataset_from_dense(X, rng.integers(0, C, n), C)
-    ds.features.indices = ds.features.indices.astype(idx_dtype)
-    ds.features.indptr = ds.features.indptr.astype(idx_dtype)
-    return ds
+    mat = sp.csr_matrix(X)
+    mat.indices, mat.indptr = mat.indices.astype(idx_dtype), mat.indptr.astype(idx_dtype)
+    assert mat.indices.dtype == idx_dtype
+    return SparseDataset(mat, rng.integers(0, C, n), C)
 
 
 def assert_same_run(got, want):
@@ -68,7 +68,7 @@ class TestKernelMatchesReference:
                           log_frac, seed):
         rng = np.random.default_rng(seed)
         ds = sparse_dataset(rng, n, K, C, density, idx_dtype)
-        assert ds.features.indices.dtype == idx_dtype
+        assert ds.indices.dtype == ds.indptr.dtype == np.int64
         # log rows that split an epoch part way (0: one row per epoch)
         cfg = TrainConfig(method=method, learning_rate=0.2, regularizer=lam, epochs=2,
                           seed=seed % 1000, negatives_per_positive=m,
@@ -102,7 +102,7 @@ class TestKernelMatchesReference:
     def test_infinite_score_stops_mid_epoch(self, rng):
         # the model stays as the steps before the bad one left it
         ds = sparse_dataset(rng, 20, 5, 3, 1.0, np.int64)
-        ds.features.data[ds.features.indptr[7]] = np.inf
+        ds.data[ds.indptr[7]] = np.inf
         cfg = TrainConfig(method="neg_sampling", learning_rate=0.1, epochs=1, seed=0,
                           log_every=0)
         models = []
@@ -136,11 +136,53 @@ class TestBackendChoice:
                                          ([0, 4], "CSR"), ([-1, 0], "CSR")])
     def test_bad_feature_rows_rejected(self, row, why):
         # the kernel would write outside W, or twice into one cell
+        # (the dataset refuses it as it is built)
         X = sp.csr_matrix((np.ones(3), np.array([*row, 3]), np.array([0, 2, 3])), shape=(2, 4))
-        ds = SparseDataset(X, np.array([0, 2]), 3)
         cfg = TrainConfig(method="softmax_full", learning_rate=0.1, epochs=1)
         with pytest.raises(DataError, match=why):
-            train(ds, cfg, LinearClassifier(3, 4))
+            train(SparseDataset(X, np.array([0, 2]), 3), cfg, LinearClassifier(3, 4))
+
+
+class TestCsrProduct:
+    """``CsrRows.matmul``, the kernel's advsamp_csr_matmat, against scipy's
+    CSR product, bit for bit."""
+
+    @staticmethod
+    def check(X, b, lo, hi):
+        mat = sp.csr_matrix(X)
+        got = CsrRows(mat).matmul(b, lo, hi)
+        want = np.asarray(mat[lo:hi] @ b)
+        assert got.shape == want.shape == (hi - lo, b.shape[1])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 12), K=st.integers(1, 10), k=st.integers(1, 6),
+           density=st.floats(0.0, 1.0), fortran=st.booleans(), scale=st.sampled_from([1.0, 1e200]),
+           seed=st.integers(0, 2**32 - 1), bounds=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+    def test_matches_scipy(self, n, K, k, density, fortran, scale, seed, bounds):
+        # empty rows, any row range (empty ones and ones after row 0), and an
+        # F-ordered operand such as a projection's components.T; at scale
+        # 1e200 every term overflows, to inf or -inf, and sums of both to nan
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, K)) * (rng.random((n, K)) < density) * scale
+        X[rng.random(n) < 0.3] = 0.0
+        b = scale * (rng.standard_normal((k, K)).T if fortran else rng.standard_normal((K, k)))
+        lo, hi = sorted(int(f * n) for f in bounds)
+        self.check(X, b, lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(0, 6), (2, 5), (3, 3), (6, 6)])
+    def test_one_column(self, rng, lo, hi):
+        # k == 1 is scipy's matrix-vector path, csr_matvec
+        X = rng.standard_normal((6, 9)) * (rng.random((6, 9)) < 0.5)
+        X[1] = 0.0
+        self.check(X, rng.standard_normal((9, 1)), lo, hi)
+
+    @pytest.mark.parametrize("b_shape,lo,hi", [((4, 2), 0, 3), ((3,), 0, 3), ((3, 2), 2, 1),
+                                               ((3, 2), 0, 4), ((3, 2), -1, 2)])
+    def test_bad_operand_or_range_rejected(self, b_shape, lo, hi):
+        rows = CsrRows(sp.csr_matrix(np.eye(3)))
+        with pytest.raises(DataError, match="cannot multiply"):
+            rows.matmul(np.ones(b_shape), lo, hi)
 
 
 class TestBuild:
